@@ -21,7 +21,9 @@ the phonon expectation is exactly
     <b^dag b>(t) = 2 kappa | int_0^t G_ba(t - s) f(s - L) ds |^2
 
 where G_ba is the impulse response of the pair; no Fock-space truncation
-is involved, and <b>(t) = 0 identically. Two independent routes to the
+is involved, and <b>(t) = 0 identically. The convolution is evaluated in
+closed form through the Faddeeva function (``_filtered_input``), with an
+even series at critical coupling. Two independent routes to the
 same quantity (a direct double quadrature of the Green's function against
 the input correlation, and time-stepped integration of the second-moment
 equations) are provided for cross-validation.
@@ -33,9 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import GridError, NoSwapError, ValidationError
+from .errors import GridError, NoSwapError, NumericalError, ValidationError
 
 __all__ = [
     "PulseProtocol",
@@ -75,12 +76,17 @@ class PulseProtocol:
     RWA_FACTOR = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("g", "kappa", "gamma", "sigma", "delay_L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         for name in ("g", "kappa", "gamma", "sigma"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be non-negative")
         if self.kappa == 0.0 or self.sigma == 0.0:
             raise ValidationError("kappa and sigma must be positive")
         grid = np.asarray(self.t_grid, dtype=float)
+        if grid.ndim == 1 and not np.all(np.isfinite(grid)):
+            raise ValidationError("t_grid must be finite")
         if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0.0):
             raise ValidationError("t_grid must be a strictly increasing 1-D array")
         object.__setattr__(self, "t_grid", grid)
@@ -151,70 +157,134 @@ def _pulse_window(p: PulseProtocol) -> tuple[float, float]:
     return p.delay_L - 10.0 / p.sigma, p.delay_L + 10.0 / p.sigma
 
 
-def _convolve_ba(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
-    """eta(t) = int_0^t G_ba(t-s) f(s-L) ds by panelized Gauss-Legendre."""
+#: terms kept of each critical-coupling series; where |nu| span <= 1 the
+#: dropped terms are below 1/(2 _SERIES_TERMS)! of the window's J_0 scale
+_SERIES_TERMS = 12
+
+
+def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
+                          p: PulseProtocol) -> np.ndarray:
+    """int_lo^b exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds, b = min(t, hi),
+    for times t > lo and Re lam <= 0.
+
+    Completing the square gives the antiderivative
+    -sqrt(pi)/sigma exp(lam (t-L) + lam^2/sigma^2) erfc(z_s) with
+    z_s = sigma (s-L)/2 + lam/sigma. Through the Faddeeva function,
+    erfc(z) = exp(-z^2) w(iz), it reads -sqrt(pi)/sigma e_s w(i z_s) with
+    e_s = exp(lam (t-s) - sigma^2 (s-L)^2 / 4), |e_s| <= 1. Where
+    Re z_s < 0 the reflection erfc(z) = 2 - erfc(-z) keeps w's argument in
+    the upper half plane; its constant cancels unless the limits straddle
+    Re z = 0, and there it is bounded by the integrand.
+    """
+    from scipy.special import wofz
+
+    sigma, delay = p.sigma, p.delay_L
+
+    def term(s):
+        z = 0.5 * sigma * (s - delay) + lam / sigma
+        e = np.exp(lam * (t - s) - 0.25 * sigma**2 * (s - delay) ** 2)
+        reflected = z.real < 0.0
+        w = wofz(1j * np.where(reflected, -z, z))
+        return np.where(reflected, -e * w, e * w), reflected
+
+    term_lo, reflected_lo = term(lo)
+    term_hi, reflected_hi = term(np.minimum(t, hi))
+    out = term_lo - term_hi
+    straddle = reflected_lo & ~reflected_hi
+    if np.any(straddle):
+        ts = t[straddle]
+        out[straddle] += 2.0 * np.exp(lam * (ts - delay) + lam**2 / sigma**2)
+    return math.sqrt(math.pi) / sigma * out
+
+
+def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
+    """(u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds at each time.
+
+    With h = (kappa+gamma)/2, d = (kappa-gamma)/2 and nu = sqrt(d^2 - g^2),
+    exp(M tau) has the eigenvalues lam+- = -h +- nu and
+
+        G_aa = (1 - d/nu)/2 e^{lam+ tau} + (1 + d/nu)/2 e^{lam- tau}
+        G_ba = -i g (e^{lam+ tau} - e^{lam- tau}) / (2 nu)
+
+    so both convolutions are sums of ``_gaussian_convolution`` terms. Near
+    critical coupling (nu -> 0) those differences cancel; there the even
+    series cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
+    sinh(nu tau)/nu = sum nu^2m tau^(2m+1)/(2m+1)! is summed over the
+    moments J_k = int tau^k e^{-h tau} f ds, which obey
+
+        J_{k+1} = alpha J_k + k beta J_{k-1} + beta N [tau^k e^{-h tau - sigma^2 (s-L)^2/4}]_lo^b
+
+    (alpha = t - L - h beta, beta = 2/sigma^2, N the norm of f). The series
+    needs |nu| tau small over the window; the recurrence's coefficients set
+    how fast its rounding grows, so they join that span.
+    """
+    t = np.asarray(times, dtype=float)
+    u_a = np.zeros(t.shape, dtype=complex)
+    u_b = np.zeros(t.shape, dtype=complex)
     lo, hi = _pulse_window(p)
     lo = max(lo, 0.0)
-    rate = max(p.g, p.kappa, p.gamma, p.sigma)
-    panel = 0.5 / rate
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    out = np.zeros(times.size, dtype=complex)
-    for i, t in enumerate(times):
-        b = min(t, hi)
-        if b <= lo:
-            continue
-        n_panels = max(1, int(math.ceil((b - lo) / panel)))
-        edges = np.linspace(lo, b, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        s = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-        w = (halves[:, None] * weights[None, :]).ravel()
-        out[i] = np.sum(w * greens_ba(t - s, p.g, p.kappa, p.gamma)
-                        * pulse_envelope(s - p.delay_L, p.sigma))
-    return out
-
-
-def _cavity_response(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
-    """u_a(t) = int_0^t [exp(M(t-s))]_{a,a} f(s-L) ds (same panel rule)."""
+    live = t > lo
+    t_live = t[live]
     half_sum = 0.5 * (p.kappa + p.gamma)
     half_dif = 0.5 * (p.kappa - p.gamma)
-    nu = complex(np.sqrt(complex(half_dif**2 - p.g**2)))
+    nu2 = half_dif * half_dif - p.g * p.g
+    nu = complex(np.sqrt(complex(nu2)))
+    beta = 2.0 / p.sigma**2
+    alpha = t_live - p.delay_L - half_sum * beta
+    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * _SERIES_TERMS * beta)
+    series = abs(nu) * span <= 1.0
+    ua = np.empty(t_live.shape, dtype=complex)
+    ub = np.empty(t_live.shape, dtype=complex)
 
-    def g_aa(tau):
-        x = nu * tau
-        small = np.abs(x) < 1e-8
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shc = np.where(small, tau, np.sinh(np.where(small, 0.0, x)) / np.where(small, 1.0, nu))
-        return np.exp(-half_sum * tau) * (np.cosh(x) - half_dif * shc)
+    if np.any(series):
+        ts, al = t_live[series], alpha[series]
+        b = np.minimum(ts, hi)
+        tau_lo, tau_b = ts - lo, ts - b
+        edge_lo = np.exp(-half_sum * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
+        edge_b = np.exp(-half_sum * tau_b - 0.25 * p.sigma**2 * (b - p.delay_L) ** 2)
+        j_prev, j = 0.0, _gaussian_convolution(-half_sum, ts, lo, hi, p).real
+        cosh_part = sinh_part = 0.0
+        weight = 1.0  # nu^(2 floor(k/2)) / k!
+        for k in range(2 * _SERIES_TERMS):
+            if k % 2:
+                sinh_part = sinh_part + weight * j
+            else:
+                cosh_part = cosh_part + weight * j
+            weight *= (nu2 if k % 2 else 1.0) / (k + 1)
+            j_prev, j = j, (al * j + k * beta * j_prev
+                            + beta * (tau_b**k * edge_b - tau_lo**k * edge_lo))
+        ua[series] = cosh_part - half_dif * sinh_part
+        ub[series] = -1j * p.g * sinh_part
 
-    lo, hi = _pulse_window(p)
-    lo = max(lo, 0.0)
-    rate = max(p.g, p.kappa, p.gamma, p.sigma)
-    panel = 0.5 / rate
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    out = np.zeros(times.size, dtype=complex)
-    for i, t in enumerate(times):
-        b = min(t, hi)
-        if b <= lo:
-            continue
-        n_panels = max(1, int(math.ceil((b - lo) / panel)))
-        edges = np.linspace(lo, b, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        s = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-        w = (halves[:, None] * weights[None, :]).ravel()
-        out[i] = np.sum(w * g_aa(t - s) * pulse_envelope(s - p.delay_L, p.sigma))
-    return out
+    rest = ~series
+    if np.any(rest):
+        tr = t_live[rest]
+        plus = _gaussian_convolution(-half_sum + nu, tr, lo, hi, p)
+        minus = _gaussian_convolution(-half_sum - nu, tr, lo, hi, p)
+        ua[rest] = 0.5 * (plus + minus) - half_dif * (plus - minus) / (2.0 * nu)
+        ub[rest] = -1j * p.g * (plus - minus) / (2.0 * nu)
+
+    norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
+    u_a[live] = norm * ua
+    u_b[live] = norm * ub
+    return u_a, u_b
 
 
 def phonon_trace(p: PulseProtocol) -> PhononTrace:
     """<b^dag b>(t) on the protocol grid for the single-photon input.
 
-    Raises GridError when the grid is too coarse to sample the trace
-    (parabolic-interpolation error above 1e-4 of the peak).
+    Raises NumericalError when the trace cannot be formed in floating
+    point or is not finite, and GridError when the grid is too coarse to
+    sample it (parabolic-interpolation error above 1e-4 of the peak).
     """
-    eta = _convolve_ba(p, p.t_grid)
-    n = 2.0 * p.kappa * np.abs(eta) ** 2
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            _, u_b = _filtered_input(p, p.t_grid)
+            n = 2.0 * p.kappa * np.abs(u_b) ** 2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"phonon trace out of floating-point range: {exc}") from exc
+    if not np.all(np.isfinite(n)):
+        raise NumericalError("phonon trace is not finite")
     peak = float(n.max())
     if peak > 0.0:
         # sampling error of a smooth curve read off a uniform-ish grid
@@ -258,6 +328,8 @@ def phonon_expectation_moments(p: PulseProtocol, t: float) -> float:
     terms 2 kappa f(t-L) coupling N to u. Integrated with RK45 at tight
     tolerance; returns N_bb(t).
     """
+    from scipy.integrate import solve_ivp
+
     m = np.array([[-p.kappa, -1j * p.g], [-1j * p.g, -p.gamma]], dtype=complex)
 
     def rhs(t_now, y):
@@ -285,18 +357,24 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     input, so the envelope is 2 kappa u_a(t) - f(t - L). For a lossless
     protocol the emitted quanta int |.|^2 dt recover the input photon.
     """
-    u_a = _cavity_response(p, times)
+    u_a, _ = _filtered_input(p, times)
     return 2.0 * p.kappa * u_a - pulse_envelope(np.asarray(times) - p.delay_L, p.sigma)
 
 
 def cavity_population(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     """Intracavity photon expectation <a^dag a>(t) = 2 kappa |u_a(t)|^2."""
-    u_a = _cavity_response(p, times)
+    u_a, _ = _filtered_input(p, times)
     return 2.0 * p.kappa * np.abs(u_a) ** 2
 
 
 def find_swap_time(trace: PhononTrace) -> float:
-    """Swap time t*: grid argmax refined by a local parabola.
+    """Swap time t*: grid argmax refined by a local parabola (see refined_peak)."""
+    return refined_peak(trace)[0]
+
+
+def refined_peak(trace: PhononTrace) -> tuple[float, float]:
+    """(t*, n(t*)): the vertex of the parabola through the grid argmax and
+    its neighbours; the grid point itself at either end of the grid.
 
     A flat all-zero trace has no swap and raises NoSwapError.
     """
@@ -305,29 +383,15 @@ def find_swap_time(trace: PhononTrace) -> float:
         raise NoSwapError("phonon trace is identically zero: no swap occurs")
     i = int(np.argmax(n))
     if i == 0 or i == n.size - 1:
-        return float(trace.times[i])
+        return float(trace.times[i]), float(n[i])
     t0, t1, t2 = trace.times[i - 1: i + 2]
     y0, y1, y2 = n[i - 1: i + 2]
     denom = (y0 - 2.0 * y1 + y2)
     if denom == 0.0:
-        return float(t1)
+        return float(t1), float(y1)
     # uniform-step parabola vertex
     h = 0.5 * (t2 - t0)
-    return float(t1 + 0.5 * h * (y0 - y2) / denom)
-
-
-def refined_peak(trace: PhononTrace) -> tuple[float, float]:
-    """(t*, n(t*)) with parabolic refinement of both coordinates."""
-    t_star = find_swap_time(trace)
-    n = trace.n_phonon
-    i = int(np.argmax(n))
-    if 0 < i < n.size - 1:
-        y0, y1, y2 = n[i - 1: i + 2]
-        denom = y0 - 2.0 * y1 + y2
-        if denom != 0.0:
-            value = y1 - 0.125 * (y0 - y2) ** 2 / denom
-            return t_star, float(value)
-    return t_star, float(n[i])
+    return float(t1 + 0.5 * h * (y0 - y2) / denom), float(y1 - 0.125 * (y0 - y2) ** 2 / denom)
 
 
 def conditional_superposition(x_L: float, displacement: float) -> SuperpositionState:

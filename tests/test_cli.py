@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import subprocess
 import sys
 
@@ -177,3 +178,32 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "rod-rotation" in proc.stdout
+
+
+SCIPY_PROBE = """
+import json, sys
+import levicav.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+path = sys.argv[1]
+codes = [cli.main(["preset", "sphere-appendix-h", "--out", path]),
+         cli.main(["feasibility", path, "--quiet"]),
+         cli.main(["sweep", path, "--axis", "P", "--values", "0.001", "--quiet"])]
+print("PROBE " + json.dumps([after_import, codes, scipy_modules()]))
+"""
+
+
+def test_report_paths_import_no_scipy(tmp_path):
+    # scipy is loaded only by trace/envelope calls and the RK45 oracle;
+    # the preset, feasibility and sweep paths start without it
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "s.yaml")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
+    after_import, codes, after_commands = json.loads(line[len("PROBE "):])
+    assert after_import == []
+    assert codes == [0, 0, 0]
+    assert after_commands == []

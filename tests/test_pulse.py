@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from levicav.errors import GridError, NoSwapError, ValidationError
+from levicav.errors import GridError, NoSwapError, NumericalError, ValidationError
 from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            cavity_population, conditional_superposition,
                            find_swap_time, output_field_envelope,
@@ -63,6 +63,79 @@ class TestTrace:
         with pytest.raises(ValidationError):
             PulseProtocol(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=KAPPA,
                           delay_L=0.0, t_grid=np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("name", ["g", "kappa", "gamma", "sigma", "delay_L"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, name, bad):
+        fields = dict(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=5.6 * KAPPA,
+                      delay_L=5.0 / KAPPA, t_grid=np.linspace(0.0, 20.0 / KAPPA, 100))
+        fields[name] = bad
+        with pytest.raises(ValidationError, match=name):
+            PulseProtocol(**fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        grid = np.linspace(0.0, 20.0 / KAPPA, 100)
+        grid[-1] = bad
+        with pytest.raises(ValidationError, match="t_grid"):
+            PulseProtocol(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=5.6 * KAPPA,
+                          delay_L=5.0 / KAPPA, t_grid=grid)
+
+    @pytest.mark.parametrize("rates", [dict(g=1e200, kappa=1.0),
+                                       dict(g=1.0, kappa=1.0, sigma_over_kappa=1e200),
+                                       dict(g=1.0, kappa=1e-200)])
+    def test_out_of_range_trace_reported(self, rates):
+        # finite rates whose squares leave the floating-point range
+        with pytest.raises(NumericalError):
+            phonon_trace(PulseProtocol.standard(**rates))
+
+
+def assert_trace_matches_direct(protocol):
+    """Six evenly spaced grid points, three across the pulse and the peak."""
+    trace = phonon_trace(protocol)
+    assert np.all(np.isfinite(trace.n_phonon))
+    across_pulse = protocol.delay_L + np.array([-1.0, 0.0, 1.0]) / protocol.sigma
+    across_pulse = across_pulse[across_pulse < trace.times[-1]]
+    idx = np.unique(np.r_[np.linspace(0, trace.times.size - 1, 6).astype(int),
+                          np.searchsorted(trace.times, across_pulse),
+                          np.argmax(trace.n_phonon)])
+    for i in idx:
+        direct = phonon_expectation_direct(protocol, float(trace.times[i]))
+        assert abs(trace.n_phonon[i] - direct) <= 1e-9, (i, trace.n_phonon[i], direct)
+
+
+class TestClosedForm:
+    """The closed-form trace against the direct double quadrature."""
+
+    @pytest.mark.parametrize("gamma_over_kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("nu_over_d", [0.0, 1e-7, 1e-5, 1e-3, 3e-2,
+                                           -1e-7, -1e-5, -1e-3, -3e-2])
+    def test_near_critical_coupling(self, nu_over_d, gamma_over_kappa):
+        # nu = sqrt(d^2 - g^2) with d = (kappa - gamma)/2 is real for
+        # nu_over_d > 0, imaginary (nu/d = i |nu_over_d|) for nu_over_d < 0
+        # and exactly zero at critical coupling g = d
+        gamma = gamma_over_kappa * KAPPA
+        d = 0.5 * (KAPPA - gamma)
+        g = d * math.sqrt(1.0 - math.copysign(nu_over_d**2, nu_over_d))
+        assert_trace_matches_direct(PulseProtocol.standard(g=g, kappa=KAPPA, gamma=gamma))
+
+    @pytest.mark.parametrize("sigma_over_kappa", [0.01, 0.3, 5.6, 50.0])
+    def test_pulse_widths(self, sigma_over_kappa):
+        # 20001 points keep the GridError check quiet up to g = 3 kappa
+        # with the shortest pulse
+        rng = np.random.default_rng(int(100 * sigma_over_kappa))
+        for _ in range(3):
+            g, gamma = rng.uniform(0.0, 3.0), rng.uniform(0.0, 0.5)
+            assert_trace_matches_direct(PulseProtocol.standard(
+                g=g * KAPPA, kappa=KAPPA, gamma=gamma * KAPPA,
+                sigma_over_kappa=sigma_over_kappa, n_points=20001))
+
+    def test_times_before_the_pulse_are_exactly_zero(self):
+        protocol = standard(1.0)
+        lead = protocol.t_grid < protocol.delay_L - 10.0 / protocol.sigma
+        assert np.any(lead)
+        assert np.all(phonon_trace(protocol).n_phonon[lead] == 0.0)
+        assert np.all(cavity_population(protocol, protocol.t_grid[lead]) == 0.0)
 
 
 class TestOracles:
