@@ -31,6 +31,7 @@ equations) are provided for cross-validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -174,26 +175,30 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
     e_s = exp(lam (t-s) - sigma^2 (s-L)^2 / 4), |e_s| <= 1. Where
     Re z_s < 0 the reflection erfc(z) = 2 - erfc(-z) keeps w's argument in
     the upper half plane; its constant cancels unless the limits straddle
-    Re z = 0, and there it is bounded by the integrand.
+    Re z = 0, and there it is bounded by the integrand. w depends on s
+    alone: it is evaluated at lo, at hi and at the times inside (lo, hi).
     """
     from scipy.special import wofz
 
     sigma, delay = p.sigma, p.delay_L
 
-    def term(s):
+    def faddeeva(s):
         z = 0.5 * sigma * (s - delay) + lam / sigma
-        e = np.exp(lam * (t - s) - 0.25 * sigma**2 * (s - delay) ** 2)
         reflected = z.real < 0.0
-        w = wofz(1j * np.where(reflected, -z, z))
-        return np.where(reflected, -e * w, e * w), reflected
+        return wofz(1j * np.where(reflected, -z, z)), reflected
 
-    term_lo, reflected_lo = term(lo)
-    term_hi, reflected_hi = term(np.minimum(t, hi))
-    out = term_lo - term_hi
+    def term(s, w, reflected):
+        e = np.exp(lam * (t - s) - 0.25 * sigma**2 * (s - delay) ** 2)
+        return np.where(reflected, -e * w, e * w)
+
+    w_lo, reflected_lo = faddeeva(lo)
+    inside = t < hi
+    w_hi, reflected_hi = (np.full(t.shape, v) for v in faddeeva(hi))
+    w_hi[inside], reflected_hi[inside] = faddeeva(t[inside])
+    out = term(lo, w_lo, reflected_lo) - term(np.minimum(t, hi), w_hi, reflected_hi)
     straddle = reflected_lo & ~reflected_hi
     if np.any(straddle):
-        ts = t[straddle]
-        out[straddle] += 2.0 * np.exp(lam * (ts - delay) + lam**2 / sigma**2)
+        out[straddle] += 2.0 * np.exp(lam * (t[straddle] - delay) + lam**2 / sigma**2)
     return math.sqrt(math.pi) / sigma * out
 
 
@@ -219,8 +224,7 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     how fast its rounding grows, so they join that span.
     """
     t = np.asarray(times, dtype=float)
-    u_a = np.zeros(t.shape, dtype=complex)
-    u_b = np.zeros(t.shape, dtype=complex)
+    u_a, u_b = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=complex)
     lo, hi = _pulse_window(p)
     lo = max(lo, 0.0)
     live = t > lo
@@ -233,8 +237,7 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     alpha = t_live - p.delay_L - half_sum * beta
     span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * _SERIES_TERMS * beta)
     series = abs(nu) * span <= 1.0
-    ua = np.empty(t_live.shape, dtype=complex)
-    ub = np.empty(t_live.shape, dtype=complex)
+    ua, ub = np.empty((2,) + t_live.shape, dtype=complex)
 
     if np.any(series):
         ts, al = t_live[series], alpha[series]
@@ -270,6 +273,18 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     return u_a, u_b
 
 
+def _finite(quantity: str, compute) -> np.ndarray:
+    """compute(), or NumericalError where it is out of range or not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            values = compute()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"{quantity} out of floating-point range: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{quantity} is not finite")
+    return values
+
+
 def phonon_trace(p: PulseProtocol) -> PhononTrace:
     """<b^dag b>(t) on the protocol grid for the single-photon input.
 
@@ -277,14 +292,7 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     point or is not finite, and GridError when the grid is too coarse to
     sample it (parabolic-interpolation error above 1e-4 of the peak).
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            _, u_b = _filtered_input(p, p.t_grid)
-            n = 2.0 * p.kappa * np.abs(u_b) ** 2
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"phonon trace out of floating-point range: {exc}") from exc
-    if not np.all(np.isfinite(n)):
-        raise NumericalError("phonon trace is not finite")
+    n = _finite("phonon trace", lambda: 2.0 * p.kappa * abs(_filtered_input(p, p.t_grid)[1]) ** 2)
     peak = float(n.max())
     if peak > 0.0:
         # sampling error of a smooth curve read off a uniform-ish grid
@@ -301,6 +309,13 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
                        peak_time=float(p.t_grid[i]), peak_value=peak)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n_nodes)  # one eigen-solve per n_nodes
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def phonon_expectation_direct(p: PulseProtocol, t: float, n_nodes: int = 160) -> float:
     """Oracle route 1: literal double quadrature of the Green's function
     against the input correlation <a_in^dag(s) a_in(s')>."""
@@ -308,7 +323,7 @@ def phonon_expectation_direct(p: PulseProtocol, t: float, n_nodes: int = 160) ->
     lo, hi = max(lo, 0.0), min(hi, t)
     if hi <= lo:
         return 0.0
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     half = 0.5 * (hi - lo)
     s = lo + half * (x + 1.0)
     ws = half * w
@@ -357,14 +372,14 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     input, so the envelope is 2 kappa u_a(t) - f(t - L). For a lossless
     protocol the emitted quanta int |.|^2 dt recover the input photon.
     """
-    u_a, _ = _filtered_input(p, times)
-    return 2.0 * p.kappa * u_a - pulse_envelope(np.asarray(times) - p.delay_L, p.sigma)
+    return _finite("output field", lambda: 2.0 * p.kappa * _filtered_input(p, times)[0]
+                   - pulse_envelope(np.asarray(times) - p.delay_L, p.sigma))
 
 
 def cavity_population(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     """Intracavity photon expectation <a^dag a>(t) = 2 kappa |u_a(t)|^2."""
-    u_a, _ = _filtered_input(p, times)
-    return 2.0 * p.kappa * np.abs(u_a) ** 2
+    return _finite("cavity population",
+                   lambda: 2.0 * p.kappa * abs(_filtered_input(p, times)[0]) ** 2)
 
 
 def find_swap_time(trace: PhononTrace) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from levicav import pulse
 from levicav.errors import GridError, NoSwapError, NumericalError, ValidationError
 from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            cavity_population, conditional_superposition,
@@ -86,8 +87,13 @@ class TestTrace:
                                        dict(g=1.0, kappa=1e-200)])
     def test_out_of_range_trace_reported(self, rates):
         # finite rates whose squares leave the floating-point range
+        protocol = PulseProtocol.standard(**rates)
         with pytest.raises(NumericalError):
-            phonon_trace(PulseProtocol.standard(**rates))
+            phonon_trace(protocol)
+        with pytest.raises(NumericalError):
+            output_field_envelope(protocol, protocol.t_grid)
+        with pytest.raises(NumericalError):
+            cavity_population(protocol, protocol.t_grid)
 
 
 def assert_trace_matches_direct(protocol):
@@ -136,6 +142,70 @@ class TestClosedForm:
         assert np.any(lead)
         assert np.all(phonon_trace(protocol).n_phonon[lead] == 0.0)
         assert np.all(cavity_population(protocol, protocol.t_grid[lead]) == 0.0)
+
+
+def per_time_point_convolution(lam, t, lo, hi, p):
+    """_gaussian_convolution as it was: w evaluated at every upper limit."""
+    from scipy.special import wofz
+
+    def term(s):
+        z = 0.5 * p.sigma * (s - p.delay_L) + lam / p.sigma
+        e = np.exp(lam * (t - s) - 0.25 * p.sigma**2 * (s - p.delay_L) ** 2)
+        reflected = z.real < 0.0
+        w = wofz(1j * np.where(reflected, -z, z))
+        return np.where(reflected, -e * w, e * w), reflected
+
+    (term_lo, reflected_lo), (term_hi, reflected_hi) = term(lo), term(np.minimum(t, hi))
+    out = term_lo - term_hi
+    straddle = reflected_lo & ~reflected_hi
+    if np.any(straddle):
+        out[straddle] += 2.0 * np.exp(lam * (t[straddle] - p.delay_L) + lam**2 / p.sigma**2)
+    return math.sqrt(math.pi) / p.sigma * out
+
+
+class TestFaddeevaEvaluation:
+    """w is evaluated once per distinct integration limit, bit for bit as
+    the per-time-point evaluation."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_per_time_point(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        d = 0.5 * (1.0 - 0.2 * seed / 3)
+        protocols = []
+        # g = d is critical coupling; there and just below it the series runs
+        for g in (rng.uniform(0.0, 3.0), d, d * math.sqrt(1.0 - 1e-10)):
+            sigma, delay = rng.uniform(0.05, 60.0) * KAPPA, rng.uniform(1.0, 8.0) / KAPPA
+            lo, hi = delay - 10.0 / sigma, delay + 10.0 / sigma
+            for start, stop, n in ((0.0, 0.5 * (delay + hi), 50),  # ends before hi
+                                   (0.0, hi + 10.0 / KAPPA, 2000),  # straddles hi
+                                   (hi + 1e-3 / KAPPA, hi + 10.0 / KAPPA, 50),  # after hi
+                                   (lo, hi + 1.0 / KAPPA, 3)):
+                protocols.append(PulseProtocol(
+                    g=g * KAPPA, kappa=KAPPA, gamma=(1.0 - 2.0 * d) * KAPPA,
+                    sigma=sigma, delay_L=delay, t_grid=np.linspace(start, stop, n)))
+        shuffled = rng.permutation(protocols[1].t_grid)
+        new = [pulse._filtered_input(p, p.t_grid) for p in protocols]
+        new_envelope = output_field_envelope(protocols[1], shuffled)
+        monkeypatch.setattr(pulse, "_gaussian_convolution", per_time_point_convolution)
+        old = [pulse._filtered_input(p, p.t_grid) for p in protocols]
+        assert np.array_equal(output_field_envelope(protocols[1], shuffled), new_envelope)
+        for (ua, ub), (ua_ref, ub_ref) in zip(new, old):
+            assert np.array_equal(ua, ua_ref) and np.array_equal(ub, ub_ref)
+
+    def test_one_evaluation_per_distinct_limit(self, monkeypatch):
+        import scipy.special
+        wofz, evaluated = scipy.special.wofz, []
+
+        def counting_wofz(z):
+            evaluated.append(np.size(z))
+            return wofz(z)
+
+        monkeypatch.setattr(scipy.special, "wofz", counting_wofz)
+        protocol = standard(1.0)
+        phonon_trace(protocol)
+        lo, hi = pulse._pulse_window(protocol)
+        n_inside = np.count_nonzero((protocol.t_grid > max(lo, 0.0)) & (protocol.t_grid < hi))
+        assert 0 < sum(evaluated) <= 2 * (n_inside + 2)
 
 
 class TestOracles:
