@@ -12,7 +12,7 @@ from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           gas_damping, heating_time_and_bound, quality_factor)
 from .pulse import (PhononTrace, PulseProtocol, SuperpositionState,
                     amplification_envelope, conditional_superposition,
-                    find_swap_time, phonon_trace)
+                    phonon_trace, refined_peak)
 from .rod import (C1, C2, LGPairProfile, SelfTrapSolution, rod_coupling_constants,
                   rod_frequency_profile, rod_optomech_params,
                   rotation_configuration, solve_self_trap,

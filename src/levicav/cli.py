@@ -111,9 +111,12 @@ def _cmd_trace(args) -> int:
 def _parse_values(text: str) -> list[float]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     try:
-        return [float(piece) for piece in items]
+        values = [float(piece) for piece in items]
     except ValueError as exc:
         raise ValidationError(f"sweep values must be numbers: {exc}") from exc
+    if not all(math.isfinite(value) for value in values):
+        raise ValidationError(f"sweep values must be finite, got {text!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:

@@ -21,9 +21,11 @@ the phonon expectation is exactly
     <b^dag b>(t) = 2 kappa | int_0^t G_ba(t - s) f(s - L) ds |^2
 
 where G_ba is the impulse response of the pair; no Fock-space truncation
-is involved, and <b>(t) = 0 identically. The convolution is evaluated in
-closed form through the Faddeeva function (``_filtered_input``), with an
-even series at critical coupling. Two independent routes to the
+is involved, and <b>(t) = 0 identically. Inside the pulse window the
+convolution is evaluated in closed form through the Faddeeva function
+(``_filtered_input``), with an even series at critical coupling; after the
+window the input has ended and the state is propagated by exp(M tau),
+M = [[-kappa, -ig], [-ig, -gamma]]. Two independent routes to the
 same quantity (a direct double quadrature of the Green's function against
 the input correlation, and time-stepped integration of the second-moment
 equations) are provided for cross-validation.
@@ -49,7 +51,7 @@ __all__ = [
     "phonon_expectation_direct",
     "phonon_expectation_moments",
     "output_field_envelope",
-    "find_swap_time",
+    "refined_peak",
     "conditional_superposition",
     "amplification_envelope",
 ]
@@ -165,8 +167,8 @@ _SERIES_TERMS = 12
 
 def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
                           p: PulseProtocol) -> np.ndarray:
-    """int_lo^b exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds, b = min(t, hi),
-    for times t > lo and Re lam <= 0.
+    """int_lo^t exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds for times
+    lo < t <= hi inside the pulse window, and Re lam <= 0.
 
     Completing the square gives the antiderivative
     -sqrt(pi)/sigma exp(lam (t-L) + lam^2/sigma^2) erfc(z_s) with
@@ -176,7 +178,7 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
     Re z_s < 0 the reflection erfc(z) = 2 - erfc(-z) keeps w's argument in
     the upper half plane; its constant cancels unless the limits straddle
     Re z = 0, and there it is bounded by the integrand. w depends on s
-    alone: it is evaluated at lo, at hi and at the times inside (lo, hi).
+    alone: it is evaluated once at lo and once at each t.
     """
     from scipy.special import wofz
 
@@ -192,11 +194,9 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
         return np.where(reflected, -e * w, e * w)
 
     w_lo, reflected_lo = faddeeva(lo)
-    inside = t < hi
-    w_hi, reflected_hi = (np.full(t.shape, v) for v in faddeeva(hi))
-    w_hi[inside], reflected_hi[inside] = faddeeva(t[inside])
-    out = term(lo, w_lo, reflected_lo) - term(np.minimum(t, hi), w_hi, reflected_hi)
-    straddle = reflected_lo & ~reflected_hi
+    w_t, reflected_t = faddeeva(t)
+    out = term(lo, w_lo, reflected_lo) - term(t, w_t, reflected_t)
+    straddle = reflected_lo & ~reflected_t
     if np.any(straddle):
         out[straddle] += 2.0 * np.exp(lam * (t[straddle] - delay) + lam**2 / sigma**2)
     return math.sqrt(math.pi) / sigma * out
@@ -215,20 +215,27 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     critical coupling (nu -> 0) those differences cancel; there the even
     series cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
     sinh(nu tau)/nu = sum nu^2m tau^(2m+1)/(2m+1)! is summed over the
-    moments J_k = int tau^k e^{-h tau} f ds, which obey
+    moments J_k = int_lo^t tau^k e^{-h tau} f ds, which obey
 
-        J_{k+1} = alpha J_k + k beta J_{k-1} + beta N [tau^k e^{-h tau - sigma^2 (s-L)^2/4}]_lo^b
+        J_{k+1} = alpha J_k + k beta J_{k-1} + beta N [tau^k e^{-h tau - sigma^2 (s-L)^2/4}]_lo^t
 
     (alpha = t - L - h beta, beta = 2/sigma^2, N the norm of f). The series
     needs |nu| tau small over the window; the recurrence's coefficients set
     how fast its rounding grows, so they join that span.
+
+    The closed form runs only at the times inside the pulse window (lo, hi)
+    and once at hi; the input has ended by hi, so later times take
+    u(t) = exp(M (t - hi)) u(hi) (``_free_evolution``). A window that
+    closes by t = 0 gives exact zeros.
     """
     t = np.asarray(times, dtype=float)
     u_a, u_b = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=complex)
     lo, hi = _pulse_window(p)
     lo = max(lo, 0.0)
-    live = t > lo
-    t_live = t[live]
+    if hi <= 0.0:
+        return u_a, u_b
+    inside, after = (t > lo) & (t < hi), t >= hi
+    t_live = np.append(t[inside], hi)
     half_sum = 0.5 * (p.kappa + p.gamma)
     half_dif = 0.5 * (p.kappa - p.gamma)
     nu2 = half_dif * half_dif - p.g * p.g
@@ -241,10 +248,10 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
 
     if np.any(series):
         ts, al = t_live[series], alpha[series]
-        b = np.minimum(ts, hi)
-        tau_lo, tau_b = ts - lo, ts - b
+        tau_lo = ts - lo
         edge_lo = np.exp(-half_sum * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
-        edge_b = np.exp(-half_sum * tau_b - 0.25 * p.sigma**2 * (b - p.delay_L) ** 2)
+        # at s = t the boundary term has tau = 0, so only k = 0 keeps it
+        edge_t = np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2)
         j_prev, j = 0.0, _gaussian_convolution(-half_sum, ts, lo, hi, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0  # nu^(2 floor(k/2)) / k!
@@ -255,7 +262,7 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
                 cosh_part = cosh_part + weight * j
             weight *= (nu2 if k % 2 else 1.0) / (k + 1)
             j_prev, j = j, (al * j + k * beta * j_prev
-                            + beta * (tau_b**k * edge_b - tau_lo**k * edge_lo))
+                            + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
         ua[series] = cosh_part - half_dif * sinh_part
         ub[series] = -1j * p.g * sinh_part
 
@@ -268,9 +275,34 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
         ub[rest] = -1j * p.g * (plus - minus) / (2.0 * nu)
 
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
-    u_a[live] = norm * ua
-    u_b[live] = norm * ub
+    ua, ub = norm * ua, norm * ub
+    u_a[inside], u_b[inside] = ua[:-1], ub[:-1]
+    u_a[after], u_b[after] = _free_evolution(p, t[after] - hi, ua[-1], ub[-1])
     return u_a, u_b
+
+
+def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: complex, ub0: complex):
+    """exp(M tau) (ua0, ub0) = e^{-h tau} [[c - d s, -i g s], [-i g s, c + d s]] (ua0, ub0)
+    with c = cosh(nu tau), s = sinh(nu tau)/nu, in a real form per sign of
+    nu^2 that divides no difference by nu: cos and sin/omega for nu = i omega;
+    e^{(nu-h) tau} with expm1(-2 nu tau) for real nu <= h, which cannot
+    overflow; c = 1, s = tau at nu = 0."""
+    h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
+    nu2 = d * d - p.g * p.g
+    if nu2 < 0.0:
+        omega = math.sqrt(-nu2)
+        decay = np.exp(-h * tau)
+        c, s = decay * np.cos(omega * tau), decay * np.sin(omega * tau) / omega
+    elif nu2 > 0.0:
+        nu = math.sqrt(nu2)
+        decay, em = np.exp((nu - h) * tau), np.expm1(-2.0 * nu * tau)
+        c, s = decay * (1.0 + 0.5 * em), decay * em / (-2.0 * nu)
+    else:
+        c = np.exp(-h * tau)
+        s = tau * c
+    gs = p.g * s  # c and s carry the common factor e^{-h tau}
+    return ((c - d * s) * ua0 + gs * (-1j * ub0),
+            (c + d * s) * ub0 + gs * (-1j * ua0))
 
 
 def _finite(quantity: str, compute) -> np.ndarray:
@@ -380,11 +412,6 @@ def cavity_population(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     """Intracavity photon expectation <a^dag a>(t) = 2 kappa |u_a(t)|^2."""
     return _finite("cavity population",
                    lambda: 2.0 * p.kappa * abs(_filtered_input(p, times)[0]) ** 2)
-
-
-def find_swap_time(trace: PhononTrace) -> float:
-    """Swap time t*: grid argmax refined by a local parabola (see refined_peak)."""
-    return refined_peak(trace)[0]
 
 
 def refined_peak(trace: PhononTrace) -> tuple[float, float]:

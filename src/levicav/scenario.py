@@ -23,6 +23,7 @@ Internally everything is SI with angular frequencies.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -349,79 +350,100 @@ def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> P
 # serialization
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _number(doc: dict, path: str, default=_REQUIRED) -> Optional[float]:
+    """doc[section][key] for path 'section.key' as a finite float, else a
+    ValidationError naming the path. An absent key gives ``default``
+    (KeyError without one); None stays None where the default is None."""
+    section, key = path.split(".")
+    value = doc[section][key] if default is _REQUIRED else doc[section].get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{path} must be finite, got {value!r}")
+    return number
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from the documented YAML schema (boundary units)."""
+    for key in ("cavity", "object", "trap", "drive", "gas", "thermal", "protocol"):
+        value = doc.get(key, {})
+        required = key in ("cavity", "object", "trap")  # the others may be null
+        if not isinstance(value, dict) and (value is not None or required):
+            raise ValidationError(f"section {key!r} must be a mapping, got {type(value).__name__}")
     try:
-        cav = doc["cavity"]
-        cavity = CavityConfig(length_d=float(cav["length_m"]),
-                              finesse_F=float(cav["finesse"]),
-                              wavelength_lambda=float(cav["wavelength_m"]))
+        cavity = CavityConfig(length_d=_number(doc, "cavity.length_m"),
+                              finesse_F=_number(doc, "cavity.finesse"),
+                              wavelength_lambda=_number(doc, "cavity.wavelength_m"))
         obj_doc = doc["object"]
         shape_kind = obj_doc.get("shape", "sphere")
         if shape_kind == "sphere":
-            shape = Sphere(radius=float(obj_doc["radius_m"]))
+            shape = Sphere(radius=_number(doc, "object.radius_m"))
         elif shape_kind == "rod":
-            radius = obj_doc.get("radius_m")
-            radius = cavity.waist_W / 2.0 if radius is None else float(radius)
-            shape = Rod(radius=radius, width_a=float(obj_doc["width_m"]),
-                        arc_L=float(obj_doc["arc_m"]))
+            radius = _number(doc, "object.radius_m", None)
+            radius = cavity.waist_W / 2.0 if radius is None else radius
+            shape = Rod(radius=radius, width_a=_number(doc, "object.width_m"),
+                        arc_L=_number(doc, "object.arc_m"))
         else:
             raise ValidationError(f"unknown object shape {shape_kind!r}")
         obj = DielectricObject(geometry=BodyGeometry(shape=shape),
-                               density_rho=float(obj_doc["density_kg_m3"]),
-                               eps1=float(obj_doc["eps1"]),
-                               eps2=float(obj_doc.get("eps2", 0.0)))
+                               density_rho=_number(doc, "object.density_kg_m3"),
+                               eps1=_number(doc, "object.eps1"),
+                               eps2=_number(doc, "object.eps2", 0.0))
 
         trap_doc = doc["trap"]
         kind = trap_doc.get("kind", "tweezer")
         if kind == "tweezer":
             trap: Union[TweezerConfig, SelfTrapSpec] = TweezerConfig(
-                intensity_I0=float(trap_doc["intensity_W_m2"]),
-                waist_W0=float(trap_doc["waist_m"]))
+                intensity_I0=_number(doc, "trap.intensity_W_m2"),
+                waist_W0=_number(doc, "trap.waist_m"))
         elif kind == "self-trap":
             trap = SelfTrapSpec(cooled_dof=trap_doc["cooled_dof"],
-                                mode1_power=float(trap_doc["mode1_power_W"]))
+                                mode1_power=_number(doc, "trap.mode1_power_W"))
         else:
             raise ValidationError(f"unknown trap kind {kind!r}")
 
         drive = None
-        if "drive" in doc and doc["drive"] is not None:
-            dd = doc["drive"]
-            detuning = dd.get("detuning_hz")
+        if doc.get("drive") is not None:
+            detuning = _number(doc, "drive.detuning_hz", None)
             drive = DriveConfig(
-                power_P=float(dd["power_W"]),
-                laser_omega_L=TWO_PI * CODATA.c / float(dd["wavelength_m"]),
-                detuning_Delta=None if detuning is None else hz_to_angular(float(detuning)))
+                power_P=_number(doc, "drive.power_W"),
+                laser_omega_L=TWO_PI * CODATA.c / _number(doc, "drive.wavelength_m"),
+                detuning_Delta=None if detuning is None else hz_to_angular(detuning))
 
         gas = None
         cooling_rate = 1e5
-        if "gas" in doc and doc["gas"] is not None:
-            gd = doc["gas"]
+        if doc.get("gas") is not None:
             gas = GasEnvironment(
-                pressure_P=torr_to_pa(float(gd["pressure_torr"])),
-                temperature_T=float(gd.get("temperature_K", 300.0)),
-                molecule_mass=float(gd.get("molecule_mass_amu", 28.6)) * CODATA.amu)
-            cooling_rate = float(gd.get("cooling_rate_per_s", 1e5))
+                pressure_P=torr_to_pa(_number(doc, "gas.pressure_torr")),
+                temperature_T=_number(doc, "gas.temperature_K", 300.0),
+                molecule_mass=_number(doc, "gas.molecule_mass_amu", 28.6) * CODATA.amu)
+            cooling_rate = _number(doc, "gas.cooling_rate_per_s", 1e5)
 
         thermal = None
-        if "thermal" in doc and doc["thermal"] is not None:
-            td = doc["thermal"]
-            thermal = ThermalInput(intensity_I0=float(td["intensity_W_m2"]),
-                                   emissivity_e=float(td.get("emissivity", 1.0)),
-                                   T_env=float(td.get("T_env_K", 300.0)))
+        if doc.get("thermal") is not None:
+            thermal = ThermalInput(intensity_I0=_number(doc, "thermal.intensity_W_m2"),
+                                   emissivity_e=_number(doc, "thermal.emissivity", 1.0),
+                                   T_env=_number(doc, "thermal.T_env_K", 300.0))
 
         proto = ProtocolSettings()
-        if "protocol" in doc and doc["protocol"] is not None:
-            pd = doc["protocol"]
-            g_over = pd.get("g_over_kappa")
-            gamma_per_s = pd.get("gamma_per_s")
+        if doc.get("protocol") is not None:
+            n_points = _number(doc, "protocol.n_points", 2000)
+            if n_points != int(n_points) or n_points < 3:
+                raise ValidationError(f"protocol.n_points must be an integer >= 3, got {n_points}")
             proto = ProtocolSettings(
-                sigma_over_kappa=float(pd.get("sigma_over_kappa", 5.6)),
-                delay_kappa=float(pd.get("delay_kappa", 5.0)),
-                t_max_kappa=float(pd.get("t_max_kappa", 20.0)),
-                n_points=int(pd.get("n_points", 2000)),
-                g_over_kappa=None if g_over is None else float(g_over),
-                gamma_per_s=None if gamma_per_s is None else float(gamma_per_s))
+                sigma_over_kappa=_number(doc, "protocol.sigma_over_kappa", 5.6),
+                delay_kappa=_number(doc, "protocol.delay_kappa", 5.0),
+                t_max_kappa=_number(doc, "protocol.t_max_kappa", 20.0),
+                n_points=int(n_points),
+                g_over_kappa=_number(doc, "protocol.g_over_kappa", None),
+                gamma_per_s=_number(doc, "protocol.gamma_per_s", None))
     except KeyError as exc:
         raise ValidationError(f"scenario file missing required key {exc}") from exc
 

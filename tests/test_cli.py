@@ -121,11 +121,51 @@ class TestTrace:
         peak2 = max(float(r.split(",")[2]) for r in out2.splitlines()[1:])
         assert peak2 < peak1
 
+    def test_pulse_before_t0_gives_zero_trace(self, capsys, tmp_path):
+        # the pulse window closes at t = -3.2/kappa: nothing reaches the cavity
+        doc = yaml.safe_load(open_preset())
+        doc["protocol"]["delay_kappa"] = -5.0
+        path = tmp_path / "early.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, _ = run(capsys, ["trace", str(path), "--quiet"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 2000 and all(float(r[2]) == 0.0 for r in rows)
+
     def test_strong_coupling_peak(self, capsys, sphere_file):
         _, out, _ = run(capsys, ["trace", sphere_file, "--quiet",
                                  "--g-over-kappa", "1.0", "--sigma-over-kappa", "5.6"])
         peak = max(float(r.split(",")[2]) for r in out.splitlines()[1:])
         assert peak == pytest.approx(0.5, abs=0.05)
+
+
+class TestMalformedScenario:
+    """Each malformed value exits 1 with one ``error:`` line naming it."""
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("cavity", "finesse", float("nan"), "cavity.finesse"),
+        ("object", "radius_m", float("nan"), "object.radius_m"),
+        ("protocol", "sigma_over_kappa", float("inf"), "protocol.sigma_over_kappa"),
+        ("cavity", "finesse", "abc", "cavity.finesse"),
+        ("gas", "temperature_K", [300.0], "gas.temperature_K"),
+        ("protocol", "n_points", -5, "protocol.n_points"),
+        ("cavity", None, 3, "'cavity'"),
+        ("drive", None, "0.5 mW", "'drive'"),
+    ])
+    @pytest.mark.parametrize("command", ["feasibility", "trace"])
+    def test_exit_1_with_one_error_line(self, capsys, tmp_path, command, section, key,
+                                        value, named):
+        doc = yaml.safe_load(open_preset())
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, [command, str(path), "--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
 
 class TestExitCodes:
@@ -156,6 +196,13 @@ class TestSweep:
                                     "--values", "1"])
         assert code == 1
         assert "axis" in err
+
+    @pytest.mark.parametrize("values", ["nan,inf", "0.0005,inf", "0.0005,-inf"])
+    def test_non_finite_values_exit_1(self, capsys, sphere_file, values):
+        code, out, err = run(capsys, ["sweep", sphere_file, "--axis", "power",
+                                      "--values", values, "--quiet"])
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_values_exit_1(self, capsys, sphere_file):
         code, _, _ = run(capsys, ["sweep", sphere_file, "--axis", "P",

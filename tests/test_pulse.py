@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from levicav import pulse
 from levicav.errors import GridError, NoSwapError, NumericalError, ValidationError
 from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            cavity_population, conditional_superposition,
-                           find_swap_time, output_field_envelope,
+                           output_field_envelope,
                            phonon_expectation_direct, phonon_expectation_moments,
                            phonon_trace, pulse_envelope, refined_peak)
 
@@ -208,6 +209,114 @@ class TestFaddeevaEvaluation:
         assert 0 < sum(evaluated) <= 2 * (n_inside + 2)
 
 
+def past_window_reference(p, t, dps=40):
+    """(u_a, u_b)(t) for t >= hi at dps digits, from the eigen-decomposition
+    of exp(M tau) and mpmath's erfc; at nu = 0 the tau e^{-h tau} term is
+    the lam-derivative of the convolution."""
+    mp = pytest.importorskip("mpmath")
+    lo, hi = pulse._pulse_window(p)
+    with mp.workdps(dps):
+        lo, hi, t = mp.mpf(max(lo, 0.0)), mp.mpf(hi), mp.mpf(t)
+        sigma, delay = mp.mpf(p.sigma), mp.mpf(p.delay_L)
+        h, d = mp.mpf(p.kappa + p.gamma) / 2, mp.mpf(p.kappa - p.gamma) / 2
+        g = mp.mpf(p.g)
+        nu = mp.sqrt(mp.mpc(d * d - g * g))
+
+        def conv(lam):  # int_lo^hi e^{lam (t-s)} e^{-sigma^2 (s-L)^2/4} ds
+            z_lo, z_hi = (sigma * (s - delay) / 2 + lam / sigma for s in (lo, hi))
+            if mp.re(z_lo) < 0 and mp.re(z_hi) < 0:  # 2 - erfc(-z) would cancel
+                span = mp.erfc(-z_hi) - mp.erfc(-z_lo)
+            else:
+                span = mp.erfc(z_lo) - mp.erfc(z_hi)
+            return mp.exp(lam * (t - delay) + lam**2 / sigma**2) * mp.sqrt(mp.pi) / sigma * span
+
+        norm = (sigma**2 / (2 * mp.pi)) ** mp.mpf(0.25)
+        if nu == 0:
+            c, s = conv(-h), mp.diff(conv, -h)
+        else:
+            plus, minus = conv(-h + nu), conv(-h - nu)
+            c, s = (plus + minus) / 2, (plus - minus) / (2 * nu)
+        return complex(norm * (c - d * s)), complex(-1j * norm * g * s)
+
+
+def window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa, n_points=400,
+                    t_past_kappa=15.0):
+    """A protocol whose grid runs from t = 0 to t_past_kappa/kappa past the window."""
+    sigma = sigma_over_kappa * KAPPA
+    delay = 5.0 / KAPPA + 10.0 / sigma
+    return PulseProtocol(g=g_over_kappa * KAPPA, kappa=KAPPA, gamma=gamma_over_kappa * KAPPA,
+                         sigma=sigma, delay_L=delay,
+                         t_grid=np.linspace(0.0, delay + 10.0 / sigma + t_past_kappa / KAPPA,
+                                            n_points))
+
+
+def critical_g(nu_over_d, gamma_over_kappa):
+    d = 0.5 * (1.0 - gamma_over_kappa)
+    return d * math.sqrt(1.0 - math.copysign(nu_over_d**2, nu_over_d))
+
+
+class TestFreeEvolution:
+    """Past the pulse window the state is propagated by exp(M (t - hi))."""
+
+    @pytest.mark.parametrize("sigma_over_kappa", [0.03, 0.3, 5.6, 20.0])
+    @pytest.mark.parametrize("g_over_kappa, gamma_over_kappa", [
+        (1.3, 0.0), (0.9, 0.25),                             # underdamped
+        (0.2, 0.0), (0.05, 0.4),                             # overdamped
+        (0.5, 0.0), (critical_g(0.0, 0.3), 0.3),             # exactly critical
+        (critical_g(1e-3, 0.0), 0.0), (critical_g(-1e-3, 0.0), 0.0),
+        (critical_g(1e-3, 0.3), 0.3), (critical_g(-1e-3, 0.3), 0.3)])
+    def test_past_window_matches_high_precision(self, g_over_kappa, gamma_over_kappa,
+                                                sigma_over_kappa):
+        p = window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa)
+        lo, hi = pulse._pulse_window(p)
+        ua, ub = pulse._filtered_input(p, p.t_grid)
+        dense_a, dense_b = pulse._filtered_input(p, np.linspace(max(lo, 0.0), hi, 4001))
+        scale = max(np.max(np.hypot(abs(ua), abs(ub))),
+                    np.max(np.hypot(abs(dense_a), abs(dense_b))))
+        past = np.flatnonzero(p.t_grid >= hi)
+        for i in past[np.linspace(0, past.size - 1, 6).astype(int)]:
+            ref_a, ref_b = past_window_reference(p, p.t_grid[i])
+            assert abs(ua[i] - ref_a) <= 1e-13 * scale, (i, ua[i], ref_a)
+            assert abs(ub[i] - ref_b) <= 1e-13 * scale, (i, ub[i], ref_b)
+
+    def test_long_overdamped_grid(self):
+        # g = 0.01 kappa: the slow mode decays at about g^2/kappa, so the
+        # grid reaches 1e4/kappa; the real exponentials must not overflow
+        p = window_protocol(0.01, 0.0, 5.6, n_points=20001, t_past_kappa=1e4)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            ua, ub = pulse._filtered_input(p, p.t_grid)
+        n = 2.0 * p.kappa * np.abs(ub) ** 2
+        assert np.all(np.isfinite(ua)) and np.all(np.isfinite(n)) and np.all(n >= 0.0)
+        scale = np.max(np.hypot(abs(ua), abs(ub)))
+        ref_a, ref_b = past_window_reference(p, p.t_grid[-1])
+        assert abs(ref_b) > 1e-3 * scale  # the slow mode is still populated
+        assert abs(ua[-1] - ref_a) <= 1e-13 * scale and abs(ub[-1] - ref_b) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("g_over_kappa", [1.0, 0.5])  # Faddeeva route, series route
+    def test_convolution_sees_only_window_times(self, g_over_kappa, monkeypatch):
+        convolution, seen = pulse._gaussian_convolution, []
+
+        def recording_convolution(lam, t, lo, hi, p):
+            seen.append((t.min(), t.max()))
+            return convolution(lam, t, lo, hi, p)
+
+        monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
+        protocol = standard(g_over_kappa)
+        phonon_trace(protocol)
+        lo, hi = pulse._pulse_window(protocol)
+        assert seen and all(max(lo, 0.0) < t_min and t_max <= hi for t_min, t_max in seen)
+
+    def test_pulse_over_before_t0_gives_exact_zeros(self):
+        protocol = standard(1.0, delay_kappa=-5.0)  # window closes at -3.2/kappa
+        ua, ub = pulse._filtered_input(protocol, protocol.t_grid)
+        assert not np.any(ua) and not np.any(ub)
+        trace = phonon_trace(protocol)
+        assert np.all(trace.n_phonon == 0.0)
+        with pytest.raises(NoSwapError):
+            refined_peak(trace)
+
+
 class TestOracles:
     def test_direct_and_moment_routes_agree_at_peak(self):
         protocol = standard(1.0)
@@ -251,11 +360,11 @@ class TestSwapTime:
     def test_no_swap_on_flat_trace(self):
         trace = phonon_trace(standard(0.0))
         with pytest.raises(NoSwapError):
-            find_swap_time(trace)
+            refined_peak(trace)
 
     def test_swap_time_near_grid_argmax(self):
         trace = phonon_trace(standard(1.0))
-        t_star = find_swap_time(trace)
+        t_star = refined_peak(trace)[0]
         step = trace.times[1] - trace.times[0]
         assert abs(t_star - trace.peak_time) <= step
 
