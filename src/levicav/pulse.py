@@ -25,10 +25,11 @@ is involved, and <b>(t) = 0 identically. Inside the pulse window the
 convolution is evaluated in closed form through the Faddeeva function
 (``_filtered_input``), with an even series at critical coupling; after the
 window the input has ended and the state is propagated by exp(M tau),
-M = [[-kappa, -ig], [-ig, -gamma]]. Two independent routes to the
-same quantity (a direct double quadrature of the Green's function against
-the input correlation, and time-stepped integration of the second-moment
-equations) are provided for cross-validation.
+M = [[-kappa, -ig], [-ig, -gamma]]; both in real arithmetic on u_a and
+v_b = i u_b. Two independent routes to the same quantity (a direct double
+quadrature of the Green's function against the input correlation, and
+time-stepped integration of the second-moment equations) are provided for
+cross-validation.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
 
 
 def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds at each time.
+    """(u_a, v_b = i u_b)(t) with (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds.
 
     With h = (kappa+gamma)/2, d = (kappa-gamma)/2 and nu = sqrt(d^2 - g^2),
     exp(M tau) has the eigenvalues lam+- = -h +- nu and
@@ -211,9 +212,11 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
         G_aa = (1 - d/nu)/2 e^{lam+ tau} + (1 + d/nu)/2 e^{lam- tau}
         G_ba = -i g (e^{lam+ tau} - e^{lam- tau}) / (2 nu)
 
-    so both convolutions are sums of ``_gaussian_convolution`` terms. Near
-    critical coupling (nu -> 0) those differences cancel; there the even
-    series cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
+    G_aa and i G_ba are real, so u_a and v_b are. Both are sums of the
+    ``_gaussian_convolution`` terms P+- of lam+-; underdamped, lam- = conj(lam+)
+    and P- = conj(P+) bit for bit, so P+ alone serves. Near critical
+    coupling (nu -> 0) the differences cancel; there the even series
+    cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
     sinh(nu tau)/nu = sum nu^2m tau^(2m+1)/(2m+1)! is summed over the
     moments J_k = int_lo^t tau^k e^{-h tau} f ds, which obey
 
@@ -226,15 +229,22 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     The closed form runs only at the times inside the pulse window (lo, hi)
     and once at hi; the input has ended by hi, so later times take
     u(t) = exp(M (t - hi)) u(hi) (``_free_evolution``). A window that
-    closes by t = 0 gives exact zeros.
+    closes by t = 0 gives exact zeros. Where rounding of L cuts a side of
+    the window below 9/sigma (down to lo = hi = L), the pulse is a kick of
+    its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to O(kappa/sigma).
     """
     t = np.asarray(times, dtype=float)
-    u_a, u_b = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=complex)
+    u_a, v_b = np.zeros(t.shape), np.zeros(t.shape)
     lo, hi = _pulse_window(p)
-    lo = max(lo, 0.0)
     if hi <= 0.0:
-        return u_a, u_b
-    inside, after = (t > lo) & (t < hi), t >= hi
+        return u_a, v_b
+    after = t >= hi
+    if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
+        area = (8.0 * math.pi / p.sigma**2) ** 0.25
+        u_a[after], v_b[after] = _free_evolution(p, t[after] - hi, area, 0.0)
+        return u_a, v_b
+    lo = max(lo, 0.0)
+    inside = (t > lo) & (t < hi)
     t_live = np.append(t[inside], hi)
     half_sum = 0.5 * (p.kappa + p.gamma)
     half_dif = 0.5 * (p.kappa - p.gamma)
@@ -244,7 +254,7 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     alpha = t_live - p.delay_L - half_sum * beta
     span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * _SERIES_TERMS * beta)
     series = abs(nu) * span <= 1.0
-    ua, ub = np.empty((2,) + t_live.shape, dtype=complex)
+    ua, vb = np.empty((2,) + t_live.shape)
 
     if np.any(series):
         ts, al = t_live[series], alpha[series]
@@ -264,26 +274,31 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
             j_prev, j = j, (al * j + k * beta * j_prev
                             + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
         ua[series] = cosh_part - half_dif * sinh_part
-        ub[series] = -1j * p.g * sinh_part
+        vb[series] = p.g * sinh_part
 
     rest = ~series
     if np.any(rest):
         tr = t_live[rest]
         plus = _gaussian_convolution(-half_sum + nu, tr, lo, hi, p)
-        minus = _gaussian_convolution(-half_sum - nu, tr, lo, hi, p)
-        ua[rest] = 0.5 * (plus + minus) - half_dif * (plus - minus) / (2.0 * nu)
-        ub[rest] = -1j * p.g * (plus - minus) / (2.0 * nu)
+        if nu2 < 0.0:  # P- = conj(P+): (P+ - P-)/(2 nu) = Im P+ / omega
+            mean, dif, inv = plus.real, plus.imag, 1.0 / nu.imag
+        else:
+            minus = _gaussian_convolution(-half_sum - nu, tr, lo, hi, p).real
+            mean, dif, inv = 0.5 * (plus.real + minus), plus.real - minus, 1.0 / (2.0 * nu.real)
+        ua[rest] = mean - (half_dif * dif) * inv  # inv last, as complex division rounds
+        vb[rest] = (p.g * dif) * inv
 
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
-    ua, ub = norm * ua, norm * ub
-    u_a[inside], u_b[inside] = ua[:-1], ub[:-1]
-    u_a[after], u_b[after] = _free_evolution(p, t[after] - hi, ua[-1], ub[-1])
-    return u_a, u_b
+    ua, vb = norm * ua, norm * vb
+    u_a[inside], v_b[inside] = ua[:-1], vb[:-1]
+    u_a[after], v_b[after] = _free_evolution(p, t[after] - hi, ua[-1], vb[-1])
+    return u_a, v_b
 
 
-def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: complex, ub0: complex):
-    """exp(M tau) (ua0, ub0) = e^{-h tau} [[c - d s, -i g s], [-i g s, c + d s]] (ua0, ub0)
-    with c = cosh(nu tau), s = sinh(nu tau)/nu, in a real form per sign of
+def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float):
+    """exp(M tau) (ua0, -i vb0) = (u_a, -i v_b) as the real pair
+    (u_a, v_b) = e^{-h tau} [[c - d s, -g s], [g s, c + d s]] (ua0, vb0),
+    c = cosh(nu tau), s = sinh(nu tau)/nu, in a real form per sign of
     nu^2 that divides no difference by nu: cos and sin/omega for nu = i omega;
     e^{(nu-h) tau} with expm1(-2 nu tau) for real nu <= h, which cannot
     overflow; c = 1, s = tau at nu = 0."""
@@ -301,8 +316,7 @@ def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: complex, ub0: comple
         c = np.exp(-h * tau)
         s = tau * c
     gs = p.g * s  # c and s carry the common factor e^{-h tau}
-    return ((c - d * s) * ua0 + gs * (-1j * ub0),
-            (c + d * s) * ub0 + gs * (-1j * ua0))
+    return (c - d * s) * ua0 - gs * vb0, (c + d * s) * vb0 + gs * ua0
 
 
 def _finite(quantity: str, compute) -> np.ndarray:
@@ -324,7 +338,7 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     point or is not finite, and GridError when the grid is too coarse to
     sample it (parabolic-interpolation error above 1e-4 of the peak).
     """
-    n = _finite("phonon trace", lambda: 2.0 * p.kappa * abs(_filtered_input(p, p.t_grid)[1]) ** 2)
+    n = _finite("phonon trace", lambda: 2.0 * p.kappa * _filtered_input(p, p.t_grid)[1] ** 2)
     peak = float(n.max())
     if peak > 0.0:
         # sampling error of a smooth curve read off a uniform-ish grid
@@ -401,7 +415,7 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     """Amplitude of the output mode a_out = sqrt(2 kappa) a - a_in.
 
     The intracavity amplitude is sqrt(2 kappa) u_a with u_a the filtered
-    input, so the envelope is 2 kappa u_a(t) - f(t - L). For a lossless
+    input, so the envelope is the real 2 kappa u_a(t) - f(t - L). For a lossless
     protocol the emitted quanta int |.|^2 dt recover the input photon.
     """
     return _finite("output field", lambda: 2.0 * p.kappa * _filtered_input(p, times)[0]
@@ -411,7 +425,7 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
 def cavity_population(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     """Intracavity photon expectation <a^dag a>(t) = 2 kappa |u_a(t)|^2."""
     return _finite("cavity population",
-                   lambda: 2.0 * p.kappa * abs(_filtered_input(p, times)[0]) ** 2)
+                   lambda: 2.0 * p.kappa * _filtered_input(p, times)[0] ** 2)
 
 
 def refined_peak(trace: PhononTrace) -> tuple[float, float]:
