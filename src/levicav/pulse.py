@@ -88,10 +88,12 @@ class PulseProtocol:
                 raise ValidationError(f"{name} must be non-negative")
         if self.kappa == 0.0 or self.sigma == 0.0:
             raise ValidationError("kappa and sigma must be positive")
+        if self.omega_t is not None and not (math.isfinite(self.omega_t) and self.omega_t > 0.0):
+            raise ValidationError("omega_t must be finite and positive")
         grid = np.asarray(self.t_grid, dtype=float)
-        if grid.ndim == 1 and not np.all(np.isfinite(grid)):
+        if grid.ndim == 1 and not np.isfinite(grid).all():
             raise ValidationError("t_grid must be finite")
-        if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0.0):
+        if grid.ndim != 1 or grid.size < 3 or not (grid[1:] > grid[:-1]).all():
             raise ValidationError("t_grid must be a strictly increasing 1-D array")
         object.__setattr__(self, "t_grid", grid)
 
@@ -109,9 +111,16 @@ class PulseProtocol:
                  sigma_over_kappa: float = 5.6, delay_kappa: float = 5.0,
                  t_max_kappa: float = 20.0, n_points: int = 2000) -> "PulseProtocol":
         """Default grid t in [0, t_max/kappa] with the usual pulse settings."""
-        grid = np.linspace(0.0, t_max_kappa / kappa, n_points)
         return cls(g=g, kappa=kappa, gamma=gamma, sigma=sigma_over_kappa * kappa,
-                   delay_L=delay_kappa / kappa, t_grid=grid)
+                   delay_L=delay_kappa / kappa, t_grid=_uniform_grid(t_max_kappa / kappa, n_points))
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
+    """np.linspace(0, t_max, n_points), shared read-only between protocols."""
+    grid = np.linspace(0.0, t_max, n_points)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ _SERIES_TERMS = 12
 def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
                           p: PulseProtocol) -> np.ndarray:
     """int_lo^t exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds for times
-    lo < t <= hi inside the pulse window, and Re lam <= 0.
+    lo < t <= hi inside the pulse window, in any order, and Re lam <= 0.
 
     Completing the square gives the antiderivative
     -sqrt(pi)/sigma exp(lam (t-L) + lam^2/sigma^2) erfc(z_s) with
@@ -179,27 +188,30 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
     Re z_s < 0 the reflection erfc(z) = 2 - erfc(-z) keeps w's argument in
     the upper half plane; its constant cancels unless the limits straddle
     Re z = 0, and there it is bounded by the integrand. w depends on s
-    alone: it is evaluated once at lo and once at each t.
+    alone: it is evaluated once at lo and once at each t; np.where and
+    the straddle mask run only where some Re z_t < 0.
     """
     from scipy.special import wofz
 
     sigma, delay = p.sigma, p.delay_L
-
-    def faddeeva(s):
-        z = 0.5 * sigma * (s - delay) + lam / sigma
-        reflected = z.real < 0.0
-        return wofz(1j * np.where(reflected, -z, z)), reflected
-
-    def term(s, w, reflected):
-        e = np.exp(lam * (t - s) - 0.25 * sigma**2 * (s - delay) ** 2)
-        return np.where(reflected, -e * w, e * w)
-
-    w_lo, reflected_lo = faddeeva(lo)
-    w_t, reflected_t = faddeeva(t)
-    out = term(lo, w_lo, reflected_lo) - term(t, w_t, reflected_t)
-    straddle = reflected_lo & ~reflected_t
-    if np.any(straddle):
-        out[straddle] += 2.0 * np.exp(lam * (t[straddle] - delay) + lam**2 / sigma**2)
+    z_lo = 0.5 * sigma * (lo - delay) + lam / sigma
+    reflected_lo = z_lo.real < 0.0
+    w_lo = wofz(1j * (-z_lo if reflected_lo else z_lo))
+    e_lo = np.exp(lam * (t - lo) - 0.25 * sigma**2 * (lo - delay) ** 2)
+    out = -e_lo * w_lo if reflected_lo else e_lo * w_lo
+    s = t - delay
+    z = 0.5 * sigma * s + lam / sigma
+    reflected = z.real < 0.0
+    e_t = np.exp(lam * 0.0 - 0.25 * sigma**2 * s**2)  # complex exp for complex lam
+    if reflected.any():
+        w_t = wofz(1j * np.where(reflected, -z, z))
+        out -= np.where(reflected, -e_t * w_t, e_t * w_t)
+        straddle = ~reflected
+    else:
+        out -= e_t * wofz(1j * z)
+        straddle = slice(None)
+    if reflected_lo:
+        out[straddle] += 2.0 * np.exp(lam * s[straddle] + lam**2 / sigma**2)
     return math.sqrt(math.pi) / sigma * out
 
 
@@ -224,7 +236,9 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
 
     (alpha = t - L - h beta, beta = 2/sigma^2, N the norm of f). The series
     needs |nu| tau small over the window; the recurrence's coefficients set
-    how fast its rounding grows, so they join that span.
+    how fast its rounding grows, so they join that span. The span is at
+    least (L + h beta - lo) + sqrt(2 K beta), so where |nu| times that
+    bound is clearly above 1 the series is ruled out with no per-time test.
 
     The closed form runs only at the times inside the pulse window (lo, hi)
     and once at hi; the input has ended by hi, so later times take
@@ -232,31 +246,49 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     closes by t = 0 gives exact zeros. Where rounding of L cuts a side of
     the window below 9/sigma (down to lo = hi = L), the pulse is a kick of
     its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to O(kappa/sigma).
+
+    ``times`` may be a scalar or any array; the results take its shape.
+    Each value depends on its own time alone, so unsorted times are
+    evaluated in ascending order, where window and tail are slices.
     """
     t = np.asarray(times, dtype=float)
-    u_a, v_b = np.zeros(t.shape), np.zeros(t.shape)
+    flat = t.ravel()
+    order = None if (flat[1:] >= flat[:-1]).all() else flat.argsort(kind="stable")
+    out = _sorted_filtered_input(p, flat if order is None else flat[order])
+    if order is not None:
+        out[:, order] = out.copy()
+    return out[0].reshape(t.shape), out[1].reshape(t.shape)
+
+
+def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
+    """``_filtered_input`` at 1-D ascending times (NaN last), as rows (u_a, v_b)."""
+    out = np.zeros((2, t.size))
     lo, hi = _pulse_window(p)
     if hi <= 0.0:
-        return u_a, v_b
-    after = t >= hi
+        return out
+    after = slice(*t.searchsorted((hi, math.nan)))  # t >= hi; a NaN time stays 0
     if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
         area = (8.0 * math.pi / p.sigma**2) ** 0.25
-        u_a[after], v_b[after] = _free_evolution(p, t[after] - hi, area, 0.0)
-        return u_a, v_b
+        out[0, after], out[1, after] = _free_evolution(p, t[after] - hi, area, 0.0)
+        return out
     lo = max(lo, 0.0)
-    inside = (t > lo) & (t < hi)
-    t_live = np.append(t[inside], hi)
+    inside = slice(t.searchsorted(lo, "right"), after.start)  # lo < t < hi
+    t_live = np.empty(inside.stop - inside.start + 1)
+    t_live[:-1], t_live[-1] = t[inside], hi
     half_sum = 0.5 * (p.kappa + p.gamma)
     half_dif = 0.5 * (p.kappa - p.gamma)
     nu2 = half_dif * half_dif - p.g * p.g
     nu = complex(np.sqrt(complex(nu2)))
     beta = 2.0 / p.sigma**2
-    alpha = t_live - p.delay_L - half_sum * beta
-    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * _SERIES_TERMS * beta)
-    series = abs(nu) * span <= 1.0
-    ua, vb = np.empty((2,) + t_live.shape)
+    tail = math.sqrt(2 * _SERIES_TERMS * beta)
+    series, rest = None, slice(None)
+    # 1e-12 covers the rounding of span and of its bound, a few ulps each
+    if not abs(nu) * (p.delay_L + half_sum * beta - lo + tail) > 1.0 + 1e-12:
+        alpha = t_live - p.delay_L - half_sum * beta
+        series = abs(nu) * ((t_live - lo) + np.abs(alpha) + tail) <= 1.0
+    ua, vb = np.empty((2, t_live.size))
 
-    if np.any(series):
+    if series is not None and series.any():
         ts, al = t_live[series], alpha[series]
         tau_lo = ts - lo
         edge_lo = np.exp(-half_sum * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
@@ -275,10 +307,9 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
                             + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
         ua[series] = cosh_part - half_dif * sinh_part
         vb[series] = p.g * sinh_part
-
-    rest = ~series
-    if np.any(rest):
-        tr = t_live[rest]
+        rest = ~series
+    tr = t_live[rest]
+    if tr.size:
         plus = _gaussian_convolution(-half_sum + nu, tr, lo, hi, p)
         if nu2 < 0.0:  # P- = conj(P+): (P+ - P-)/(2 nu) = Im P+ / omega
             mean, dif, inv = plus.real, plus.imag, 1.0 / nu.imag
@@ -290,9 +321,9 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
 
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
     ua, vb = norm * ua, norm * vb
-    u_a[inside], v_b[inside] = ua[:-1], vb[:-1]
-    u_a[after], v_b[after] = _free_evolution(p, t[after] - hi, ua[-1], vb[-1])
-    return u_a, v_b
+    out[0, inside], out[1, inside] = ua[:-1], vb[:-1]
+    out[0, after], out[1, after] = _free_evolution(p, t[after] - hi, ua[-1], vb[-1])
+    return out
 
 
 def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float):
@@ -326,7 +357,7 @@ def _finite(quantity: str, compute) -> np.ndarray:
             values = compute()
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalError(f"{quantity} out of floating-point range: {exc}") from exc
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalError(f"{quantity} is not finite")
     return values
 
@@ -339,18 +370,19 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     sample it (parabolic-interpolation error above 1e-4 of the peak).
     """
     n = _finite("phonon trace", lambda: 2.0 * p.kappa * _filtered_input(p, p.t_grid)[1] ** 2)
-    peak = float(n.max())
+    i = int(n.argmax())
+    peak = float(n[i])
     if peak > 0.0:
         # sampling error of a smooth curve read off a uniform-ish grid
-        interp_err = float(np.max(np.abs(np.diff(n, 2)))) / 8.0
+        step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead
+        interp_err = float(np.abs(step[1:] - step[:-1]).max()) / 8.0
         if interp_err > 1e-4 * peak:
             raise GridError(
                 f"time grid too coarse: interpolation error {interp_err:.3e} "
                 f"exceeds 1e-4 of the peak {peak:.3e}"
             )
-    if np.any(n > 1.0 + 1e-9):
+    if peak > 1.0 + 1e-9:
         raise ValidationError("phonon expectation exceeded 1: invalid protocol state")
-    i = int(np.argmax(n))
     return PhononTrace(times=p.t_grid, n_phonon=n,
                        peak_time=float(p.t_grid[i]), peak_value=peak)
 
@@ -435,9 +467,9 @@ def refined_peak(trace: PhononTrace) -> tuple[float, float]:
     A flat all-zero trace has no swap and raises NoSwapError.
     """
     n = trace.n_phonon
-    if trace.peak_value <= 0.0 or not np.any(n > 0.0):
+    i = int(n.argmax())
+    if trace.peak_value <= 0.0 or not n[i] > 0.0:
         raise NoSwapError("phonon trace is identically zero: no swap occurs")
-    i = int(np.argmax(n))
     if i == 0 or i == n.size - 1:
         return float(trace.times[i]), float(n[i])
     t0, t1, t2 = trace.times[i - 1: i + 2]

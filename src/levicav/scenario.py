@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-import numpy as np
 import yaml
 
 from .cavity import (BodyGeometry, CavityConfig, CavityDerived, Rod, Sphere,
@@ -36,7 +35,7 @@ from .constants import CODATA, TWO_PI, hz_to_angular, torr_to_pa, pa_to_torr
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
 from .errors import UnknownAxisError, ValidationError
-from .pulse import PulseProtocol
+from .pulse import PulseProtocol, _uniform_grid
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
@@ -339,10 +338,9 @@ def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> P
         gamma = p.gamma_per_s
     else:
         gamma = report.gamma if report.gamma is not None else 0.0
-    grid = np.linspace(0.0, p.t_max_kappa / kappa, p.n_points)
     return PulseProtocol(g=g, kappa=kappa, gamma=gamma,
-                         sigma=p.sigma_over_kappa * kappa,
-                         delay_L=p.delay_kappa / kappa, t_grid=grid,
+                         sigma=p.sigma_over_kappa * kappa, delay_L=p.delay_kappa / kappa,
+                         t_grid=_uniform_grid(p.t_max_kappa / kappa, p.n_points),
                          omega_t=report.optomech.omega_t)
 
 

@@ -83,6 +83,13 @@ class TestTrace:
             PulseProtocol(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=5.6 * KAPPA,
                           delay_L=5.0 / KAPPA, t_grid=grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_trap_frequency_rejected(self, bad):
+        with pytest.raises(ValidationError, match="omega_t"):
+            PulseProtocol(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=5.6 * KAPPA,
+                          delay_L=5.0 / KAPPA, t_grid=np.linspace(0.0, 20.0 / KAPPA, 100),
+                          omega_t=bad)
+
     @pytest.mark.parametrize("rates", [dict(g=1e200, kappa=1.0),
                                        dict(g=1.0, kappa=1.0, sigma_over_kappa=1e200),
                                        dict(g=1.0, kappa=1e-200)])
@@ -438,6 +445,137 @@ class TestRealArithmetic:
                                               sigma_over_kappa=sigma_over_kappa)
             scaled.append(refined_peak(phonon_trace(protocol))[1] * sigma_over_kappa)
         assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-6)
+
+
+def mask_filtered_input(p, times):
+    """_filtered_input as it was with boolean masks over the times and the
+    per-time span of the critical-coupling series, on the per-time-point
+    convolution: the reference for the slice-based form."""
+    t = np.asarray(times, dtype=float)
+    u_a, v_b = np.zeros(t.shape), np.zeros(t.shape)
+    lo, hi = pulse._pulse_window(p)
+    if hi <= 0.0:
+        return u_a, v_b
+    after = t >= hi
+    if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
+        area = (8.0 * math.pi / p.sigma**2) ** 0.25
+        u_a[after], v_b[after] = pulse._free_evolution(p, t[after] - hi, area, 0.0)
+        return u_a, v_b
+    lo = max(lo, 0.0)
+    inside = (t > lo) & (t < hi)
+    t_live = np.append(t[inside], hi)
+    h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
+    nu2 = d * d - p.g * p.g
+    nu = complex(np.sqrt(complex(nu2)))
+    beta = 2.0 / p.sigma**2
+    alpha = t_live - p.delay_L - h * beta
+    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * pulse._SERIES_TERMS * beta)
+    series = abs(nu) * span <= 1.0
+    ua, vb = np.empty((2,) + t_live.shape)
+    if np.any(series):
+        ts, al = t_live[series], alpha[series]
+        tau_lo = ts - lo
+        edge_lo = np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
+        edge_t = np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2)
+        j_prev, j = 0.0, per_time_point_convolution(-h, ts, lo, hi, p).real
+        cosh_part = sinh_part = 0.0
+        weight = 1.0
+        for k in range(2 * pulse._SERIES_TERMS):
+            if k % 2:
+                sinh_part = sinh_part + weight * j
+            else:
+                cosh_part = cosh_part + weight * j
+            weight *= (nu2 if k % 2 else 1.0) / (k + 1)
+            j_prev, j = j, (al * j + k * beta * j_prev
+                            + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
+        ua[series] = cosh_part - d * sinh_part
+        vb[series] = p.g * sinh_part
+    rest = ~series
+    if np.any(rest):
+        tr = t_live[rest]
+        plus = per_time_point_convolution(-h + nu, tr, lo, hi, p)
+        if nu2 < 0.0:
+            mean, dif, inv = plus.real, plus.imag, 1.0 / nu.imag
+        else:
+            minus = per_time_point_convolution(-h - nu, tr, lo, hi, p).real
+            mean, dif, inv = 0.5 * (plus.real + minus), plus.real - minus, 1.0 / (2.0 * nu.real)
+        ua[rest] = mean - (d * dif) * inv
+        vb[rest] = (p.g * dif) * inv
+    norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
+    ua, vb = norm * ua, norm * vb
+    u_a[inside], v_b[inside] = ua[:-1], vb[:-1]
+    u_a[after], v_b[after] = pulse._free_evolution(p, t[after] - hi, ua[-1], vb[-1])
+    return u_a, v_b
+
+
+def series_threshold_protocol(kappa, gamma_over_kappa):
+    """A protocol at the edge of the critical-coupling series: |nu| times
+    the lower bound (L + h beta - lo) + sqrt(2 K beta) of the per-time span
+    rounds above 1, yet the rounded span at some window times stays within
+    1/|nu|. With |nu| several times d, an ulp of g moves |nu| by about an ulp."""
+    gamma, delay = gamma_over_kappa * kappa, 5.0 / kappa
+    h, d = 0.5 * (kappa + gamma), 0.5 * (kappa - gamma)
+    grid = np.linspace(0.0, 12.0 / kappa, 4000)
+    for sigma in np.linspace(40.0, 60.0, 201) * kappa:
+        beta = 2.0 / sigma**2
+        tail = math.sqrt(2 * pulse._SERIES_TERMS * beta)
+        lo, hi = max(delay - 10.0 / sigma, 0.0), delay + 10.0 / sigma
+        t = grid[(grid > lo) & (grid < hi)]
+        span = (t - lo) + np.abs(t - delay - h * beta) + tail
+        bound = delay + h * beta - lo + tail
+        g = math.sqrt(d * d + bound**-2)
+        for _ in range(8):
+            nu = abs(complex(np.sqrt(complex(d * d - g * g))))
+            if nu * bound > 1.0 and np.any(nu * span <= 1.0):
+                return PulseProtocol(g=g, kappa=kappa, gamma=gamma, sigma=sigma,
+                                     delay_L=delay, t_grid=grid)
+            g = np.nextafter(g, math.inf)
+    raise AssertionError("no protocol at the series threshold")
+
+
+class TestSliceWindow:
+    """The window and tail as slices of sorted times, and the scalar guard
+    on the critical-coupling series, give the mask-based values bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [1.0, KAPPA])
+    @pytest.mark.parametrize("gamma_over_kappa", [0.0, 0.3])
+    def test_bit_identical_to_mask_form(self, kappa, gamma_over_kappa, monkeypatch):
+        rng = np.random.default_rng(20 + int(10 * gamma_over_kappa) + (kappa == 1.0))
+        convolution, series_calls = pulse._gaussian_convolution, []
+
+        def recording_convolution(lam, t, lo, hi, p):
+            assert lo < t.min() and t.max() <= hi  # the open window (lo, hi) and hi
+            series_calls.append(isinstance(lam, float))
+            return convolution(lam, t, lo, hi, p)
+
+        monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
+        p = series_threshold_protocol(kappa, gamma_over_kappa)
+        lo, hi = pulse._pulse_window(p)  # lo > 0: a grid can start on it
+        cases = [*bit_identity_protocols(kappa, gamma_over_kappa, rng), (p, p.t_grid),
+                 (p, np.linspace(lo, hi + 2.0 / kappa, 500))]
+        traces = 0
+        for p, times in cases:
+            pairs = rng.permutation(times)[:times.size // 2 * 2]
+            for t in (times, np.sort(rng.choice(times, times.size)), rng.choice(times, 60),
+                      float(rng.choice(times)), pairs.reshape(2, -1)):
+                ua_ref, vb_ref = mask_filtered_input(p, t)
+                ua, vb = pulse._filtered_input(p, t)
+                assert ua.shape == vb.shape == np.shape(t)
+                assert np.array_equal(ua, ua_ref) and np.array_equal(vb, vb_ref)
+                assert np.array_equal(output_field_envelope(p, t),
+                                      2.0 * p.kappa * ua_ref - pulse_envelope(t - p.delay_L,
+                                                                              p.sigma))
+                assert np.array_equal(cavity_population(p, t), 2.0 * p.kappa * ua_ref**2)
+            if times is p.t_grid:
+                try:
+                    trace = phonon_trace(p)
+                except GridError:  # the grids that end before or start after hi
+                    continue       # may be too coarse to sample the trace
+                n = 2.0 * p.kappa * mask_filtered_input(p, p.t_grid)[1] ** 2
+                assert np.array_equal(trace.n_phonon, n)
+                assert (trace.peak_time, trace.peak_value) == (p.t_grid[np.argmax(n)], n.max())
+                traces += 1
+        assert traces >= 6 and any(series_calls)
 
 
 class TestOracles:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from levicav.constants import TWO_PI
@@ -145,6 +146,20 @@ class TestProtocolBuild:
         scenario = scenario_from_dict(doc)
         protocol = build_protocol(scenario)
         assert protocol.g == pytest.approx(protocol.kappa, rel=1e-12)
+
+    def test_grid_shared_and_read_only(self):
+        from levicav.pulse import PulseProtocol
+        scenario = preset("sphere-appendix-h")
+        protocol = build_protocol(scenario)
+        settings = scenario.protocol
+        standard = PulseProtocol.standard(g=1.0, kappa=protocol.kappa,
+                                          t_max_kappa=settings.t_max_kappa,
+                                          n_points=settings.n_points)
+        assert standard.t_grid is protocol.t_grid
+        grid = np.linspace(0.0, settings.t_max_kappa / protocol.kappa, settings.n_points)
+        assert protocol.t_grid.tobytes() == grid.tobytes()
+        with pytest.raises(ValueError):
+            protocol.t_grid[1] = 0.0
 
     def test_rod_protocol_traceable(self):
         protocol = build_protocol(preset("rod-translation"))
