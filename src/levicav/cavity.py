@@ -1,41 +1,21 @@
-"""Cavity geometry, mode catalog, and the perturbative frequency-shift engine.
+"""Cavity geometry, body geometry, and Richardson finite differences.
 
-A sub-wavelength dielectric body inside the cavity red-shifts the resonance.
-For a body of relative permittivity ``eps_r`` occupying volume V(q) the
-relative shift is
-
-    (omega_c(q) - omega_c0) / omega_c0
-        = - int_{V(q)} (eps_r - 1) |phi0(r)|^2 dr / (2 int |phi0|^2 dr)
-
-evaluated here by adaptive product quadrature over the body. The catalog
-modes carry their normalization integral in closed form. Convention: the
-axial part of the normalization integral uses the full cavity length d
-(standing-wave peak normalization); this is the convention under which the
-closed-form small-object coupling constants of the sphere and rod modules
-hold, and it is validated against them in the test suite.
-
-Mode intensities (arbitrary common scale, W = waist, k = omega_c0/c):
-
-    TEM00      exp(-2 r_perp^2/W^2) cos^2(k z)
-    LG10 pair  (2 r_perp^2/W^2)   exp(-2 r_perp^2/W^2) cos^2(phi)  cos^2(k z)
-    LG20 pair  (2 r_perp^2/W^2)^2 exp(-2 r_perp^2/W^2) cos^2(2phi) cos^2(k z)
-
-The LG pairs are counter-rotating superpositions, giving an azimuthal
-standing wave; the transverse profiles are the standard LG_{l0} forms at
-the beam waist, with the Gaussian envelope taken constant along z (bodies
-sit near the cavity center).
+The confocal cavity record derives the bare resonance, the photon decay
+rate and the waist. Bodies are spheres, or rods modeled as two opposed
+wedges, placed by a center and an azimuthal angle. ``numeric_derivatives``
+differentiates the rod's self-trap frequency profile. The volume-quadrature
+route to the resonance shift, with its mode catalog, is a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
 from .constants import CODATA, TWO_PI
-from .errors import DerivativeError, GeometryError, QuadratureError, ValidationError
+from .errors import DerivativeError, GeometryError, ValidationError
 
 __all__ = [
     "CavityConfig",
@@ -43,11 +23,7 @@ __all__ = [
     "Sphere",
     "Rod",
     "BodyGeometry",
-    "ModeField",
-    "tem00_mode",
-    "lg_pair_mode",
     "derived_cavity_quantities",
-    "perturbative_shift",
     "DerivativeEstimate",
     "numeric_derivatives",
 ]
@@ -62,11 +38,12 @@ class CavityConfig:
     wavelength_lambda: float  # m
 
     def __post_init__(self) -> None:
-        if self.length_d <= 0.0:
+        # comparisons written so that NaN fails them; inf fails the upper bound
+        if not 0.0 < self.length_d < math.inf:
             raise ValidationError("cavity length must be positive")
-        if self.finesse_F <= 1.0:
+        if not 1.0 < self.finesse_F < math.inf:
             raise ValidationError("finesse must exceed 1")
-        if self.wavelength_lambda <= 0.0:
+        if not 0.0 < self.wavelength_lambda < math.inf:
             raise ValidationError("wavelength must be positive")
 
     @property
@@ -111,7 +88,7 @@ class Sphere:
     radius: float  # m
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
+        if not 0.0 < self.radius < math.inf:
             raise ValidationError("sphere radius must be positive")
 
     @property
@@ -132,7 +109,7 @@ class Rod:
     arc_L: float   # m, arc length at the rim
 
     def __post_init__(self) -> None:
-        if min(self.radius, self.width_a, self.arc_L) <= 0.0:
+        if not all(0.0 < x < math.inf for x in (self.radius, self.width_a, self.arc_L)):
             raise ValidationError("rod dimensions must be positive")
         if self.arc_L >= self.radius:
             raise GeometryError("wedge model needs arc length << radius")
@@ -156,144 +133,6 @@ class BodyGeometry:
     @property
     def volume(self) -> float:
         return self.shape.volume
-
-
-# ---------------------------------------------------------------------------
-# mode catalog
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModeField:
-    """Cavity mode intensity |phi0|^2 plus its normalization integral.
-
-    ``intensity`` accepts arrays (x, y, z) in meters and returns |phi0|^2
-    in the same arbitrary scale in which ``norm_integral`` = int |phi0|^2 dr
-    is quoted.
-    """
-
-    label: str
-    intensity: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-    norm_integral: float  # m^3, same normalization as `intensity`
-    azimuthal_order: int = 0
-
-
-def tem00_mode(cfg: CavityConfig) -> ModeField:
-    """Fundamental Gaussian mode with axial standing wave."""
-    W2 = cfg.waist_W**2
-    k = cfg.wavenumber
-
-    def intensity(x, y, z):
-        return np.exp(-2.0 * (np.asarray(x) ** 2 + np.asarray(y) ** 2) / W2) * np.cos(k * np.asarray(z)) ** 2
-
-    # transverse integral pi W^2 / 2, axial factor d (peak normalization)
-    norm = math.pi * W2 / 2.0 * cfg.length_d
-    return ModeField("TEM00", intensity, norm)
-
-
-def lg_pair_mode(cfg: CavityConfig, ell: int, z_offset: float = 0.0,
-                 phi_offset: float = 0.0) -> ModeField:
-    """Counter-rotating LG_{l0} pair, azimuthal standing wave cos^2(l phi)."""
-    if ell not in (1, 2):
-        raise ValidationError("only LG pairs with l = 1 or 2 are cataloged")
-    W2 = cfg.waist_W**2
-    k = cfg.wavenumber
-
-    def intensity(x, y, z):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        z = np.asarray(z)
-        u = 2.0 * (x**2 + y**2) / W2
-        phi = np.arctan2(y, x)
-        return (u**ell * np.exp(-u)
-                * np.cos(ell * (phi - phi_offset)) ** 2
-                * np.cos(k * (z - z_offset)) ** 2)
-
-    # transverse integral (pi W^2 / 4) * l!, axial factor d
-    norm = math.pi * W2 / 4.0 * math.factorial(ell) * cfg.length_d
-    return ModeField(f"LG{ell}0-pair", intensity, norm, azimuthal_order=ell)
-
-
-# ---------------------------------------------------------------------------
-# perturbative shift by adaptive quadrature
-# ---------------------------------------------------------------------------
-
-_MAX_NODES = 192
-
-
-def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
-def _sphere_overlap(mode: ModeField, body: BodyGeometry, n: int) -> float:
-    """int_sphere |phi0|^2 dV with an n^3 product rule in spherical coords."""
-    R = body.shape.radius
-    x0, y0, z0 = body.center
-    r, wr = _gauss_nodes(n, 0.0, R)
-    th, wth = _gauss_nodes(n, 0.0, math.pi)
-    ph, wph = _gauss_nodes(n, 0.0, TWO_PI)
-    rg, tg, pg = np.meshgrid(r, th, ph, indexing="ij", sparse=True)
-    st = np.sin(tg)
-    x = x0 + rg * st * np.cos(pg)
-    y = y0 + rg * st * np.sin(pg)
-    z = z0 + rg * np.cos(tg)
-    vals = mode.intensity(x, y, z) * rg**2 * st
-    return float(np.einsum("ijk,i,j,k->", vals, wr, wth, wph))
-
-
-def _rod_overlap(mode: ModeField, body: BodyGeometry, n: int) -> float:
-    """int over both wedges of |phi0|^2 dV, cylindrical product rule."""
-    rod: Rod = body.shape
-    x0, y0, z0 = body.center
-    if abs(x0) > 0.0 or abs(y0) > 0.0:
-        raise GeometryError("wedge rod model requires the rod centered on the cavity axis")
-    theta = rod.arc_L / rod.radius  # angular width of each wedge
-    r, wr = _gauss_nodes(n, 0.0, rod.radius)
-    z, wz = _gauss_nodes(max(n // 4, 4), z0 - rod.width_a / 2.0, z0 + rod.width_a / 2.0)
-    total = 0.0
-    for phi_c in (body.phi, body.phi + math.pi):
-        ph, wph = _gauss_nodes(max(n // 4, 4), phi_c - theta / 2.0, phi_c + theta / 2.0)
-        rg, pg, zg = np.meshgrid(r, ph, z, indexing="ij", sparse=True)
-        x = rg * np.cos(pg)
-        y = rg * np.sin(pg)
-        vals = mode.intensity(x, y, zg + 0.0 * rg) * rg
-        total += float(np.einsum("ijk,i,j,k->", vals, wr, wph, wz))
-    return total
-
-
-def perturbative_shift(mode: ModeField, body: BodyGeometry, eps_r: float,
-                       cfg: CavityConfig, rel_tol: float = 1e-6) -> float:
-    """Relative resonance shift (omega_c(q) - omega_c0)/omega_c0 of a body.
-
-    Numerator integrated adaptively over the body volume (node count
-    doubled until two successive levels agree to ``rel_tol``); denominator
-    is the mode's closed-form normalization. Raises QuadratureError if the
-    refinement does not converge.
-    """
-    if eps_r < 1.0:
-        raise ValidationError("relative permittivity must be >= 1")
-    half_len = body.shape.radius if isinstance(body.shape, Sphere) else body.shape.width_a / 2.0
-    if abs(body.center[2]) + half_len > cfg.length_d / 2.0:
-        raise GeometryError("body does not fit inside the cavity volume")
-    if eps_r == 1.0:
-        return 0.0
-
-    overlap = _sphere_overlap if isinstance(body.shape, Sphere) else _rod_overlap
-    n = 12
-    prev = overlap(mode, body, n)
-    while n < _MAX_NODES:
-        n *= 2
-        cur = overlap(mode, body, n)
-        err = abs(cur - prev)
-        scale = max(abs(cur), abs(prev))
-        if scale == 0.0 or err <= rel_tol * scale:
-            return -(eps_r - 1.0) * cur / (2.0 * mode.norm_integral)
-        prev = cur
-    raise QuadratureError(
-        f"overlap quadrature did not reach rel_tol={rel_tol:g} at {n} nodes "
-        f"(last change {err/scale:.2e})"
-    )
 
 
 # ---------------------------------------------------------------------------

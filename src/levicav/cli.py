@@ -25,7 +25,6 @@ from typing import Optional
 import yaml
 
 from .errors import NumericalError, ValidationError
-from .pulse import phonon_trace
 from .scenario import (PRESET_NAMES, build_protocol, evaluate_scenario,
                        load_scenario, preset_scenario_dict, sweep)
 
@@ -87,6 +86,12 @@ def _trace_csv(times, kappa, values) -> str:
     for t, n in zip(times, values):
         writer.writerow([f"{t:.6g}", f"{t * kappa:.6g}", f"{n:.6g}"])
     return buf.getvalue()
+
+
+def phonon_trace(protocol):
+    """``pulse.phonon_trace``; numpy loads only when a trace is asked for."""
+    from .pulse import phonon_trace as trace
+    return trace(protocol)
 
 
 def _cmd_trace(args) -> int:

@@ -59,9 +59,9 @@ class GasEnvironment:
     molecule_mass: float = AIR_MOLECULE_MASS  # kg
 
     def __post_init__(self) -> None:
-        if self.pressure_P < 0.0:
+        if not 0.0 <= self.pressure_P < math.inf:
             raise ValidationError("pressure must be non-negative")
-        if self.temperature_T <= 0.0 or self.molecule_mass <= 0.0:
+        if not (0.0 < self.temperature_T < math.inf and 0.0 < self.molecule_mass < math.inf):
             raise ValidationError("temperature and molecule mass must be positive")
 
     @property
@@ -79,11 +79,11 @@ class ThermalInput:
     T_env: float = 300.0  # K
 
     def __post_init__(self) -> None:
-        if self.intensity_I0 < 0.0:
+        if not 0.0 <= self.intensity_I0 < math.inf:
             raise ValidationError("intensity must be non-negative")
         if not 0.0 < self.emissivity_e <= 1.0:
             raise ValidationError("emissivity must be in (0, 1]")
-        if self.T_env <= 0.0:
+        if not 0.0 < self.T_env < math.inf:
             raise ValidationError("environment temperature must be positive")
 
 

@@ -261,12 +261,15 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
-    """``_filtered_input`` at 1-D ascending times (NaN last), as rows (u_a, v_b)."""
+    """``_filtered_input`` at 1-D ascending times, as rows (u_a, v_b); a NaN
+    time sorts last and raises NumericalError."""
+    if t.size and math.isnan(t[-1]):
+        raise NumericalError("filtered input requested at a NaN time")
     out = np.zeros((2, t.size))
     lo, hi = _pulse_window(p)
     if hi <= 0.0:
         return out
-    after = slice(*t.searchsorted((hi, math.nan)))  # t >= hi; a NaN time stays 0
+    after = slice(t.searchsorted(hi), None)  # t >= hi
     if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
         area = (8.0 * math.pi / p.sigma**2) ** 0.25
         out[0, after], out[1, after] = _free_evolution(p, t[after] - hi, area, 0.0)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import yaml
 
@@ -35,11 +35,13 @@ from .constants import CODATA, TWO_PI, hz_to_angular, torr_to_pa, pa_to_torr
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
 from .errors import UnknownAxisError, ValidationError
-from .pulse import PulseProtocol, _uniform_grid
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
                      assemble_optomech_params, tweezer_trap_frequency)
+
+if TYPE_CHECKING:
+    from .pulse import PulseProtocol
 
 __all__ = [
     "SelfTrapSpec",
@@ -69,7 +71,7 @@ class SelfTrapSpec:
     def __post_init__(self) -> None:
         if self.cooled_dof not in ("translation", "rotation"):
             raise ValidationError("cooled_dof must be 'translation' or 'rotation'")
-        if self.mode1_power <= 0.0:
+        if not 0.0 < self.mode1_power < math.inf:
             raise ValidationError("mode-1 power must be positive")
 
 
@@ -328,6 +330,7 @@ def sweep(s: Scenario, axis: str, values: list,
 
 def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> PulseProtocol:
     """PulseProtocol for a scenario: g from the pipeline unless overridden."""
+    from .pulse import PulseProtocol, _uniform_grid  # numpy loads with the first protocol
     if report is None:
         report = evaluate_scenario(s)
     kappa = report.cavity.kappa

@@ -49,11 +49,11 @@ class DielectricObject:
     eps2: float = 0.0   # imaginary part (absorption)
 
     def __post_init__(self) -> None:
-        if self.density_rho <= 0.0:
+        if not 0.0 < self.density_rho < math.inf:
             raise ValidationError("density must be positive")
-        if self.eps1 < 1.0:
+        if not 1.0 <= self.eps1 < math.inf:
             raise ValidationError("eps1 must be >= 1")
-        if self.eps2 < 0.0:
+        if not 0.0 <= self.eps2 < math.inf:
             raise ValidationError("eps2 must be >= 0")
 
     @property
@@ -79,7 +79,7 @@ class TweezerConfig:
     waist_W0: float      # m
 
     def __post_init__(self) -> None:
-        if self.intensity_I0 <= 0.0 or self.waist_W0 <= 0.0:
+        if not (0.0 < self.intensity_I0 < math.inf and 0.0 < self.waist_W0 < math.inf):
             raise ValidationError("tweezer intensity and waist must be positive")
 
 
@@ -96,10 +96,12 @@ class DriveConfig:
     detuning_Delta: Optional[float] = None  # rad/s
 
     def __post_init__(self) -> None:
-        if self.power_P < 0.0:
+        if not 0.0 <= self.power_P < math.inf:
             raise ValidationError("drive power must be non-negative")
-        if self.laser_omega_L <= 0.0:
+        if not 0.0 < self.laser_omega_L < math.inf:
             raise ValidationError("laser frequency must be positive")
+        if self.detuning_Delta is not None and not math.isfinite(self.detuning_Delta):
+            raise ValidationError("detuning must be finite")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from levicav.cavity import (BodyGeometry, CavityConfig, Sphere,
-                            derived_cavity_quantities, numeric_derivatives,
-                            perturbative_shift, tem00_mode)
+                            derived_cavity_quantities, numeric_derivatives)
 from levicav.constants import CODATA, TWO_PI, pa_to_torr, torr_to_pa
 from levicav.environment import (GasEnvironment, ThermalInput, bulk_temperature,
                                  decoherence_rates, gas_damping,
@@ -23,6 +22,7 @@ from levicav.scenario import evaluate_scenario, preset_scenario_dict, scenario_f
 from levicav.sphere import (DielectricObject, TweezerConfig, equilibrium_z,
                             sphere_frequency_profile, sphere_linear_coupling,
                             tweezer_trap_frequency)
+from oracles import perturbative_shift, tem00_mode
 
 REF_CAVITY = CavityConfig(length_d=4e-3, finesse_F=1e5, wavelength_lambda=1.064e-6)
 REF_SPHERE = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1, 2.5e-10)

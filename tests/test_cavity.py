@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from levicav.cavity import (BodyGeometry, CavityConfig, Rod, Sphere,
-                            derived_cavity_quantities, lg_pair_mode,
-                            numeric_derivatives, perturbative_shift, tem00_mode)
+                            derived_cavity_quantities, numeric_derivatives)
 from levicav.constants import TWO_PI
 from levicav.errors import DerivativeError, GeometryError, ValidationError
 from levicav.rod import C1, C2
 from levicav.sphere import equilibrium_z
+from oracles import lg_pair_mode, perturbative_shift, tem00_mode
 
 EPS1 = 2.1
 

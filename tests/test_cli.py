@@ -1,8 +1,10 @@
+import ast
 import csv
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -229,28 +231,75 @@ def test_module_entrypoint_runs():
 
 SCIPY_PROBE = """
 import json, sys
+
+def heavy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+import levicav
+after_package = heavy_modules()
 import levicav.cli as cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-after_import = scipy_modules()
+after_import = heavy_modules()
 path = sys.argv[1]
 codes = [cli.main(["preset", "sphere-appendix-h", "--out", path]),
          cli.main(["feasibility", path, "--quiet"]),
          cli.main(["sweep", path, "--axis", "P", "--values", "0.001", "--quiet"])]
-print("PROBE " + json.dumps([after_import, codes, scipy_modules()]))
+print("PROBE " + json.dumps([after_package, after_import, codes, heavy_modules()]))
 """
 
 
 def test_report_paths_import_no_scipy(tmp_path):
-    # scipy is loaded only by trace/envelope calls and the RK45 oracle;
-    # the preset, feasibility and sweep paths start without it
+    # numpy and scipy are loaded only by trace/envelope calls and the
+    # oracles; the package, the preset, feasibility and sweep paths start
+    # without them
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
-    after_import, codes, after_commands = json.loads(line[len("PROBE "):])
+    after_package, after_import, codes, after_commands = json.loads(line[len("PROBE "):])
+    assert after_package == []
     assert after_import == []
     assert codes == [0, 0, 0]
     assert after_commands == []
+
+
+@pytest.mark.parametrize("name", ["PhononTrace", "PulseProtocol", "SuperpositionState",
+                                  "amplification_envelope", "conditional_superposition",
+                                  "phonon_trace", "refined_peak"])
+def test_pulse_names_served_lazily(name):
+    import levicav
+    import levicav.pulse
+    assert getattr(levicav, name) is getattr(levicav.pulse, name)
+
+
+def test_unknown_package_attribute_raises():
+    import levicav
+    with pytest.raises(AttributeError, match="no_such_name"):
+        levicav.no_such_name
+
+
+ORACLE_NAMES = {"ModeField", "tem00_mode", "lg_pair_mode", "perturbative_shift"}
+
+
+def identifiers(tree):
+    """Every name a module defines, imports, exports or refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            yield node.asname
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant):  # __all__ entries
+            yield node.value
+
+
+def test_oracles_stay_out_of_the_package():
+    # the volume-quadrature route lives in tests/oracles.py, so the tests
+    # compare the package against a route it does not share
+    src = Path(__file__).resolve().parent.parent / "src" / "levicav"
+    found = [(path.name, sorted(ORACLE_NAMES.intersection(identifiers(ast.parse(path.read_text())))))
+             for path in sorted(src.glob("*.py"))]
+    assert [(name, hits) for name, hits in found if hits] == []

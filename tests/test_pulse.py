@@ -103,6 +103,16 @@ class TestTrace:
         with pytest.raises(NumericalError):
             cavity_population(protocol, protocol.t_grid)
 
+    @pytest.mark.parametrize("times", [math.nan, [5.0, math.nan, 6.0], [math.nan] * 3],
+                             ids=["scalar", "inside-array", "all-nan"])
+    def test_nan_time_reported(self, times):
+        # a NaN time lies neither before, inside nor after the pulse
+        protocol = PulseProtocol.standard(g=1.0, kappa=1.0)
+        with pytest.raises(NumericalError):
+            cavity_population(protocol, times)
+        with pytest.raises(NumericalError):
+            pulse._filtered_input(protocol, times)
+
 
 def assert_trace_matches_direct(protocol):
     """Six evenly spaced grid points, three across the pulse and the peak."""

@@ -1,14 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI
+from levicav.environment import GasEnvironment, ThermalInput
 from levicav.errors import UnknownAxisError, ValidationError
 from levicav.pulse import phonon_trace
-from levicav.scenario import (PRESET_NAMES, build_protocol, evaluate_scenario,
-                              preset_scenario_dict, scattering_finesse_bound,
-                              scenario_from_dict, scenario_to_dict, sweep)
+from levicav.scenario import (PRESET_NAMES, SelfTrapSpec, build_protocol,
+                              evaluate_scenario, preset_scenario_dict,
+                              scattering_finesse_bound, scenario_from_dict,
+                              scenario_to_dict, sweep)
+from levicav.sphere import DielectricObject, DriveConfig, TweezerConfig
 
 
 def preset(name):
@@ -221,3 +226,28 @@ class TestStageNamedErrors:
         doc["object"]["radius_m"] = 30e-6  # radius above the waist
         with pytest.raises(Exception, match="coupling stage"):
             evaluate_scenario(scenario_from_dict(doc))
+
+
+#: one valid instance of each input record
+VALID_RECORDS = [
+    CavityConfig(length_d=4e-3, finesse_F=1e5, wavelength_lambda=1.064e-6),
+    Sphere(radius=250e-9),
+    Rod(radius=13e-6, width_a=50e-9, arc_L=1e-6),
+    GasEnvironment(pressure_P=1e-6, temperature_T=300.0, molecule_mass=4.7e-26),
+    ThermalInput(intensity_I0=1e10, emissivity_e=0.5, T_env=300.0),
+    DielectricObject(geometry=BodyGeometry(Sphere(250e-9)), density_rho=2201.0,
+                     eps1=2.1, eps2=2.5e-10),
+    TweezerConfig(intensity_I0=2e12, waist_W0=1e-6),
+    DriveConfig(power_P=0.5e-3, laser_omega_L=1.77e15, detuning_Delta=1e6),
+    SelfTrapSpec(cooled_dof="translation", mode1_power=1e-3),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, name", [
+    (record, f.name) for record in VALID_RECORDS for f in dataclasses.fields(record)
+    if isinstance(getattr(record, f.name), float)],
+    ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v)
+def test_record_rejects_non_finite_field(record, name, bad):
+    with pytest.raises(ValidationError):
+        dataclasses.replace(record, **{name: bad})
