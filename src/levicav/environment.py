@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .cavity import Sphere
 from .constants import CODATA, TWO_PI, pa_to_torr
-from .errors import GeometryError, RegimeError, ValidationError
+from .errors import GeometryError, NumericalError, RegimeError, ValidationError
 from .sphere import DielectricObject
 
 __all__ = [
@@ -103,7 +104,7 @@ class DecoherenceRates:
     Lambda: float      # 1/(m^2 s), localization rate
     Gamma_dec: float   # 1/s
     Gamma_plus: float  # 1/s, first-order heating rate 1/t*
-    ratio: float       # Gamma_dec / Gamma_plus
+    ratio: Optional[float]  # Gamma_dec / Gamma_plus, None at zero pressure
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class DecoherenceBudget:
     Lambda: float
     Gamma_dec: float
     Gamma_plus: float
-    ratio: float
+    ratio: Optional[float]
     noise_D: float     # m^2/s^3, fluctuation-dissipation strength
     P_max: float       # Pa
     pressure_bound_per_rate: float  # Pa s, P_max per unit cooling rate
@@ -192,7 +193,9 @@ def decoherence_rates(obj: DielectricObject, env: GasEnvironment,
     gamma = gas_damping(obj, env)
     gamma_dec = lam * z_m**2
     gamma_plus = 2.0 * gamma * CODATA.k_B * env.temperature_T / (CODATA.hbar * omega_t)
-    ratio = gamma_dec / gamma_plus if gamma_plus > 0.0 else math.nan
+    if not (math.isfinite(gamma_dec) and math.isfinite(gamma_plus)):
+        raise NumericalError("decoherence rates overflow the float range")
+    ratio = gamma_dec / gamma_plus if gamma_plus > 0.0 else None  # 0/0 without gas
     return DecoherenceRates(Lambda=lam, Gamma_dec=gamma_dec,
                             Gamma_plus=gamma_plus, ratio=ratio)
 

@@ -25,16 +25,18 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
 
 import yaml
 
 from .cavity import (BodyGeometry, CavityConfig, CavityDerived, Rod, Sphere,
                      derived_cavity_quantities)
-from .constants import CODATA, TWO_PI, hz_to_angular, torr_to_pa, pa_to_torr
+from .constants import (CODATA, TWO_PI, angular_to_hz, hz_to_angular, pa_to_torr,
+                        torr_to_pa)
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
-from .errors import UnknownAxisError, ValidationError
+from .errors import NumericalError, UnknownAxisError, ValidationError
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
@@ -200,6 +202,12 @@ def scattering_finesse_bound(waist_W: float, radius_R: float) -> float:
     return waist_W**2 / radius_R**2
 
 
+def _stage_error(stage: str, exc: Exception) -> Exception:
+    """The stage-named error; float overflow and division by zero are numerical."""
+    kind = NumericalError if isinstance(exc, ArithmeticError) else type(exc)
+    return kind(f"{stage} stage: {exc}")
+
+
 def evaluate_scenario(s: Scenario,
                       thresholds: RegimeThresholds = DEFAULT_THRESHOLDS) -> FeasibilityReport:
     """Run the full pipeline and populate every report field.
@@ -224,7 +232,7 @@ def evaluate_scenario(s: Scenario,
             selftrap = solve_self_trap(s.object, s.cavity, pair1, pair2, equilibrium, dof)
             optomech = rod_optomech_params(s.object, s.cavity, selftrap)
     except Exception as exc:
-        raise type(exc)(f"coupling stage: {exc}") from exc
+        raise _stage_error("coupling", exc) from exc
 
     g_mag = abs(optomech.g)
     kappa = derived.kappa
@@ -242,7 +250,7 @@ def evaluate_scenario(s: Scenario,
             budget = decoherence_budget(s.object, s.gas, optomech.omega_t,
                                         optomech.zm, s.cooling_rate)
         except Exception as exc:
-            raise type(exc)(f"decoherence stage: {exc}") from exc
+            raise _stage_error("decoherence", exc) from exc
         p_max_torr = pa_to_torr(budget.P_max)
         pressure_ok = s.gas.pressure_P <= budget.P_max / thresholds.pressure_margin
         q_factor = budget.Q_factor
@@ -266,7 +274,7 @@ def evaluate_scenario(s: Scenario,
                    else s.cavity.wavelength_lambda)
             bulk = bulk_temperature(s.object, s.thermal, lam)
         except Exception as exc:
-            raise type(exc)(f"thermal stage: {exc}") from exc
+            raise _stage_error("thermal", exc) from exc
 
     return FeasibilityReport(
         name=s.name, cavity=derived, optomech=optomech,
@@ -280,52 +288,130 @@ def evaluate_scenario(s: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the scenario schema: one row per YAML key
 # ---------------------------------------------------------------------------
 
-def _set_axis(s: Scenario, axis: str, value: float) -> Scenario:
-    axis = axis.strip()
-    if axis in ("P", "power"):
-        if s.drive is None:
-            raise ValidationError("scenario has no drive section to sweep power on")
-        return replace(s, drive=replace(s.drive, power_P=float(value)))
-    if axis in ("R", "radius"):
-        shape = s.object.geometry.shape
-        if not isinstance(shape, Sphere):
-            raise ValidationError("radius sweeps apply to sphere scenarios")
-        geom = replace(s.object.geometry, shape=Sphere(radius=float(value)))
-        return replace(s, object=replace(s.object, geometry=geom))
-    if axis in ("F", "finesse"):
-        return replace(s, cavity=replace(s.cavity, finesse_F=float(value)))
-    if axis in ("d", "length"):
-        return replace(s, cavity=replace(s.cavity, length_d=float(value)))
-    if axis == "pressure":  # Torr at the boundary
-        if s.gas is None:
-            raise ValidationError("scenario has no gas section to sweep pressure on")
-        return replace(s, gas=replace(s.gas, pressure_P=torr_to_pa(float(value))))
-    if axis in ("T", "gas_temperature"):
-        if s.gas is None:
-            raise ValidationError("scenario has no gas section to sweep temperature on")
-        return replace(s, gas=replace(s.gas, temperature_T=float(value)))
-    if axis in ("I0", "intensity"):
-        if not isinstance(s.trap, TweezerConfig):
-            raise ValidationError("intensity sweeps apply to tweezer scenarios")
-        return replace(s, trap=replace(s.trap, intensity_I0=float(value)))
-    if axis == "mode1_power":
-        if not isinstance(s.trap, SelfTrapSpec):
-            raise ValidationError("mode1_power sweeps apply to self-trap scenarios")
-        return replace(s, trap=replace(s.trap, mode1_power=float(value)))
-    if axis in ("sigma", "sigma_over_kappa"):
-        return replace(s, protocol=replace(s.protocol, sigma_over_kappa=float(value)))
-    if axis == "g_over_kappa":
-        return replace(s, protocol=replace(s.protocol, g_over_kappa=float(value)))
-    raise UnknownAxisError(f"unknown sweep axis {axis!r}")
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
+def _positive(value) -> float:
+    number = _finite(value)
+    if number <= 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return number
+
+
+#: Largest trace grid a scenario may ask for; the grid is allocated whole.
+_MAX_POINTS = 1_000_000
+
+
+def _count(value) -> int:
+    number = _finite(value)
+    if number != int(number) or not 3 <= number <= _MAX_POINTS:
+        raise ValueError(f"must be an integer in [3, {_MAX_POINTS}], got {value!r}")
+    return int(number)
+
+
+# (to SI, to boundary) unit converters; 2 pi c / x maps a wavelength to its
+# angular frequency and back
+_WAVELENGTH = (lambda m: TWO_PI * CODATA.c / m, lambda omega: TWO_PI * CODATA.c / omega)
+_TORR = (torr_to_pa, pa_to_torr)
+_HZ = (hz_to_angular, angular_to_hz)
+_AMU = (lambda amu: amu * CODATA.amu, lambda kg: kg / CODATA.amu)
+
+# Record groups: (section, variant, record path in the Scenario, record class,
+# rows); a variant group applies when the section's selector key names it, and
+# each group hands its record to the record above it ("" is the Scenario). A
+# row is (key, record attribute, converter, default, validator, sweep aliases);
+# the default is "required", "optional" (absent or null keeps the record's
+# default; None dumps as null), "override" (the same, but None is not dumped)
+# or a function of the records parsed so far.
+_GROUPS = (
+    (None, None, "", None, (
+        ("name", "name", None, "optional", str, ()),)),
+    ("cavity", None, "cavity", CavityConfig, (
+        ("length_m", "length_d", None, "required", _finite, ("d", "length")),
+        ("finesse", "finesse_F", None, "required", _finite, ("F", "finesse")),
+        ("wavelength_m", "wavelength_lambda", None, "required", _finite, ()))),
+    ("object", "sphere", "object.geometry.shape", Sphere, (
+        ("radius_m", "radius", None, "required", _finite, ("R", "radius")),)),
+    ("object", "rod", "object.geometry.shape", Rod, (
+        ("radius_m", "radius", None, lambda kw: kw[""]["cavity"].waist_W / 2.0, _finite, ()),
+        ("width_m", "width_a", None, "required", _finite, ()),
+        ("arc_m", "arc_L", None, "required", _finite, ()))),
+    ("object", None, "object.geometry", BodyGeometry, ()),
+    ("object", None, "object", DielectricObject, (
+        ("density_kg_m3", "density_rho", None, "required", _finite, ()),
+        ("eps1", "eps1", None, "required", _finite, ()),
+        ("eps2", "eps2", None, "optional", _finite, ()))),
+    ("trap", "tweezer", "trap", TweezerConfig, (
+        ("intensity_W_m2", "intensity_I0", None, "required", _finite, ("I0", "intensity")),
+        ("waist_m", "waist_W0", None, "required", _finite, ()))),
+    ("trap", "self-trap", "trap", SelfTrapSpec, (
+        ("cooled_dof", "cooled_dof", None, "required", str, ()),
+        ("mode1_power_W", "mode1_power", None, "required", _finite, ("mode1_power",)))),
+    ("drive", None, "drive", DriveConfig, (
+        ("power_W", "power_P", None, "required", _finite, ("P", "power")),
+        ("wavelength_m", "laser_omega_L", _WAVELENGTH, "required", _positive, ()),
+        ("detuning_hz", "detuning_Delta", _HZ, "optional", _finite, ()))),
+    ("gas", None, "gas", GasEnvironment, (
+        ("pressure_torr", "pressure_P", _TORR, "required", _finite, ("pressure",)),
+        ("temperature_K", "temperature_T", None, "optional", _finite, ("T", "gas_temperature")),
+        ("molecule_mass_amu", "molecule_mass", _AMU, "optional", _finite, ()))),
+    ("gas", None, "", None, (
+        ("cooling_rate_per_s", "cooling_rate", None, "optional", _finite, ()),)),
+    ("thermal", None, "thermal", ThermalInput, (
+        ("intensity_W_m2", "intensity_I0", None, "required", _finite, ()),
+        ("emissivity", "emissivity_e", None, "optional", _finite, ()),
+        ("T_env_K", "T_env", None, "optional", _finite, ()))),
+    ("protocol", None, "protocol", ProtocolSettings, (
+        ("sigma_over_kappa", "sigma_over_kappa", None, "optional", _finite,
+         ("sigma", "sigma_over_kappa")),
+        ("delay_kappa", "delay_kappa", None, "optional", _finite, ()),
+        ("t_max_kappa", "t_max_kappa", None, "optional", _finite, ()),
+        ("n_points", "n_points", None, "optional", _count, ()),
+        ("g_over_kappa", "g_over_kappa", None, "override", _finite, ("g_over_kappa",)),
+        ("gamma_per_s", "gamma_per_s", None, "override", _finite, ()))),
+)
+
+_SECTIONS = tuple(dict.fromkeys(group[0] for group in _GROUPS if group[0]))
+_REQUIRED_SECTIONS = ("cavity", "object", "trap")
+#: section -> (selector key, default variant)
+_SELECTORS = {"object": ("shape", "sphere"), "trap": ("kind", "tweezer")}
+
+
+def _load(row: tuple, value, name: str):
+    """A boundary value validated and converted to the record's SI unit."""
+    try:
+        value = row[4](value)
+        return row[2][0](value) if row[2] else value
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
+def _replace_at(record, path: str, value):
+    head, _, rest = path.partition(".")
+    return replace(record, **{head: _replace_at(getattr(record, head), rest, value)
+                              if rest else value})
 
 
 def sweep(s: Scenario, axis: str, values: list,
           thresholds: RegimeThresholds = DEFAULT_THRESHOLDS) -> list[FeasibilityReport]:
     """Independent scenario evaluations along one named axis, order-preserving."""
-    return [evaluate_scenario(_set_axis(s, axis, v), thresholds) for v in values]
+    name = axis.strip()
+    for section, variant, path, record, rows in _GROUPS:
+        for row in (row for row in rows if name in row[5]):
+            if not isinstance(attrgetter(path)(s), record):
+                need = f"a {variant} {section}" if variant else f"a {section} section"
+                raise ValidationError(f"sweep axis {name!r} needs {need}")
+            target, key = f"{path}.{row[1]}", f"{section}.{row[0]}"
+            return [evaluate_scenario(_replace_at(s, target, _load(row, v, key)), thresholds)
+                    for v in values]
+    raise UnknownAxisError(f"unknown sweep axis {axis!r}")
 
 
 def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> PulseProtocol:
@@ -347,162 +433,82 @@ def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> P
                          omega_t=report.optomech.omega_t)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-
-
-def _number(doc: dict, path: str, default=_REQUIRED) -> Optional[float]:
-    """doc[section][key] for path 'section.key' as a finite float, else a
-    ValidationError naming the path. An absent key gives ``default``
-    (KeyError without one); None stays None where the default is None."""
-    section, key = path.split(".")
-    value = doc[section][key] if default is _REQUIRED else doc[section].get(key, default)
-    if value is None and default is None:
-        return None
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ValidationError(f"{path} must be finite, got {value!r}")
-    return number
+def _section(doc: dict, section: Optional[str]) -> tuple:
+    """(mapping, variant) of a section (None: the top level), (None, None)
+    for an absent optional one, after its type, selector and keys are checked."""
+    body = doc if section is None else doc.get(section)
+    if body is None and section not in _REQUIRED_SECTIONS:
+        return None, None
+    if not isinstance(body, dict):
+        raise ValidationError(f"section {section!r} must be a mapping, got {type(body).__name__}")
+    selector, variant = _SELECTORS.get(section, (None, None))
+    if body.get(selector) is not None:
+        variant = body[selector]
+    groups = [group for group in _GROUPS if group[0] == section and group[1] in (None, variant)]
+    if selector and not any(group[1] for group in groups):
+        raise ValidationError(f"unknown {section} {selector} {variant!r}")
+    keys = ([selector] if selector else []) + [row[0] for group in groups for row in group[4]]
+    keys += list(_SECTIONS) if section is None else []
+    prefix = f"{section}." if section else ""
+    for key in body:
+        if key not in keys:
+            import difflib
+            close = difflib.get_close_matches(str(key), keys, n=1)
+            hint = f"; did you mean {prefix}{close[0]}?" if close else ""
+            raise ValidationError(f"unknown key {prefix}{key}{hint}")
+    return body, variant
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from the documented YAML schema (boundary units)."""
-    for key in ("cavity", "object", "trap", "drive", "gas", "thermal", "protocol"):
-        value = doc.get(key, {})
-        required = key in ("cavity", "object", "trap")  # the others may be null
-        if not isinstance(value, dict) and (value is not None or required):
-            raise ValidationError(f"section {key!r} must be a mapping, got {type(value).__name__}")
-    try:
-        cavity = CavityConfig(length_d=_number(doc, "cavity.length_m"),
-                              finesse_F=_number(doc, "cavity.finesse"),
-                              wavelength_lambda=_number(doc, "cavity.wavelength_m"))
-        obj_doc = doc["object"]
-        shape_kind = obj_doc.get("shape", "sphere")
-        if shape_kind == "sphere":
-            shape = Sphere(radius=_number(doc, "object.radius_m"))
-        elif shape_kind == "rod":
-            radius = _number(doc, "object.radius_m", None)
-            radius = cavity.waist_W / 2.0 if radius is None else radius
-            shape = Rod(radius=radius, width_a=_number(doc, "object.width_m"),
-                        arc_L=_number(doc, "object.arc_m"))
-        else:
-            raise ValidationError(f"unknown object shape {shape_kind!r}")
-        obj = DielectricObject(geometry=BodyGeometry(shape=shape),
-                               density_rho=_number(doc, "object.density_kg_m3"),
-                               eps1=_number(doc, "object.eps1"),
-                               eps2=_number(doc, "object.eps2", 0.0))
-
-        trap_doc = doc["trap"]
-        kind = trap_doc.get("kind", "tweezer")
-        if kind == "tweezer":
-            trap: Union[TweezerConfig, SelfTrapSpec] = TweezerConfig(
-                intensity_I0=_number(doc, "trap.intensity_W_m2"),
-                waist_W0=_number(doc, "trap.waist_m"))
-        elif kind == "self-trap":
-            trap = SelfTrapSpec(cooled_dof=trap_doc["cooled_dof"],
-                                mode1_power=_number(doc, "trap.mode1_power_W"))
-        else:
-            raise ValidationError(f"unknown trap kind {kind!r}")
-
-        drive = None
-        if doc.get("drive") is not None:
-            detuning = _number(doc, "drive.detuning_hz", None)
-            drive = DriveConfig(
-                power_P=_number(doc, "drive.power_W"),
-                laser_omega_L=TWO_PI * CODATA.c / _number(doc, "drive.wavelength_m"),
-                detuning_Delta=None if detuning is None else hz_to_angular(detuning))
-
-        gas = None
-        cooling_rate = 1e5
-        if doc.get("gas") is not None:
-            gas = GasEnvironment(
-                pressure_P=torr_to_pa(_number(doc, "gas.pressure_torr")),
-                temperature_T=_number(doc, "gas.temperature_K", 300.0),
-                molecule_mass=_number(doc, "gas.molecule_mass_amu", 28.6) * CODATA.amu)
-            cooling_rate = _number(doc, "gas.cooling_rate_per_s", 1e5)
-
-        thermal = None
-        if doc.get("thermal") is not None:
-            thermal = ThermalInput(intensity_I0=_number(doc, "thermal.intensity_W_m2"),
-                                   emissivity_e=_number(doc, "thermal.emissivity", 1.0),
-                                   T_env=_number(doc, "thermal.T_env_K", 300.0))
-
-        proto = ProtocolSettings()
-        if doc.get("protocol") is not None:
-            n_points = _number(doc, "protocol.n_points", 2000)
-            if n_points != int(n_points) or n_points < 3:
-                raise ValidationError(f"protocol.n_points must be an integer >= 3, got {n_points}")
-            proto = ProtocolSettings(
-                sigma_over_kappa=_number(doc, "protocol.sigma_over_kappa", 5.6),
-                delay_kappa=_number(doc, "protocol.delay_kappa", 5.0),
-                t_max_kappa=_number(doc, "protocol.t_max_kappa", 20.0),
-                n_points=int(n_points),
-                g_over_kappa=_number(doc, "protocol.g_over_kappa", None),
-                gamma_per_s=_number(doc, "protocol.gamma_per_s", None))
-    except KeyError as exc:
-        raise ValidationError(f"scenario file missing required key {exc}") from exc
-
-    return Scenario(cavity=cavity, object=obj, trap=trap, drive=drive, gas=gas,
-                    thermal=thermal, protocol=proto, cooling_rate=cooling_rate,
-                    name=str(doc.get("name", "scenario")))
+    sections = {section: _section(doc, section) for section in (None, *_SECTIONS)}
+    kwargs: dict = {"": {}}  # record path -> constructor arguments
+    for section, variant, path, record, rows in _GROUPS:
+        body, chosen = sections[section]
+        if body is None or variant not in (None, chosen):
+            continue
+        args = kwargs.setdefault(path, {})
+        for row in rows:
+            key, attr, _, default, _, _ = row
+            name = f"{section}.{key}" if section else key
+            if body.get(key) is not None:
+                args[attr] = _load(row, body[key], name)
+            elif default == "required":
+                raise ValidationError(f"scenario file missing required key {name}")
+            elif callable(default):  # absent or null: the default
+                args[attr] = default(kwargs)
+        if record is not None:
+            parent, _, leaf = path.rpartition(".")
+            kwargs.setdefault(parent, {})[leaf] = record(**kwargs.pop(path))
+    return Scenario(**kwargs[""])
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Inverse of scenario_from_dict (boundary units, YAML-ready)."""
-    doc: dict = {"name": s.name}
-    doc["cavity"] = {"length_m": s.cavity.length_d, "finesse": s.cavity.finesse_F,
-                     "wavelength_m": s.cavity.wavelength_lambda}
-    shape = s.object.geometry.shape
-    if isinstance(shape, Sphere):
-        doc["object"] = {"shape": "sphere", "radius_m": shape.radius}
-    else:
-        doc["object"] = {"shape": "rod", "radius_m": shape.radius,
-                         "width_m": shape.width_a, "arc_m": shape.arc_L}
-    doc["object"].update({"density_kg_m3": s.object.density_rho,
-                          "eps1": s.object.eps1, "eps2": s.object.eps2})
-    if isinstance(s.trap, TweezerConfig):
-        doc["trap"] = {"kind": "tweezer", "intensity_W_m2": s.trap.intensity_I0,
-                       "waist_m": s.trap.waist_W0}
-    else:
-        doc["trap"] = {"kind": "self-trap", "cooled_dof": s.trap.cooled_dof,
-                       "mode1_power_W": s.trap.mode1_power}
-    if s.drive is not None:
-        doc["drive"] = {
-            "power_W": s.drive.power_P,
-            "wavelength_m": TWO_PI * CODATA.c / s.drive.laser_omega_L,
-            "detuning_hz": (None if s.drive.detuning_Delta is None
-                            else s.drive.detuning_Delta / TWO_PI)}
-    if s.gas is not None:
-        doc["gas"] = {"pressure_torr": pa_to_torr(s.gas.pressure_P),
-                      "temperature_K": s.gas.temperature_T,
-                      "molecule_mass_amu": s.gas.molecule_mass / CODATA.amu,
-                      "cooling_rate_per_s": s.cooling_rate}
-    if s.thermal is not None:
-        doc["thermal"] = {"intensity_W_m2": s.thermal.intensity_I0,
-                          "emissivity": s.thermal.emissivity_e,
-                          "T_env_K": s.thermal.T_env}
-    p = s.protocol
-    doc["protocol"] = {"sigma_over_kappa": p.sigma_over_kappa,
-                       "delay_kappa": p.delay_kappa,
-                       "t_max_kappa": p.t_max_kappa,
-                       "n_points": p.n_points}
-    if p.g_over_kappa is not None:
-        doc["protocol"]["g_over_kappa"] = p.g_over_kappa
-    if p.gamma_per_s is not None:
-        doc["protocol"]["gamma_per_s"] = p.gamma_per_s
+    doc: dict = {}
+    for section, variant, path, record, rows in _GROUPS:
+        owner = attrgetter(path)(s) if path else s
+        if (section and getattr(s, section) is None) or (record and not isinstance(owner, record)):
+            continue
+        out = doc.setdefault(section, {}) if section else doc
+        if variant:
+            out[_SELECTORS[section][0]] = variant
+        for key, attr, convert, default, _, _ in rows:
+            value = getattr(owner, attr)
+            if value is None and default == "override":
+                continue
+            out[key] = convert[1](value) if convert and value is not None else value
     return doc
 
 
 def load_scenario(path: str) -> Scenario:
     """Read a scenario YAML file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:  # its message spans lines: keep one
+            raise ValidationError(f"scenario file {path} is not valid YAML: "
+                                  + " ".join(str(exc).split())) from None
     if not isinstance(doc, dict):
         raise ValidationError(f"scenario file {path} is not a mapping document")
     return scenario_from_dict(doc)
@@ -531,28 +537,17 @@ _PRESETS: dict[str, dict] = {
         "protocol": {"sigma_over_kappa": 5.6, "delay_kappa": 5.0,
                      "t_max_kappa": 20.0, "n_points": 2000},
     },
-    # fused-silica rod (length = waist, 50 nm x 50 nm section), z cooling
-    "rod-translation": {
-        "name": "rod-translation",
+    # fused-silica rod (length = waist, 50 nm x 50 nm section): z cooling
+    # (translation) or azimuthal cooling (rotation)
+    **{f"rod-{dof}": {
+        "name": f"rod-{dof}",
         "cavity": dict(_REFERENCE_CAVITY),
         "object": {"shape": "rod", "width_m": 50.0e-9, "arc_m": 50.0e-9,
                    **_FUSED_SILICA},
-        "trap": {"kind": "self-trap", "cooled_dof": "translation",
-                 "mode1_power_W": 4.0e-3},
+        "trap": {"kind": "self-trap", "cooled_dof": dof, "mode1_power_W": 4.0e-3},
         "protocol": {"sigma_over_kappa": 5.6, "delay_kappa": 5.0,
                      "t_max_kappa": 20.0, "n_points": 2000},
-    },
-    # same rod, azimuthal cooling
-    "rod-rotation": {
-        "name": "rod-rotation",
-        "cavity": dict(_REFERENCE_CAVITY),
-        "object": {"shape": "rod", "width_m": 50.0e-9, "arc_m": 50.0e-9,
-                   **_FUSED_SILICA},
-        "trap": {"kind": "self-trap", "cooled_dof": "rotation",
-                 "mode1_power_W": 4.0e-3},
-        "protocol": {"sigma_over_kappa": 5.6, "delay_kappa": 5.0,
-                     "t_max_kappa": 20.0, "n_points": 2000},
-    },
+    } for dof in ("translation", "rotation")},
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

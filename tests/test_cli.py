@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levicav.cli import main, render_kv
 
@@ -153,6 +156,11 @@ class TestMalformedScenario:
         ("protocol", "n_points", -5, "protocol.n_points"),
         ("cavity", None, 3, "'cavity'"),
         ("drive", None, "0.5 mW", "'drive'"),
+        ("gas", "temprature_K", 10, "gas.temprature_K; did you mean gas.temperature_K"),
+        ("cavity", "finesse_typo", 3, "cavity.finesse_typo; did you mean cavity.finesse"),
+        (None, "cavty", {}, "cavty; did you mean cavity"),
+        ("drive", "wavelength_m", 0, "drive.wavelength_m"),
+        ("protocol", "n_points", 1e300, "protocol.n_points"),
     ])
     @pytest.mark.parametrize("command", ["feasibility", "trace"])
     def test_exit_1_with_one_error_line(self, capsys, tmp_path, command, section, key,
@@ -161,7 +169,7 @@ class TestMalformedScenario:
         if key is None:
             doc[section] = value
         else:
-            doc[section][key] = value
+            (doc if section is None else doc[section])[key] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
         code, out, err = run(capsys, [command, str(path), "--quiet"])
@@ -171,6 +179,25 @@ class TestMalformedScenario:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("section, key, value", [
+        ("object", "eps1", 1e308), ("object", "eps2", 1e308), ("gas", "pressure_torr", 1e300)])
+    def test_float_overflow_exit_2(self, capsys, tmp_path, section, key, value):
+        doc = yaml.safe_load(open_preset())
+        doc[section][key] = value
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, ["feasibility", str(path), "--quiet"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_yaml_syntax_error_one_line(self, capsys, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("cavity:\n  finesse: [1\n")
+        code, _, err = run(capsys, ["feasibility", str(path)])
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "YAML" in err
+
     def test_numerical_failure_exit_2(self, capsys, tmp_path):
         # a grid too coarse to sample the trace is a numerical failure
         doc = yaml.safe_load(open_preset())
@@ -303,3 +330,56 @@ def test_oracles_stay_out_of_the_package():
     found = [(path.name, sorted(ORACLE_NAMES.intersection(identifiers(ast.parse(path.read_text())))))
              for path in sorted(src.glob("*.py"))]
     assert [(name, hits) for name, hits in found if hits] == []
+
+
+#: values a mutation puts in place of a key or a section
+ODD_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e300, 1e-308,
+              -1.0, 0, 0.0, -5, "abc", "", [1.0], {"x": 1}, None, True, 10**400]
+
+
+@st.composite
+def mutated_preset(draw):
+    """A preset document with a few keys dropped, renamed or given odd values."""
+    from levicav.scenario import PRESET_NAMES, preset_scenario_dict
+    doc = preset_scenario_dict(draw(st.sampled_from(PRESET_NAMES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [(None, key) for key in doc] + [
+            (section, key) for section, body in doc.items() if isinstance(body, dict)
+            for key in body]
+        section, key = draw(st.sampled_from(paths))
+        owner = doc if section is None else doc[section]
+        op = draw(st.sampled_from(["drop", "rename", "value"]))
+        if op == "drop":
+            del owner[key]
+        elif op == "rename":
+            owner[key + draw(st.sampled_from(["x", "_typo"]))] = owner.pop(key)
+        else:
+            owner[key] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("mutated") / "scenario.yaml")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(doc=mutated_preset(),
+       axis=st.sampled_from(["P", "R", "F", "d", "pressure", "T", "I0", "mode1_power",
+                             "sigma", "g_over_kappa"]),
+       value=st.sampled_from(["0", "-1", "1e-3", "1e308", "2e5"]))
+def test_mutated_scenarios_fail_cleanly(scenario_path, doc, axis, value):
+    # every outcome is an exit code: a report, or one stderr line; traces are
+    # left out, since a mutated n_points would allocate that many points
+    Path(scenario_path).write_text(yaml.safe_dump(doc))
+    for argv in (["feasibility", scenario_path],
+                 ["sweep", scenario_path, "--axis", axis, "--values", value]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--quiet"])
+        if code == 0:
+            values = [line.split(":", 1)[1].strip() for line in out.getvalue().splitlines()
+                      if not line.startswith("scenario:")]  # the name is free text
+            assert "nan" not in values, (argv, doc)
+        else:
+            assert code in (1, 2) and err.getvalue().count("\n") == 1, (argv, err.getvalue())

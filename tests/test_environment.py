@@ -127,6 +127,7 @@ class TestDecoherence:
         rates = decoherence_rates(obj, air(0.0), OMEGA_T, z_m)
         assert rates.Lambda == 0.0
         assert rates.Gamma_dec == 0.0
+        assert rates.ratio is None  # 0/0: both rates vanish
 
     def test_ratio_is_nine_sixteenths_for_random_parameters(self):
         # parameter-free: holds for every positive parameter combination

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI
 from levicav.environment import GasEnvironment, ThermalInput
 from levicav.errors import UnknownAxisError, ValidationError
+from levicav import scenario as scenario_module
 from levicav.pulse import phonon_trace
 from levicav.scenario import (PRESET_NAMES, SelfTrapSpec, build_protocol,
                               evaluate_scenario, preset_scenario_dict,
@@ -128,6 +131,13 @@ class TestSweep:
         with pytest.raises(UnknownAxisError):
             sweep(preset("sphere-appendix-h"), "flux-capacitance", [1.0])
 
+    @pytest.mark.parametrize("name, axis", [
+        ("rod-translation", "P"), ("rod-translation", "R"), ("rod-translation", "pressure"),
+        ("rod-translation", "I0"), ("sphere-appendix-h", "mode1_power")])
+    def test_axis_needs_its_record(self, name, axis):
+        with pytest.raises(ValidationError, match=f"sweep axis '{axis}' needs"):
+            sweep(preset(name), axis, [1e-3])
+
     def test_order_preserved(self):
         values = [1.0e-3, 0.25e-3, 0.5e-3]
         reports = sweep(preset("sphere-appendix-h"), "P", values)
@@ -185,6 +195,13 @@ class TestSerialization:
         del doc["cavity"]["finesse"]
         with pytest.raises(ValidationError):
             scenario_from_dict(doc)
+
+    def test_null_takes_the_default(self):
+        doc = preset_scenario_dict("sphere-appendix-h")
+        doc["gas"]["temperature_K"] = None
+        del doc["object"]["eps2"]
+        scenario = scenario_from_dict(doc)
+        assert scenario.gas.temperature_T == 300.0 and scenario.object.eps2 == 0.0
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
@@ -251,3 +268,40 @@ VALID_RECORDS = [
 def test_record_rejects_non_finite_field(record, name, bad):
     with pytest.raises(ValidationError):
         dataclasses.replace(record, **{name: bad})
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_schema():
+    """(keys, sweep axes) that README's "Scenario files" section documents;
+    keys as ``section.key``, commented keys included."""
+    section = README.read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    keys, current = set(), None
+    for line in block.splitlines():
+        match = re.match(r"( *)(?:# )?(\w+):", line)
+        if match and match.group(1):
+            keys.add(f"{current}.{match.group(2)}")
+        elif match:
+            current = match.group(2)
+            keys.add(current)
+    axes = section.split("Sweepable axes:", 1)[1].split("\n\n", 1)[0]
+    return keys, set(re.findall(r"`(\w+)`", axes))
+
+
+def table_schema():
+    """(keys, sweep aliases) declared in the scenario table."""
+    keys = {f"{section}.{selector}" for section, (selector, _) in
+            scenario_module._SELECTORS.items()}
+    aliases = []
+    for section, _, _, _, rows in scenario_module._GROUPS:
+        keys.update(f"{section}.{row[0]}" if section else row[0] for row in rows)
+        keys.update([section] if section else [])
+        aliases += [alias for row in rows for alias in row[5]]
+    assert len(aliases) == len(set(aliases)), "a sweep alias is declared twice"
+    return keys, set(aliases)
+
+
+def test_readme_documents_the_table():
+    assert readme_schema() == table_schema()
