@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -37,8 +36,6 @@ def _fmt(value) -> str:
     if value is None:
         return "n/a"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return f"{value:.6g}"
     return str(value)
 
@@ -192,6 +189,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect, still reported in one line
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return 2
 
 

@@ -35,7 +35,10 @@ cross-validation.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +178,39 @@ def _pulse_window(p: PulseProtocol) -> tuple[float, float]:
 _SERIES_TERMS = 12
 
 
+@functools.cache
+def _wofz():
+    """scipy's Faddeeva ufunc ``wofz``, bound on first use.
+
+    ``from scipy.special import wofz`` runs ``scipy/special/__init__``, whose
+    array-API layer loads numpy.f2py, numpy.random, numpy.ma and
+    numpy.testing; the ufunc itself is defined in ``scipy.special._ufuncs``.
+    That module is imported under a bare stand-in for its package, which is
+    then dropped, so a later ``import scipy.special`` runs in full and hands
+    out this same object. Any failure takes the ordinary import.
+    """
+    if "scipy.special" not in sys.modules:
+        try:
+            import scipy
+            spec = importlib.util.find_spec("scipy.special")
+            stub = types.ModuleType(spec.name)
+            stub.__path__, stub.__spec__ = spec.submodule_search_locations, spec
+            sys.modules[spec.name] = stub
+            try:
+                from scipy.special._ufuncs import wofz
+            finally:
+                if sys.modules.get(spec.name) is stub:
+                    del sys.modules[spec.name]
+                # not getattr: scipy's module __getattr__ would import scipy.special
+                if vars(scipy).get("special") is stub:
+                    del scipy.special
+            return wofz
+        except Exception:
+            pass
+    from scipy.special import wofz
+    return wofz
+
+
 def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
                           p: PulseProtocol) -> np.ndarray:
     """int_lo^t exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds for times
@@ -191,8 +227,7 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
     alone: it is evaluated once at lo and once at each t; np.where and
     the straddle mask run only where some Re z_t < 0.
     """
-    from scipy.special import wofz
-
+    wofz = _wofz()
     sigma, delay = p.sigma, p.delay_L
     z_lo = 0.5 * sigma * (lo - delay) + lam / sigma
     reflected_lo = z_lo.real < 0.0

@@ -132,7 +132,11 @@ class FeasibilityReport:
     selftrap: Optional[SelfTrapSolution]
 
     def to_dict(self) -> dict:
-        """Nested plain-value dict, ready for key-value rendering."""
+        """Nested plain-value dict, ready for key-value rendering.
+
+        Every float it holds is finite; an overflow that reached a field
+        raises NumericalError naming ``section.key``.
+        """
         out: dict = {"scenario": self.name}
         out["cavity"] = {
             "omega_c0_rad_s": self.cavity.omega_c0,
@@ -192,6 +196,10 @@ class FeasibilityReport:
                 "n_photons_1": st.n_photons_1,
                 "n_photons_2": st.n_photons_2,
             }
+        for section, body in out.items():
+            for key, value in body.items() if isinstance(body, dict) else ():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise NumericalError(f"report field {section}.{key} is {value}")
         return out
 
 

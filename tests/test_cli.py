@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -180,7 +181,9 @@ class TestMalformedScenario:
 
 class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
-        ("object", "eps1", 1e308), ("object", "eps2", 1e308), ("gas", "pressure_torr", 1e300)])
+        ("object", "eps1", 1e308), ("object", "eps2", 1e308), ("gas", "pressure_torr", 1e300),
+        ("drive", "power_W", 1e300), ("thermal", "intensity_W_m2", 1e300),
+        ("thermal", "emissivity", 1e-300), ("cavity", "wavelength_m", 1e300)])
     def test_float_overflow_exit_2(self, capsys, tmp_path, section, key, value):
         doc = yaml.safe_load(open_preset())
         doc[section][key] = value
@@ -190,6 +193,37 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_overflow_names_the_report_field(self, capsys, tmp_path):
+        doc = yaml.safe_load(open_preset())
+        doc["drive"]["power_W"] = 1.0e300
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, ["feasibility", str(path), "--quiet"])
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: report field optomech.alpha_abs is inf\n"
+
+    def test_unexpected_exception_one_line(self, capsys, monkeypatch, sphere_file):
+        # a defect in a subcommand reaches the user as one line, not a traceback
+        import levicav.cli as cli
+
+        def broken(_protocol):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "phonon_trace", broken)
+        code, out, err = run(capsys, ["trace", sphere_file, "--quiet"])
+        assert (code, out) == (2, "")
+        assert err == "internal error: RuntimeError: boom second line\n"
+
+    def test_keyboard_interrupt_passes_through(self, monkeypatch, sphere_file):
+        import levicav.cli as cli
+
+        def interrupted(_protocol):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "phonon_trace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["trace", sphere_file, "--quiet"])
 
     def test_yaml_syntax_error_one_line(self, capsys, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -338,14 +372,16 @@ ODD_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e300, 1
 
 
 @st.composite
-def mutated_preset(draw):
-    """A preset document with a few keys dropped, renamed or given odd values."""
+def mutated_preset(draw, sections=None, changes=(1, 3)):
+    """A preset document with a few keys dropped, renamed or given odd values;
+    only keys of ``sections`` when given."""
     from levicav.scenario import PRESET_NAMES, preset_scenario_dict
     doc = preset_scenario_dict(draw(st.sampled_from(PRESET_NAMES)))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(*changes))):
         paths = [(None, key) for key in doc] + [
             (section, key) for section, body in doc.items() if isinstance(body, dict)
             for key in body]
+        paths = [path for path in paths if sections is None or path[0] in sections]
         section, key = draw(st.sampled_from(paths))
         owner = doc if section is None else doc[section]
         op = draw(st.sampled_from(["drop", "rename", "value"]))
@@ -369,8 +405,8 @@ def scenario_path(tmp_path_factory):
                              "sigma", "g_over_kappa"]),
        value=st.sampled_from(["0", "-1", "1e-3", "1e308", "2e5"]))
 def test_mutated_scenarios_fail_cleanly(scenario_path, doc, axis, value):
-    # every outcome is an exit code: a report, or one stderr line; traces are
-    # left out, since a mutated n_points would allocate that many points
+    # every outcome is an exit code: a report, or one stderr line; traces
+    # have their own test, which keeps n_points small
     Path(scenario_path).write_text(yaml.safe_dump(doc))
     for argv in (["feasibility", scenario_path],
                  ["sweep", scenario_path, "--axis", axis, "--values", value]):
@@ -380,6 +416,41 @@ def test_mutated_scenarios_fail_cleanly(scenario_path, doc, axis, value):
         if code == 0:
             values = [line.split(":", 1)[1].strip() for line in out.getvalue().splitlines()
                       if not line.startswith("scenario:")]  # the name is free text
-            assert "nan" not in values, (argv, doc)
+            assert not {"nan", "inf", "-inf"}.intersection(values), (argv, doc)
         else:
             assert code in (1, 2) and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+#: --g-over-kappa / --sigma-over-kappa arguments: none, a usual one or an odd one
+OVERRIDES = st.one_of(st.none(), st.sampled_from(["0.25", "0.5", "1", "2.5"]),
+                      st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf"]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(doc=st.one_of(mutated_preset(sections=("protocol",), changes=(0, 2)), mutated_preset()),
+       n_points=st.just(400) | st.integers(3, 400), t_max_kappa=st.sampled_from([None, 6.0]),
+       g_over_kappa=OVERRIDES, sigma_over_kappa=OVERRIDES)
+def test_mutated_traces_fail_cleanly(scenario_path, doc, n_points, t_max_kappa,
+                                     g_over_kappa, sigma_over_kappa):
+    # a trace is a finite CSV or one stderr line; half the documents change
+    # at most the protocol, so many reach the swap numerics; n_points is drawn
+    # small, so a mutation cannot ask for a large grid, and a shorter t_max
+    # lets such a grid resolve the swap
+    if isinstance(doc.get("protocol"), dict):
+        doc["protocol"]["n_points"] = n_points
+        if t_max_kappa is not None:
+            doc["protocol"]["t_max_kappa"] = t_max_kappa
+    Path(scenario_path).write_text(yaml.safe_dump(doc))
+    argv = ["trace", scenario_path, "--quiet"]
+    for flag, value in (("--g-over-kappa", g_over_kappa),
+                        ("--sigma-over-kappa", sigma_over_kappa)):
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row), (argv, doc)
+    else:
+        assert code in (1, 2) and err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -211,14 +215,13 @@ class TestFaddeevaEvaluation:
             assert np.array_equal(ua, ua_ref) and np.array_equal(ub, ub_ref)
 
     def test_one_evaluation_per_distinct_limit(self, monkeypatch):
-        import scipy.special
-        wofz, evaluated = scipy.special.wofz, []
+        wofz, evaluated = pulse._wofz(), []
 
         def counting_wofz(z):
             evaluated.append(np.size(z))
             return wofz(z)
 
-        monkeypatch.setattr(scipy.special, "wofz", counting_wofz)
+        monkeypatch.setattr(pulse, "_wofz", lambda: counting_wofz)
         protocol = standard(1.0)  # underdamped: lam- = conj(lam+) needs no second call
         phonon_trace(protocol)
         lo, hi = pulse._pulse_window(protocol)
@@ -226,6 +229,61 @@ class TestFaddeevaEvaluation:
         assert 0 < sum(evaluated) <= n_inside + 2
         assert all(u.dtype == np.float64
                    for u in pulse._filtered_input(protocol, protocol.t_grid))
+
+
+#: a trace in a fresh interpreter; prints which scipy layers it loaded, what
+#: sys.modules holds as scipy.special, the trace's sha256 and whether the
+#: bound wofz is scipy.special.wofz
+BINDER_PROBE = """
+import hashlib, importlib.util, json, sys
+mode = sys.argv[1]
+if mode == "before":
+    import scipy.special
+from levicav import pulse
+if mode == "fallback":
+    importlib.util.find_spec = lambda *args, **kwargs: None
+trace = pulse.phonon_trace(pulse.PulseProtocol.standard(g=1.0, kappa=1.0))
+special = sys.modules.get("scipy.special")
+state = {"layers": [name for name in ("scipy.special._support_alternative_backends",
+                                      "scipy._lib._array_api") if name in sys.modules],
+         "special": None if special is None else hasattr(special, "wofz"),
+         "sha": hashlib.sha256(trace.n_phonon.tobytes()).hexdigest()}
+import scipy.special
+state["same"] = pulse._wofz() is scipy.special.wofz
+print("PROBE " + json.dumps(state))
+"""
+
+
+class TestWofzBinding:
+    """``pulse._wofz`` binds scipy's ufunc from ``scipy.special._ufuncs``
+    without running ``scipy/special/__init__``; each case runs in a fresh
+    interpreter, so sys.modules starts empty of scipy."""
+
+    def probe(self, mode):
+        proc = subprocess.run([sys.executable, "-c", BINDER_PROBE, mode],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
+        state = json.loads(line[len("PROBE "):])
+        reference = phonon_trace(PulseProtocol.standard(g=1.0, kappa=1.0)).n_phonon
+        assert state.pop("sha") == hashlib.sha256(reference.tobytes()).hexdigest()
+        return state
+
+    def test_fast_path_skips_the_array_api_layer(self):
+        # the stand-in package is gone and the real import comes later, in
+        # full, with the same ufunc; if a scipy release breaks the fast path,
+        # this says so rather than letting trace slow down unseen
+        assert self.probe("after") == {"layers": [], "special": None, "same": True}
+
+    def test_prior_import_is_reused(self):
+        state = self.probe("before")
+        assert state["special"] is True and state["same"] is True
+
+    def test_failed_fast_path_falls_back(self):
+        # with no prior import, a full scipy.special after the trace is the
+        # fallback's own import
+        state = self.probe("fallback")
+        assert state["special"] is True and state["same"] is True
 
 
 def past_window_reference(p, t, dps=40):
