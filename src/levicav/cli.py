@@ -15,19 +15,33 @@ All numbers carry 6 significant figures. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
-from dataclasses import replace
+from importlib import import_module
 from typing import Optional
 
 import yaml
 
 from .errors import NumericalError, ValidationError
-from .scenario import (PRESET_NAMES, build_protocol, evaluate_scenario,
-                       load_scenario, preset_scenario_dict, sweep)
+from .presets import PRESET_NAMES, preset_scenario_dict
 
 __all__ = ["main", "render_kv"]
+
+
+def _deferred(module: str, name: str):
+    """``levicav.<module>.<name>``, its module imported on the first call, so
+    each subcommand loads only the layers it runs (``preset`` needs no
+    record type, and only ``trace`` loads numpy)."""
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+load_scenario = _deferred("scenario", "load_scenario")
+evaluate_scenario = _deferred("scenario", "evaluate_scenario")
+sweep = _deferred("scenario", "sweep")
+build_protocol = _deferred("scenario", "build_protocol")
+phonon_trace = _deferred("pulse", "phonon_trace")
 
 
 def _fmt(value) -> str:
@@ -77,21 +91,15 @@ def _cmd_feasibility(args) -> int:
 
 
 def _trace_csv(times, kappa, values) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t_seconds", "t_kappa_units", "n_phonon"])
-    for t, n in zip(times, values):
-        writer.writerow([f"{t:.6g}", f"{t * kappa:.6g}", f"{n:.6g}"])
-    return buf.getvalue()
-
-
-def phonon_trace(protocol):
-    """``pulse.phonon_trace``; numpy loads only when a trace is asked for."""
-    from .pulse import phonon_trace as trace
-    return trace(protocol)
+    """Header plus one ``t,t*kappa,n`` row per point, CRLF-terminated as
+    ``csv.writer`` writes them."""
+    rows = [f"{t:.6g},{t * kappa:.6g},{n:.6g}\r\n"
+            for t, n in zip(times.tolist(), values.tolist())]
+    return "".join(["t_seconds,t_kappa_units,n_phonon\r\n", *rows])
 
 
 def _cmd_trace(args) -> int:
+    from dataclasses import replace
     scenario = load_scenario(args.scenario)
     proto_settings = scenario.protocol
     if args.g_over_kappa is not None:
@@ -112,9 +120,12 @@ def _cmd_trace(args) -> int:
 
 def _parse_values(text: str) -> list[float]:
     try:
-        return [float(piece) for piece in text.split(",") if piece.strip()]
+        values = [float(piece) for piece in text.split(",") if piece.strip()]
     except ValueError as exc:
         raise ValidationError(f"sweep values must be numbers: {exc}") from exc
+    if not values:
+        raise ValidationError(f"sweep values must name at least one number, got {text!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:

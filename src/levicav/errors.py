@@ -1,13 +1,29 @@
 """Exception types shared across the package.
 
-Two families: validation errors (bad inputs, regime violations) and
-numerical errors (a computation that ran but could not certify its
-result). The CLI maps the first family to exit code 1 and the second
-to exit code 2.
+Two families under one base: validation errors (bad inputs, regime
+violations) and numerical errors (a computation that ran but could not
+certify its result). The CLI maps the first family to exit code 1 and the
+second to exit code 2.
 """
 
+from typing import Optional
 
-class ValidationError(ValueError):
+
+class LevicavError(Exception):
+    """Base of both families. ``stage`` names the evaluation stage that
+    failed ("coupling", "decoherence", "thermal"), or is None; the message
+    then reads ``"<stage> stage: ..."``."""
+
+    def __init__(self, *args, stage: Optional[str] = None):
+        super().__init__(*args)
+        self.stage = stage
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{self.stage} stage: {text}" if self.stage else text
+
+
+class ValidationError(LevicavError, ValueError):
     """Invalid input value, geometry, or configuration."""
 
 
@@ -23,7 +39,7 @@ class UnknownAxisError(ValidationError):
     """Sweep axis name not recognized."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(LevicavError, RuntimeError):
     """A numerical routine failed to certify its result."""
 
 

@@ -1,4 +1,4 @@
-"""Scenario assembly, regime checks, presets, and parameter sweeps.
+"""Scenario assembly, regime checks, and parameter sweeps.
 
 A Scenario bundles one cavity, one dielectric body, a trap source (tweezer
 or two-mode self-trap), and the optional drive/gas/thermal context. The
@@ -22,7 +22,6 @@ Internally everything is SI with angular frequencies.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -36,7 +35,8 @@ from .constants import (CODATA, TWO_PI, angular_to_hz, hz_to_angular, pa_to_torr
                         torr_to_pa)
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
-from .errors import NumericalError, UnknownAxisError, ValidationError
+from .errors import LevicavError, NumericalError, UnknownAxisError, ValidationError
+from .presets import PRESET_NAMES, preset_scenario_dict
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
@@ -213,7 +213,9 @@ def scattering_finesse_bound(waist_W: float, radius_R: float) -> float:
 def _stage_error(stage: str, exc: Exception) -> Exception:
     """The stage-named error; float overflow and division by zero are numerical."""
     kind = NumericalError if isinstance(exc, ArithmeticError) else type(exc)
-    return kind(f"{stage} stage: {exc}")
+    if issubclass(kind, LevicavError):
+        return kind(str(exc), stage=stage)
+    return kind(f"{stage} stage: {exc}")  # a defect keeps its class, the stage in its text
 
 
 def evaluate_scenario(s: Scenario,
@@ -520,50 +522,3 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError(f"scenario file {path} is not a mapping document")
     return scenario_from_dict(doc)
-
-
-# ---------------------------------------------------------------------------
-# presets: the published strong-coupling reference parameter set
-# ---------------------------------------------------------------------------
-
-_REFERENCE_CAVITY = {"length_m": 4.0e-3, "finesse": 1.0e5, "wavelength_m": 1.064e-6}
-_FUSED_SILICA = {"density_kg_m3": 2201.0, "eps1": 2.1, "eps2": 2.5e-10}
-
-_PRESETS: dict[str, dict] = {
-    # 250 nm fused-silica sphere, tweezer-trapped, 0.5 mW red-sideband drive
-    "sphere-appendix-h": {
-        "name": "sphere-appendix-h",
-        "cavity": dict(_REFERENCE_CAVITY),
-        "object": {"shape": "sphere", "radius_m": 250.0e-9, **_FUSED_SILICA},
-        # I0/W0^2 = 2 W/um^4; the waist itself is not pinned by the
-        # reference set, so a 1 um tweezer is assumed here
-        "trap": {"kind": "tweezer", "intensity_W_m2": 2.0e12, "waist_m": 1.0e-6},
-        "drive": {"power_W": 0.5e-3, "wavelength_m": 1.064e-6, "detuning_hz": None},
-        "gas": {"pressure_torr": 1.0e-6, "temperature_K": 300.0,
-                "molecule_mass_amu": 28.6, "cooling_rate_per_s": 1.0e5},
-        "thermal": {"intensity_W_m2": 2.0e12, "emissivity": 1.0, "T_env_K": 300.0},
-        "protocol": {"sigma_over_kappa": 5.6, "delay_kappa": 5.0,
-                     "t_max_kappa": 20.0, "n_points": 2000},
-    },
-    # fused-silica rod (length = waist, 50 nm x 50 nm section): z cooling
-    # (translation) or azimuthal cooling (rotation)
-    **{f"rod-{dof}": {
-        "name": f"rod-{dof}",
-        "cavity": dict(_REFERENCE_CAVITY),
-        "object": {"shape": "rod", "width_m": 50.0e-9, "arc_m": 50.0e-9,
-                   **_FUSED_SILICA},
-        "trap": {"kind": "self-trap", "cooled_dof": dof, "mode1_power_W": 4.0e-3},
-        "protocol": {"sigma_over_kappa": 5.6, "delay_kappa": 5.0,
-                     "t_max_kappa": 20.0, "n_points": 2000},
-    } for dof in ("translation", "rotation")},
-}
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
-
-
-def preset_scenario_dict(name: str) -> dict:
-    """Deep copy of a named preset's scenario document."""
-    if name not in _PRESETS:
-        raise ValidationError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return copy.deepcopy(_PRESETS[name])

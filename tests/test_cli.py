@@ -178,6 +178,15 @@ class TestMalformedScenario:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
+    @pytest.mark.parametrize("values", [",", ""])
+    def test_sweep_without_values_exit_1(self, capsys, sphere_file, values):
+        # an empty value list printed a blank document with exit 0
+        code, out, err = run(capsys, ["sweep", sphere_file, "--axis", "power",
+                                      "--values", values, "--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sweep values") and err.count("\n") == 1
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
@@ -323,19 +332,114 @@ def test_report_paths_import_no_scipy(tmp_path):
     assert after_commands == []
 
 
-@pytest.mark.parametrize("name", ["PhononTrace", "PulseProtocol", "SuperpositionState",
-                                  "amplification_envelope", "conditional_superposition",
-                                  "phonon_trace", "refined_peak"])
+PRESET_PROBE = """
+import json, sys
+RECORD_MODULES = ("levicav.scenario", "levicav.cavity", "levicav.sphere", "levicav.rod",
+                  "levicav.environment", "levicav.constants")
+had_dataclasses = "dataclasses" in sys.modules
+import levicav
+import levicav.cli as cli
+code = cli.main(["preset", "sphere-appendix-h", "--out", sys.argv[1]])
+loaded = [m for m in RECORD_MODULES if m in sys.modules]
+if "dataclasses" in sys.modules and not had_dataclasses:
+    loaded.append("dataclasses")
+print("PROBE " + json.dumps([code, loaded]))
+"""
+
+
+def test_preset_loads_no_record_module(tmp_path):
+    # a preset is a dict dumped as YAML: no record type, so neither the
+    # record modules nor dataclasses load
+    proc = subprocess.run([sys.executable, "-c", PRESET_PROBE, str(tmp_path / "s.yaml")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
+    assert json.loads(line[len("PROBE "):]) == [0, []]
+
+
+#: the 56 public names the package serves, by home module
+PACKAGE_NAMES = {
+    "cavity": ["BodyGeometry", "CavityConfig", "Rod", "Sphere", "derived_cavity_quantities",
+               "numeric_derivatives"],
+    "constants": ["CODATA", "PhysicalConstants", "angular_to_hz", "hz_to_angular",
+                  "pa_to_torr", "torr_to_pa"],
+    "environment": ["DecoherenceBudget", "GasEnvironment", "ThermalInput", "bulk_temperature",
+                    "decoherence_budget", "decoherence_rates", "gas_damping",
+                    "heating_time_and_bound", "quality_factor"],
+    "pulse": ["PhononTrace", "PulseProtocol", "SuperpositionState", "amplification_envelope",
+              "conditional_superposition", "phonon_trace", "refined_peak"],
+    "presets": ["preset_scenario_dict"],
+    "rod": ["C1", "C2", "LGPairProfile", "SelfTrapSolution", "rod_coupling_constants",
+            "rod_frequency_profile", "rod_optomech_params", "rotation_configuration",
+            "solve_self_trap", "translation_configuration"],
+    "scenario": ["FeasibilityReport", "Scenario", "SelfTrapSpec", "build_protocol",
+                 "evaluate_scenario", "load_scenario", "scattering_finesse_bound", "sweep"],
+    "sphere": ["DielectricObject", "DriveConfig", "OptomechParams", "TweezerConfig",
+               "assemble_optomech_params", "intracavity_amplitude", "sphere_frequency_profile",
+               "sphere_linear_coupling", "tweezer_trap_frequency"],
+}
+HOME = {name: module for module, names in PACKAGE_NAMES.items() for name in names}
+
+
+@pytest.mark.parametrize("name", HOME)
 def test_pulse_names_served_lazily(name):
+    # every public name, not only the pulse ones, is served on first use
+    # as its home module's own object
+    import importlib
     import levicav
-    import levicav.pulse
-    assert getattr(levicav, name) is getattr(levicav.pulse, name)
+    home = importlib.import_module(f"levicav.{HOME[name]}")
+    assert getattr(levicav, name) is getattr(home, name)
+
+
+def test_all_covers_the_public_names():
+    import levicav
+    assert len(HOME) == 56
+    assert set(HOME) <= set(levicav.__all__)
+
+
+def test_star_import_binds_every_name_in_all():
+    import levicav
+    namespace: dict = {}
+    exec("from levicav import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(levicav.__all__)
 
 
 def test_unknown_package_attribute_raises():
     import levicav
     with pytest.raises(AttributeError, match="no_such_name"):
         levicav.no_such_name
+
+
+def csv_writer_trace(times, kappa, values) -> str:
+    """The ``csv.writer`` formatting that ``cli._trace_csv`` replaced, kept as
+    its reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t_seconds", "t_kappa_units", "n_phonon"])
+    for t, n in zip(times, values):
+        writer.writerow([f"{t:.6g}", f"{t * kappa:.6g}", f"{n:.6g}"])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case", ["seeded", "edges", "empty", "single"])
+def test_trace_csv_matches_csv_writer(case):
+    import numpy as np
+    from levicav.cli import _trace_csv
+    rng = np.random.default_rng(1207)
+    # signed zeros, the smallest subnormal, huge magnitudes, and values at
+    # the rounding edge of the sixth significant figure
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 9.9999995e-5,
+                      9.99999949999e-5, 0.9999995, 1.0000005, 999999.5, 123456.45,
+                      2.5e-7, 1.5e-300])
+    times, values = {
+        "seeded": (np.sort(rng.uniform(0.0, 2e-4, 2000)),
+                   rng.lognormal(-3.0, 4.0, 2000) * rng.choice([-1.0, 1.0], 2000)),
+        "edges": (edges, edges[::-1].copy()),
+        "empty": (np.empty(0), np.empty(0)),
+        "single": (np.array([1.7e-5]), np.array([0.4999995])),
+    }[case]
+    for kappa in (1177263.9, 1.0, 1e-3):
+        assert _trace_csv(times, kappa, values) == csv_writer_trace(times, kappa, values)
 
 
 ORACLE_NAMES = {"ModeField", "tem00_mode", "lg_pair_mode", "perturbative_shift"}

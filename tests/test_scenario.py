@@ -9,7 +9,7 @@ import pytest
 from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI
 from levicav.environment import GasEnvironment, ThermalInput
-from levicav.errors import UnknownAxisError, ValidationError
+from levicav.errors import LevicavError, UnknownAxisError, ValidationError
 from levicav import scenario as scenario_module
 from levicav.pulse import phonon_trace
 from levicav.scenario import (PRESET_NAMES, SelfTrapSpec, build_protocol,
@@ -243,6 +243,19 @@ class TestStageNamedErrors:
         doc["object"]["radius_m"] = 30e-6  # radius above the waist
         with pytest.raises(Exception, match="coupling stage"):
             evaluate_scenario(scenario_from_dict(doc))
+
+    @pytest.mark.parametrize("section, key, value, stage", [
+        ("object", "radius_m", 30e-6, "coupling"),
+        ("gas", "temperature_K", 1e-9, "decoherence"),
+        ("thermal", "T_env_K", 1e300, "thermal"),  # T_env**4 overflows
+    ])
+    def test_stage_attribute(self, section, key, value, stage):
+        doc = preset_scenario_dict("sphere-appendix-h")
+        doc[section][key] = value
+        with pytest.raises(LevicavError) as info:
+            evaluate_scenario(scenario_from_dict(doc))
+        assert info.value.stage == stage
+        assert str(info.value).startswith(f"{stage} stage: ")
 
 
 #: one valid instance of each input record
