@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .constants import CODATA, TWO_PI
+from .constants import CODATA, TWO_PI, wavelength_omega
 from .errors import DerivativeError, GeometryError, ValidationError
 
 __all__ = [
@@ -49,7 +49,7 @@ class CavityConfig:
     @property
     def omega_c0(self) -> float:
         """Bare resonance frequency 2*pi*c/lambda, rad/s."""
-        return TWO_PI * CODATA.c / self.wavelength_lambda
+        return wavelength_omega(self.wavelength_lambda)
 
     @property
     def kappa(self) -> float:
@@ -155,18 +155,22 @@ def _richardson(d_h: float, d_h2: float, d_h4: float) -> tuple[float, float]:
     return r2, abs(r2 - r1b)
 
 
+#: Largest finite-difference step, in units of the profile's scale: large
+#: enough that profiles carrying an O(1e15 rad/s) offset still difference
+#: above the float64 roundoff floor.
+BASE_STEP = 4e-2
+
+
 def numeric_derivatives(profile: Callable[[float], float], q0: float,
-                        scale: float = 1.0, base_step: float = 4e-2) -> DerivativeEstimate:
+                        scale: float = 1.0) -> DerivativeEstimate:
     """Central-difference first and second derivatives of a smooth profile.
 
-    Steps h, h/2, h/4 with h = base_step*scale feed two Richardson levels.
-    The base step is large enough that profiles carrying an O(1e15 rad/s)
-    offset still difference above the float64 roundoff floor. Raises
-    DerivativeError on step underflow or non-finite samples.
+    Steps h, h/2, h/4 with h = BASE_STEP*scale feed two Richardson levels.
+    Raises DerivativeError on step underflow or non-finite samples.
     """
-    if scale <= 0.0 or base_step <= 0.0:
-        raise ValidationError("scale and base_step must be positive")
-    h = base_step * scale
+    if scale <= 0.0:
+        raise ValidationError("scale must be positive")
+    h = BASE_STEP * scale
     steps = (h, h / 2.0, h / 4.0)
     if q0 + steps[-1] == q0:
         raise DerivativeError(f"step {steps[-1]:g} underflows at q0={q0!r}")

@@ -68,13 +68,13 @@ def render_kv(doc: dict, indent: int = 0) -> str:
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _info(args, message: str) -> None:
@@ -192,10 +192,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -69,3 +69,9 @@ def hz_to_angular(frequency_hz: float) -> float:
 def angular_to_hz(omega: float) -> float:
     """Angular frequency (rad/s) to cyclic frequency (Hz)."""
     return omega / TWO_PI
+
+
+def wavelength_omega(x: float) -> float:
+    """2 pi c / x: a vacuum wavelength (m) to its angular frequency (rad/s),
+    or an angular frequency back to its wavelength; its own inverse."""
+    return TWO_PI * CODATA.c / x

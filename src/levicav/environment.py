@@ -50,6 +50,9 @@ __all__ = [
 #: Mean molecular mass of air, kg (28.6 u).
 AIR_MOLECULE_MASS = 28.6 * CODATA.amu
 
+#: Smallest t* Gamma that satisfies the cooling bound t* Gamma >> 1.
+HEATING_MARGIN_MIN = 10.0
+
 
 @dataclass(frozen=True)
 class GasEnvironment:
@@ -92,7 +95,7 @@ class ThermalInput:
 class HeatingBound:
     t_star: float          # s, exact one-quantum heating time
     t_star_first_order: float  # s, hbar w / (2 gamma k_B T)
-    bound_satisfied: bool  # t* Gamma >= 10
+    bound_satisfied: bool  # t* Gamma >= HEATING_MARGIN_MIN
     heating_margin: float  # t* Gamma
     P_max: float           # Pa, pressure bound at the given cooling rate
     torr_per_hz_linear: float   # Torr s: P_max/Gamma with Gamma in 1/s
@@ -118,7 +121,6 @@ class DecoherenceBudget:
     ratio: Optional[float]
     noise_D: float     # m^2/s^3, fluctuation-dissipation strength
     P_max: float       # Pa
-    pressure_bound_per_rate: float  # Pa s, P_max per unit cooling rate
     pressure_margin: float  # P_max / P (inf at P = 0)
 
 
@@ -136,8 +138,7 @@ def gas_damping(obj: DielectricObject, env: GasEnvironment) -> float:
 
 
 def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment,
-                           omega_t: float, cooling_rate_Gamma: float,
-                           margin_threshold: float = 10.0) -> HeatingBound:
+                           omega_t: float, cooling_rate_Gamma: float) -> HeatingBound:
     """One-quantum heating time and the pressure bound for cooling.
 
     Returns the exact logarithmic t* (the first-order form is carried
@@ -163,7 +164,7 @@ def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment,
     margin = t_star * cooling_rate_Gamma
     coeff = pa_to_torr(p_max) / cooling_rate_Gamma
     return HeatingBound(t_star=t_star, t_star_first_order=t_star_first,
-                        bound_satisfied=margin >= margin_threshold,
+                        bound_satisfied=margin >= HEATING_MARGIN_MIN,
                         heating_margin=margin, P_max=p_max,
                         torr_per_hz_linear=coeff,
                         torr_per_hz_angular=coeff / TWO_PI)
@@ -230,6 +231,4 @@ def decoherence_budget(obj: DielectricObject, env: GasEnvironment,
                              Q_factor=quality_factor(omega_t, gamma),
                              Lambda=rates.Lambda, Gamma_dec=rates.Gamma_dec,
                              Gamma_plus=rates.Gamma_plus, ratio=rates.ratio,
-                             noise_D=noise_d, P_max=bound.P_max,
-                             pressure_bound_per_rate=bound.P_max / cooling_rate_Gamma,
-                             pressure_margin=margin)
+                             noise_D=noise_d, P_max=bound.P_max, pressure_margin=margin)

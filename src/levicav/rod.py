@@ -35,7 +35,8 @@ from typing import Optional
 from .cavity import CavityConfig, Rod, numeric_derivatives
 from .constants import CODATA
 from .errors import GeometryError, NumericalError, ValidationError
-from .sphere import DielectricObject, DriveConfig, OptomechParams, assemble_optomech_params
+from .sphere import (DielectricObject, DriveConfig, OptomechParams, _overlap_amplitude,
+                     assemble_optomech_params, equilibrium_z)
 
 __all__ = [
     "C1",
@@ -60,18 +61,16 @@ C2 = (8.0 * _SQRT_E - 13.0) / (2.0 * _SQRT_E)
 
 @dataclass(frozen=True)
 class LGPairProfile:
-    """One driven LG pair: order, pose offsets, and drive bookkeeping.
+    """One driven LG pair: order, pose offsets, and drive power.
 
-    ``photon_number`` may be left None and filled in by the self-trap
-    solver (mode 1 from its drive power, mode 2 from the balance
-    condition).
+    The self-trap solver takes mode 1's photon number from its drive power
+    and mode 2's from the balance condition.
     """
 
     order_ell: int
     offset_z: float = 0.0    # m
     offset_phi: float = 0.0  # rad
-    power_P: Optional[float] = None        # W
-    photon_number: Optional[float] = None  # |alpha|^2
+    power_P: Optional[float] = None  # W
 
     def __post_init__(self) -> None:
         if self.order_ell not in (1, 2):
@@ -110,16 +109,11 @@ def _check_rod_regime(obj: DielectricObject, cfg: CavityConfig) -> Rod:
     return shape
 
 
-def _shift_amplitude(obj: DielectricObject, cfg: CavityConfig) -> float:
-    """A = V(eps1-1)/(pi W^2 d), the dimensionless profile amplitude."""
-    return obj.volume * (obj.eps1 - 1.0) / (math.pi * cfg.waist_W**2 * cfg.length_d)
-
-
 def _shift(obj: DielectricObject, cfg: CavityConfig, pair: LGPairProfile,
            phi: float, z: float) -> float:
     k = cfg.wavenumber
     ell = pair.order_ell
-    return (_shift_amplitude(obj, cfg) * pair.overlap_constant
+    return (_overlap_amplitude(obj, cfg) * pair.overlap_constant
             * math.cos(k * (z - pair.offset_z)) ** 2
             * math.cos(ell * (phi - pair.offset_phi)) ** 2)
 
@@ -150,7 +144,7 @@ def rod_coupling_constants(obj: DielectricObject, cfg: CavityConfig,
     (2 d pi W^2), xi_z = 0.
     """
     _check_rod_regime(obj, cfg)
-    amp = _shift_amplitude(obj, cfg) * C1 * cfg.omega_c0
+    amp = _overlap_amplitude(obj, cfg) * C1 * cfg.omega_c0
     if config == "translation":
         return {"xi_z": -amp * cfg.wavenumber / math.sqrt(2.0), "xi_phi": 0.0,
                 "which_dof": "translation"}
@@ -162,7 +156,7 @@ def rod_coupling_constants(obj: DielectricObject, cfg: CavityConfig,
 
 def translation_configuration(cfg: CavityConfig, mode1_power: float) -> tuple:
     """(pair1, pair2, equilibrium, cooled_dof) for z cooling."""
-    quarter = CODATA.c * math.pi / (4.0 * cfg.omega_c0)
+    quarter = equilibrium_z(cfg)
     pair1 = LGPairProfile(order_ell=1, offset_z=quarter, power_P=mode1_power)
     pair2 = LGPairProfile(order_ell=2)
     return pair1, pair2, (0.0, quarter / 2.0), "translation"
@@ -201,9 +195,7 @@ def solve_self_trap(obj: DielectricObject, cfg: CavityConfig,
     phi0, z0 = equilibrium
     omega0 = cfg.omega_c0
 
-    n1 = pair1.photon_number
-    if n1 is None:
-        n1 = _resonant_photon_number(pair1.power_P, cfg)
+    n1 = _resonant_photon_number(pair1.power_P, cfg)
     if n1 <= 0.0:
         raise ValidationError("mode-1 photon number must be positive")
 
@@ -260,7 +252,7 @@ def rod_optomech_params(obj: DielectricObject, cfg: CavityConfig,
         omega_t, xi, inertia = sol.omega_t_z, sol.xi_z, None
     else:
         omega_t, xi, inertia = sol.omega_t_phi, sol.xi_phi, obj.moment_of_inertia
-    drive = DriveConfig(power_P=0.0, laser_omega_L=cfg.omega_c0, detuning_Delta=omega_t)
+    drive = DriveConfig(power_P=0.0, laser_omega_L=cfg.omega_c0)  # red sideband: Delta = omega_t
     return assemble_optomech_params(obj, cfg, omega_t, drive, xi0=xi,
                                     delta_shift=sol.delta_1, inertia=inertia,
                                     alpha_abs=math.sqrt(sol.n_photons_1))

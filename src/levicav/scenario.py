@@ -10,10 +10,10 @@ fills a FeasibilityReport with raw ratios plus the derived regime flags:
     scattering       finesse <= W^2/R^2          (spheres)
     pressure         P <= P_max/10               (spheres with gas section)
 
-The qualitative thresholds (2 and 10) are explicit, documented defaults
-and can be overridden through RegimeThresholds. Decoherence, scattering,
-and bulk-temperature entries are sphere-only and report as absent for
-rods, whose gas-collision formulas are not available.
+The factors 2 and 10 are the module constants STRONG_KAPPA_FACTOR,
+STRONG_GAMMA_FACTOR and PRESSURE_MARGIN_MIN. Decoherence, scattering, and
+bulk-temperature entries are sphere-only and report as absent for rods,
+whose gas-collision formulas are not available.
 
 Scenario files are YAML with one section per sub-record; boundary units
 are meters, watts, Torr, Hz, and kelvin (keys carry their unit suffix).
@@ -23,6 +23,7 @@ Internally everything is SI with angular frequencies.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
@@ -32,7 +33,7 @@ import yaml
 from .cavity import (BodyGeometry, CavityConfig, CavityDerived, Rod, Sphere,
                      derived_cavity_quantities)
 from .constants import (CODATA, TWO_PI, angular_to_hz, hz_to_angular, pa_to_torr,
-                        torr_to_pa)
+                        torr_to_pa, wavelength_omega)
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
 from .errors import LevicavError, NumericalError, UnknownAxisError, ValidationError
@@ -48,7 +49,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SelfTrapSpec",
     "ProtocolSettings",
-    "RegimeThresholds",
     "Scenario",
     "FeasibilityReport",
     "scattering_finesse_bound",
@@ -85,17 +85,6 @@ class ProtocolSettings:
     n_points: int = 2000
     g_over_kappa: Optional[float] = None  # None -> use the scenario's derived g
     gamma_per_s: Optional[float] = None   # None -> gas damping (or 0)
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    strong_coupling_kappa_factor: float = 2.0   # require |g| >= kappa/factor
-    strong_coupling_gamma_factor: float = 10.0  # require |g| >= factor*gamma
-    pressure_margin: float = 10.0               # require P <= P_max/margin
-    heating_margin: float = 10.0                # require t* Gamma >= margin
-
-
-DEFAULT_THRESHOLDS = RegimeThresholds()
 
 
 @dataclass(frozen=True)
@@ -210,16 +199,28 @@ def scattering_finesse_bound(waist_W: float, radius_R: float) -> float:
     return waist_W**2 / radius_R**2
 
 
-def _stage_error(stage: str, exc: Exception) -> Exception:
-    """The stage-named error; float overflow and division by zero are numerical."""
-    kind = NumericalError if isinstance(exc, ArithmeticError) else type(exc)
-    if issubclass(kind, LevicavError):
-        return kind(str(exc), stage=stage)
-    return kind(f"{stage} stage: {exc}")  # a defect keeps its class, the stage in its text
+@contextmanager
+def _stage(name: str):
+    """Re-raise an error from inside the block with the stage named, chained
+    to the original; float overflow and division by zero are numerical."""
+    try:
+        yield
+    except Exception as exc:
+        kind = NumericalError if isinstance(exc, ArithmeticError) else type(exc)
+        if issubclass(kind, LevicavError):
+            raise kind(str(exc), stage=name) from exc
+        raise kind(f"{name} stage: {exc}") from exc  # a defect keeps its class
 
 
-def evaluate_scenario(s: Scenario,
-                      thresholds: RegimeThresholds = DEFAULT_THRESHOLDS) -> FeasibilityReport:
+# Regime thresholds: strong coupling needs |g| >= kappa/STRONG_KAPPA_FACTOR
+# and |g| >= STRONG_GAMMA_FACTOR*gamma; the pressure flag needs
+# P <= P_max/PRESSURE_MARGIN_MIN.
+STRONG_KAPPA_FACTOR = 2.0
+STRONG_GAMMA_FACTOR = 10.0
+PRESSURE_MARGIN_MIN = 10.0
+
+
+def evaluate_scenario(s: Scenario) -> FeasibilityReport:
     """Run the full pipeline and populate every report field.
 
     Deterministic: identical scenarios produce bit-identical reports.
@@ -229,7 +230,7 @@ def evaluate_scenario(s: Scenario,
     is_sphere = isinstance(s.object.geometry.shape, Sphere)
     selftrap = None
 
-    try:
+    with _stage("coupling"):
         if isinstance(s.trap, TweezerConfig):
             if s.drive is None:
                 raise ValidationError("tweezer scenarios need a drive section")
@@ -241,8 +242,6 @@ def evaluate_scenario(s: Scenario,
             pair1, pair2, equilibrium, dof = build(s.cavity, s.trap.mode1_power)
             selftrap = solve_self_trap(s.object, s.cavity, pair1, pair2, equilibrium, dof)
             optomech = rod_optomech_params(s.object, s.cavity, selftrap)
-    except Exception as exc:
-        raise _stage_error("coupling", exc) from exc
 
     g_mag = abs(optomech.g)
     kappa = derived.kappa
@@ -255,21 +254,19 @@ def evaluate_scenario(s: Scenario,
     p_max_torr = None
     q_factor = None
     if is_sphere and s.gas is not None:
-        try:
+        with _stage("decoherence"):
             gamma = gas_damping(s.object, s.gas)
             budget = decoherence_budget(s.object, s.gas, optomech.omega_t,
                                         optomech.zm, s.cooling_rate)
-        except Exception as exc:
-            raise _stage_error("decoherence", exc) from exc
         p_max_torr = pa_to_torr(budget.P_max)
-        pressure_ok = s.gas.pressure_P <= budget.P_max / thresholds.pressure_margin
+        pressure_ok = s.gas.pressure_P <= budget.P_max / PRESSURE_MARGIN_MIN
         q_factor = budget.Q_factor
 
-    strong = g_mag >= kappa / thresholds.strong_coupling_kappa_factor
+    strong = g_mag >= kappa / STRONG_KAPPA_FACTOR
     g_over_gamma = None
     if gamma is not None and gamma > 0.0:
         g_over_gamma = g_mag / gamma
-        strong = strong and g_mag >= thresholds.strong_coupling_gamma_factor * gamma
+        strong = strong and g_mag >= STRONG_GAMMA_FACTOR * gamma
 
     f_max = None
     scattering_ok = None
@@ -279,12 +276,10 @@ def evaluate_scenario(s: Scenario,
 
     bulk = None
     if is_sphere and s.thermal is not None:
-        try:
-            lam = (TWO_PI * CODATA.c / s.drive.laser_omega_L if s.drive is not None
+        with _stage("thermal"):
+            lam = (wavelength_omega(s.drive.laser_omega_L) if s.drive is not None
                    else s.cavity.wavelength_lambda)
             bulk = bulk_temperature(s.object, s.thermal, lam)
-        except Exception as exc:
-            raise _stage_error("thermal", exc) from exc
 
     return FeasibilityReport(
         name=s.name, cavity=derived, optomech=optomech,
@@ -326,9 +321,8 @@ def _count(value) -> int:
     return int(number)
 
 
-# (to SI, to boundary) unit converters; 2 pi c / x maps a wavelength to its
-# angular frequency and back
-_WAVELENGTH = (lambda m: TWO_PI * CODATA.c / m, lambda omega: TWO_PI * CODATA.c / omega)
+# (to SI, to boundary) unit converters
+_WAVELENGTH = (wavelength_omega, wavelength_omega)
 _TORR = (torr_to_pa, pa_to_torr)
 _HZ = (hz_to_angular, angular_to_hz)
 _AMU = (lambda amu: amu * CODATA.amu, lambda kg: kg / CODATA.amu)
@@ -379,10 +373,10 @@ _GROUPS = (
         ("emissivity", "emissivity_e", None, "optional", _finite, ()),
         ("T_env_K", "T_env", None, "optional", _finite, ()))),
     ("protocol", None, "protocol", ProtocolSettings, (
-        ("sigma_over_kappa", "sigma_over_kappa", None, "optional", _finite,
+        ("sigma_over_kappa", "sigma_over_kappa", None, "optional", _positive,
          ("sigma", "sigma_over_kappa")),
         ("delay_kappa", "delay_kappa", None, "optional", _finite, ()),
-        ("t_max_kappa", "t_max_kappa", None, "optional", _finite, ()),
+        ("t_max_kappa", "t_max_kappa", None, "optional", _positive, ()),
         ("n_points", "n_points", None, "optional", _count, ()),
         ("g_over_kappa", "g_over_kappa", None, "override", _finite, ("g_over_kappa",)),
         ("gamma_per_s", "gamma_per_s", None, "override", _finite, ()))),
@@ -409,8 +403,7 @@ def _replace_at(record, path: str, value):
                               if rest else value})
 
 
-def sweep(s: Scenario, axis: str, values: list,
-          thresholds: RegimeThresholds = DEFAULT_THRESHOLDS) -> list[FeasibilityReport]:
+def sweep(s: Scenario, axis: str, values: list) -> list[FeasibilityReport]:
     """Independent scenario evaluations along one named axis, order-preserving."""
     name = axis.strip()
     for section, variant, path, record, rows in _GROUPS:
@@ -419,7 +412,7 @@ def sweep(s: Scenario, axis: str, values: list,
                 need = f"a {variant} {section}" if variant else f"a {section} section"
                 raise ValidationError(f"sweep axis {name!r} needs {need}")
             target, key = f"{path}.{row[1]}", f"{section}.{row[0]}"
-            return [evaluate_scenario(_replace_at(s, target, _load(row, v, key)), thresholds)
+            return [evaluate_scenario(_replace_at(s, target, _load(row, v, key)))
                     for v in values]
     raise UnknownAxisError(f"unknown sweep axis {axis!r}")
 

@@ -124,11 +124,20 @@ class OptomechParams:
     detuning: float    # rad/s
 
 
-def _require_sphere(obj: DielectricObject) -> Sphere:
+def _overlap_amplitude(obj: DielectricObject, cfg: CavityConfig) -> float:
+    """A = V(eps1-1)/(pi W^2 d), the dimensionless mode-overlap amplitude of
+    a small body; the sphere and rod profiles both scale with it."""
+    return obj.volume * (obj.eps1 - 1.0) / (math.pi * cfg.waist_W**2 * cfg.length_d)
+
+
+def _small_sphere_amplitude(obj: DielectricObject, cfg: CavityConfig) -> float:
+    """A for a sphere, whose closed forms hold only below the waist."""
     shape = obj.geometry.shape
     if not isinstance(shape, Sphere):
         raise GeometryError("this operation is defined for spheres only")
-    return shape
+    if shape.radius >= cfg.waist_W:
+        raise GeometryError("coupling formulas require sphere radius below the waist")
+    return _overlap_amplitude(obj, cfg)
 
 
 def equilibrium_z(cfg: CavityConfig) -> float:
@@ -144,16 +153,10 @@ def sphere_shift_profile(obj: DielectricObject, cfg: CavityConfig,
     frequency riding on top, so finite differences of this profile are
     limited only by the shift's own float64 precision.
     """
-    sphere = _require_sphere(obj)
-    W = cfg.waist_W
-    if sphere.radius >= W:
-        raise GeometryError("profile requires sphere radius below the waist")
+    amplitude = _small_sphere_amplitude(obj, cfg)
     x, y, z = pos
-    W2 = W * W
-    return (-cfg.omega_c0 * obj.volume * (obj.eps1 - 1.0)
-            * (W2 - 2.0 * (x * x + y * y))
-            * math.cos(cfg.wavenumber * z) ** 2
-            / (math.pi * W2 * W2 * cfg.length_d))
+    return (-cfg.omega_c0 * amplitude * (1.0 - 2.0 * (x * x + y * y) / cfg.waist_W**2)
+            * math.cos(cfg.wavenumber * z) ** 2)
 
 
 def sphere_frequency_profile(obj: DielectricObject, cfg: CavityConfig,
@@ -171,12 +174,9 @@ def sphere_linear_coupling(obj: DielectricObject, cfg: CavityConfig) -> tuple[fl
 
     Closed forms for the sphere held on axis at z0 = c*pi/(4 omega_c0).
     """
-    sphere = _require_sphere(obj)
-    if sphere.radius >= cfg.waist_W:
-        raise GeometryError("coupling formulas require sphere radius below the waist")
-    common = obj.volume * (obj.eps1 - 1.0) / (cfg.length_d * math.pi * cfg.waist_W**2)
-    xi0 = cfg.omega_c0**2 / CODATA.c * common
-    delta = -0.5 * cfg.omega_c0 * common
+    amplitude = _small_sphere_amplitude(obj, cfg)
+    xi0 = cfg.omega_c0**2 / CODATA.c * amplitude
+    delta = -0.5 * cfg.omega_c0 * amplitude
     return xi0, delta
 
 

@@ -162,6 +162,8 @@ class TestMalformedScenario:
         (None, "cavty", {}, "cavty; did you mean cavity"),
         ("drive", "wavelength_m", 0, "drive.wavelength_m"),
         ("protocol", "n_points", 1e300, "protocol.n_points"),
+        ("protocol", "sigma_over_kappa", -1, "protocol.sigma_over_kappa"),
+        ("protocol", "t_max_kappa", 0, "protocol.t_max_kappa"),
     ])
     @pytest.mark.parametrize("command", ["feasibility", "trace"])
     def test_exit_1_with_one_error_line(self, capsys, tmp_path, command, section, key,
@@ -188,13 +190,29 @@ class TestMalformedScenario:
         assert err.startswith("error: sweep values") and err.count("\n") == 1
 
 
+#: (preset, section, key, value) whose report overflows the float range (in
+#: the rod cases, omega_t); the sphere preset is left out of the test id
+OVERFLOWS = [
+    ("sphere-appendix-h", "object", "eps1", 1e308),
+    ("sphere-appendix-h", "object", "eps2", 1e308),
+    ("sphere-appendix-h", "gas", "pressure_torr", 1e300),
+    ("sphere-appendix-h", "drive", "power_W", 1e300),
+    ("sphere-appendix-h", "thermal", "intensity_W_m2", 1e300),
+    ("sphere-appendix-h", "thermal", "emissivity", 1e-300),
+    ("sphere-appendix-h", "cavity", "wavelength_m", 1e300),
+    ("rod-translation", "trap", "mode1_power_W", 1e300),
+    ("rod-rotation", "cavity", "finesse", 1e300),
+]
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("section, key, value", [
-        ("object", "eps1", 1e308), ("object", "eps2", 1e308), ("gas", "pressure_torr", 1e300),
-        ("drive", "power_W", 1e300), ("thermal", "intensity_W_m2", 1e300),
-        ("thermal", "emissivity", 1e-300), ("cavity", "wavelength_m", 1e300)])
-    def test_float_overflow_exit_2(self, capsys, tmp_path, section, key, value):
-        doc = yaml.safe_load(open_preset())
+    @pytest.mark.parametrize("preset, section, key, value", [
+        pytest.param(*case, id="-".join(map(str, case[1:] if case[0] == "sphere-appendix-h"
+                                             else case)))
+        for case in OVERFLOWS])
+    def test_float_overflow_exit_2(self, capsys, tmp_path, preset, section, key, value):
+        from levicav.scenario import preset_scenario_dict
+        doc = preset_scenario_dict(preset)
         doc[section][key] = value
         path = tmp_path / "huge.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -280,6 +298,13 @@ class TestSweep:
         code, _, _ = run(capsys, ["sweep", sphere_file, "--axis", "P",
                                   "--values", "a,b"])
         assert code == 1
+
+    @pytest.mark.parametrize("values", ["0", "1,-1"])
+    def test_non_positive_sigma_exit_1(self, capsys, sphere_file, values):
+        code, out, err = run(capsys, ["sweep", sphere_file, "--axis", "sigma",
+                                      "--values", values, "--quiet"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: protocol.sigma_over_kappa") and err.count("\n") == 1
 
 
 class TestRender:

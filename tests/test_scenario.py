@@ -59,12 +59,25 @@ class TestSphereScenario:
         assert a == b
 
     def test_flags_consistent_with_ratios(self):
-        report = evaluate_scenario(preset("sphere-appendix-h"))
-        assert report.good_cavity == (report.kappa_over_omega_t < 1.0)
-        strong = (report.g_over_kappa >= 0.5
-                  and report.g_over_gamma >= 10.0)
-        assert report.strong_coupling == strong
-        assert report.scattering_finesse_ok == (1e5 <= report.F_max)
+        # each flag against its README inequality, on sweeps that cross
+        # g = kappa/2 (drive power) and P = P_max/10 (pressure)
+        scenario = preset("sphere-appendix-h")
+        base = evaluate_scenario(scenario)
+        factors = [0.5, 0.95, 1.05, 2.0]
+        powers = [f * scenario.drive.power_P * (0.5 / base.g_over_kappa) ** 2 for f in factors]
+        pressures = [f * base.P_max_torr / 10.0 for f in factors]
+        by_power = sweep(scenario, "P", powers)
+        by_pressure = sweep(scenario, "pressure", pressures)
+        for report in [base, *by_power, *by_pressure]:
+            assert report.good_cavity == (report.kappa_over_omega_t < 1.0)
+            strong = (report.g_over_kappa >= 0.5
+                      and report.g_over_gamma >= 10.0)
+            assert report.strong_coupling == strong
+            assert report.scattering_finesse_ok == (1e5 <= report.F_max)
+        for pressure, report in zip(pressures, by_pressure):
+            assert report.pressure_ok == (pressure <= report.P_max_torr / 10.0)
+        assert [r.strong_coupling for r in by_power] == [False, False, True, True]
+        assert [r.pressure_ok for r in by_pressure] == [True, True, False, False]
 
     def test_missing_drive_rejected(self):
         doc = preset_scenario_dict("sphere-appendix-h")
@@ -256,6 +269,10 @@ class TestStageNamedErrors:
             evaluate_scenario(scenario_from_dict(doc))
         assert info.value.stage == stage
         assert str(info.value).startswith(f"{stage} stage: ")
+        # chained to the original, unstaged error
+        cause = info.value.__cause__
+        assert isinstance(cause, Exception) and getattr(cause, "stage", None) is None
+        assert str(info.value) == f"{stage} stage: {cause}"
 
 
 #: one valid instance of each input record
