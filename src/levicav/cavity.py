@@ -11,11 +11,11 @@ route to the resonance shift, with its mode catalog, is a test oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .constants import CODATA, TWO_PI, wavelength_omega
 from .errors import DerivativeError, GeometryError, ValidationError
+from .records import record
 
 __all__ = [
     "CavityConfig",
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class CavityConfig:
     """Confocal cavity: length d, finesse F, resonant wavelength lambda."""
 
@@ -67,8 +67,10 @@ class CavityConfig:
         return self.omega_c0 / CODATA.c
 
 
-@dataclass(frozen=True)
+@record
 class CavityDerived:
+    """Bare resonance, photon decay rate and waist of a CavityConfig."""
+
     omega_c0: float  # rad/s
     kappa: float     # rad/s
     waist_W: float   # m
@@ -83,8 +85,10 @@ def derived_cavity_quantities(cfg: CavityConfig) -> CavityDerived:
 # body geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Sphere:
+    """Sphere of radius R."""
+
     radius: float  # m
 
     def __post_init__(self) -> None:
@@ -96,7 +100,7 @@ class Sphere:
         return 4.0 * math.pi * self.radius**3 / 3.0
 
 
-@dataclass(frozen=True)
+@record
 class Rod:
     """Rod modeled as two opposed wedges ("pieces of cake").
 
@@ -122,7 +126,7 @@ class Rod:
 Shape = Union[Sphere, Rod]
 
 
-@dataclass(frozen=True)
+@record
 class BodyGeometry:
     """A shape plus its pose: center position and azimuthal angle."""
 
@@ -139,8 +143,11 @@ class BodyGeometry:
 # finite differences with Richardson extrapolation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DerivativeEstimate:
+    """First and second derivative of a profile, each with its Richardson
+    error estimate."""
+
     first: float
     second: float
     err_first: float

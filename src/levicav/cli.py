@@ -40,6 +40,7 @@ def _deferred(module: str, name: str):
 load_scenario = _deferred("scenario", "load_scenario")
 evaluate_scenario = _deferred("scenario", "evaluate_scenario")
 sweep = _deferred("scenario", "sweep")
+axis_setter = _deferred("scenario", "axis_setter")
 build_protocol = _deferred("scenario", "build_protocol")
 phonon_trace = _deferred("pulse", "phonon_trace")
 
@@ -99,14 +100,11 @@ def _trace_csv(times, kappa, values) -> str:
 
 
 def _cmd_trace(args) -> int:
-    from dataclasses import replace
     scenario = load_scenario(args.scenario)
-    proto_settings = scenario.protocol
-    if args.g_over_kappa is not None:
-        proto_settings = replace(proto_settings, g_over_kappa=args.g_over_kappa)
-    if args.sigma_over_kappa is not None:
-        proto_settings = replace(proto_settings, sigma_over_kappa=args.sigma_over_kappa)
-    scenario = replace(scenario, protocol=proto_settings)
+    for axis, value in (("g_over_kappa", args.g_over_kappa),
+                        ("sigma_over_kappa", args.sigma_over_kappa)):
+        if value is not None:  # checked as the protocol key is, naming the flag
+            scenario = axis_setter(scenario, axis, "--" + axis.replace("_", "-"))(value)
     protocol = build_protocol(scenario)
     _info(args, f"tracing '{scenario.name}': g/kappa={protocol.g / protocol.kappa:.6g}, "
                 f"sigma/kappa={protocol.sigma / protocol.kappa:.6g}")

@@ -17,9 +17,9 @@ Reference values (CODATA 2018), the single place they are recorded:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
+from .records import record
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 TORR_IN_PA = 133.322
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalConstants:
     """Fundamental constants, immutable and shared freely."""
 

@@ -25,12 +25,12 @@ blackbody emission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .cavity import Sphere
 from .constants import CODATA, TWO_PI, pa_to_torr
 from .errors import GeometryError, NumericalError, RegimeError, ValidationError
+from .records import record
 from .sphere import DielectricObject
 
 __all__ = [
@@ -54,7 +54,7 @@ AIR_MOLECULE_MASS = 28.6 * CODATA.amu
 HEATING_MARGIN_MIN = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class GasEnvironment:
     """Residual gas in the chamber. Pressure in Pa (convert Torr at I/O)."""
 
@@ -74,7 +74,7 @@ class GasEnvironment:
         return math.sqrt(3.0 * CODATA.k_B * self.temperature_T / self.molecule_mass)
 
 
-@dataclass(frozen=True)
+@record
 class ThermalInput:
     """Laser intensity heating the bulk, and the radiative environment."""
 
@@ -91,8 +91,10 @@ class ThermalInput:
             raise ValidationError("environment temperature must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class HeatingBound:
+    """One-quantum heating time and the cooling pressure bound it sets."""
+
     t_star: float          # s, exact one-quantum heating time
     t_star_first_order: float  # s, hbar w / (2 gamma k_B T)
     bound_satisfied: bool  # t* Gamma >= HEATING_MARGIN_MIN
@@ -102,16 +104,20 @@ class HeatingBound:
     torr_per_hz_angular: float  # Torr s: P_max/(2 pi Gamma), angular reading
 
 
-@dataclass(frozen=True)
+@record
 class DecoherenceRates:
+    """Gas localization and decoherence rates against the heating rate."""
+
     Lambda: float      # 1/(m^2 s), localization rate
     Gamma_dec: float   # 1/s
     Gamma_plus: float  # 1/s, first-order heating rate 1/t*
     ratio: Optional[float]  # Gamma_dec / Gamma_plus, None at zero pressure
 
 
-@dataclass(frozen=True)
+@record
 class DecoherenceBudget:
+    """Gas damping, heating, decoherence and pressure bound of one sphere."""
+
     gamma: float       # 1/s
     t_star: float      # s
     Q_factor: float

@@ -39,11 +39,12 @@ import importlib.util
 import math
 import sys
 import types
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .errors import GridError, NoSwapError, NumericalError, ValidationError
+from .records import record
 
 __all__ = [
     "PulseProtocol",
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PulseProtocol:
     """Rates, pulse shape, and time grid for one protocol run.
 
@@ -86,11 +87,12 @@ class PulseProtocol:
         for name in ("g", "kappa", "gamma", "sigma", "delay_L"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        for name in ("g", "kappa", "gamma", "sigma"):
+        for name in ("g", "gamma"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be non-negative")
-        if self.kappa == 0.0 or self.sigma == 0.0:
-            raise ValidationError("kappa and sigma must be positive")
+        for name in ("kappa", "sigma"):
+            if getattr(self, name) <= 0.0:
+                raise ValidationError(f"{name} must be positive")
         if self.omega_t is not None and not (math.isfinite(self.omega_t) and self.omega_t > 0.0):
             raise ValidationError("omega_t must be finite and positive")
         grid = np.asarray(self.t_grid, dtype=float)
@@ -126,15 +128,17 @@ def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@record
 class PhononTrace:
+    """Phonon expectation over the time grid, with its grid maximum."""
+
     times: np.ndarray = field(repr=False)      # s
     n_phonon: np.ndarray = field(repr=False)   # <b^dag b>(t)
     peak_time: float   # s, grid argmax
     peak_value: float  # max over the grid
 
 
-@dataclass(frozen=True)
+@record
 class SuperpositionState:
     """Conditional mechanical state c0|0> + c1|1> after homodyne outcome x_L."""
 

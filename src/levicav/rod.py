@@ -29,12 +29,12 @@ the float64 roundoff floor of the ~1e15 rad/s carrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .cavity import CavityConfig, Rod, numeric_derivatives
 from .constants import CODATA
 from .errors import GeometryError, NumericalError, ValidationError
+from .records import record
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, _overlap_amplitude,
                      assemble_optomech_params, equilibrium_z)
 
@@ -59,7 +59,7 @@ C1 = 2.0 * (2.0 * _SQRT_E - 3.0) / _SQRT_E
 C2 = (8.0 * _SQRT_E - 13.0) / (2.0 * _SQRT_E)
 
 
-@dataclass(frozen=True)
+@record
 class LGPairProfile:
     """One driven LG pair: order, pose offsets, and drive power.
 
@@ -81,8 +81,11 @@ class LGPairProfile:
         return C1 if self.order_ell == 1 else C2
 
 
-@dataclass(frozen=True)
+@record
 class SelfTrapSolution:
+    """Two-mode self-trap: photon numbers, trap frequencies, slopes and
+    shifts at the equilibrium pose."""
+
     alpha_ratio_sq: float  # |alpha2|^2 / |alpha1|^2
     omega_t_z: float       # rad/s
     omega_t_phi: float     # rad/s

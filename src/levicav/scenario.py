@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -38,6 +38,7 @@ from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
 from .errors import LevicavError, NumericalError, UnknownAxisError, ValidationError
 from .presets import PRESET_NAMES, preset_scenario_dict
+from .records import record
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SelfTrapSpec:
     """Two-mode self-trap request: which coordinate to cool, mode-1 power."""
 
@@ -77,8 +78,11 @@ class SelfTrapSpec:
             raise ValidationError("mode-1 power must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolSettings:
+    """Swap-protocol pulse and grid, in units of kappa, and the g and gamma
+    overrides."""
+
     sigma_over_kappa: float = 5.6
     delay_kappa: float = 5.0
     t_max_kappa: float = 20.0
@@ -87,21 +91,26 @@ class ProtocolSettings:
     gamma_per_s: Optional[float] = None   # None -> gas damping (or 0)
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
+    """One cavity, one body, its trap, and the optional drive, gas, thermal
+    and protocol sections."""
+
     cavity: CavityConfig
     object: DielectricObject
     trap: Union[TweezerConfig, SelfTrapSpec]
     drive: Optional[DriveConfig] = None
     gas: Optional[GasEnvironment] = None
     thermal: Optional[ThermalInput] = None
-    protocol: ProtocolSettings = field(default_factory=ProtocolSettings)
+    protocol: ProtocolSettings = ProtocolSettings()  # frozen: one shared default
     cooling_rate: float = 1e5  # 1/s, assumed laser cooling rate for bounds
     name: str = "scenario"
 
 
-@dataclass(frozen=True)
+@record
 class FeasibilityReport:
+    """Every quantity and regime flag that ``evaluate_scenario`` derives."""
+
     name: str
     cavity: CavityDerived
     optomech: OptomechParams
@@ -310,6 +319,13 @@ def _positive(value) -> float:
     return number
 
 
+def _non_negative(value) -> float:
+    number = _finite(value)
+    if number < 0.0:
+        raise ValueError(f"must be non-negative, got {value!r}")
+    return number
+
+
 #: Largest trace grid a scenario may ask for; the grid is allocated whole.
 _MAX_POINTS = 1_000_000
 
@@ -378,8 +394,8 @@ _GROUPS = (
         ("delay_kappa", "delay_kappa", None, "optional", _finite, ()),
         ("t_max_kappa", "t_max_kappa", None, "optional", _positive, ()),
         ("n_points", "n_points", None, "optional", _count, ()),
-        ("g_over_kappa", "g_over_kappa", None, "override", _finite, ("g_over_kappa",)),
-        ("gamma_per_s", "gamma_per_s", None, "override", _finite, ()))),
+        ("g_over_kappa", "g_over_kappa", None, "override", _non_negative, ("g_over_kappa",)),
+        ("gamma_per_s", "gamma_per_s", None, "override", _non_negative, ()))),
 )
 
 _SECTIONS = tuple(dict.fromkeys(group[0] for group in _GROUPS if group[0]))
@@ -389,10 +405,15 @@ _SELECTORS = {"object": ("shape", "sphere"), "trap": ("kind", "tweezer")}
 
 
 def _load(row: tuple, value, name: str):
-    """A boundary value validated and converted to the record's SI unit."""
+    """A boundary value validated and converted to the record's SI unit,
+    which must be finite too."""
     try:
-        value = row[4](value)
-        return row[2][0](value) if row[2] else value
+        number = row[4](value)
+        if row[2]:
+            number = row[2][0](number)
+            if not math.isfinite(number):
+                raise ValueError(f"out of range: {value!r} converts to {number}")
+        return number
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: {exc}") from None
 
@@ -403,18 +424,25 @@ def _replace_at(record, path: str, value):
                               if rest else value})
 
 
-def sweep(s: Scenario, axis: str, values: list) -> list[FeasibilityReport]:
-    """Independent scenario evaluations along one named axis, order-preserving."""
-    name = axis.strip()
+def axis_setter(s: Scenario, axis: str, name: Optional[str] = None):
+    """A function of one boundary value: ``s`` with the named sweep axis set
+    to it through the axis's schema row. An invalid value raises
+    ValidationError naming ``name`` (by default ``section.key``)."""
+    axis = axis.strip()
     for section, variant, path, record, rows in _GROUPS:
-        for row in (row for row in rows if name in row[5]):
+        for row in (row for row in rows if axis in row[5]):
             if not isinstance(attrgetter(path)(s), record):
                 need = f"a {variant} {section}" if variant else f"a {section} section"
-                raise ValidationError(f"sweep axis {name!r} needs {need}")
-            target, key = f"{path}.{row[1]}", f"{section}.{row[0]}"
-            return [evaluate_scenario(_replace_at(s, target, _load(row, v, key)))
-                    for v in values]
+                raise ValidationError(f"sweep axis {axis!r} needs {need}")
+            target, key = f"{path}.{row[1]}", name or f"{section}.{row[0]}"
+            return lambda value: _replace_at(s, target, _load(row, value, key))
     raise UnknownAxisError(f"unknown sweep axis {axis!r}")
+
+
+def sweep(s: Scenario, axis: str, values: list) -> list[FeasibilityReport]:
+    """Independent scenario evaluations along one named axis, order-preserving."""
+    at = axis_setter(s, axis)
+    return [evaluate_scenario(at(value)) for value in values]
 
 
 def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> PulseProtocol:

@@ -17,12 +17,12 @@ absorption (see the environment module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from .constants import CODATA
 from .errors import GeometryError, ValidationError
+from .records import record
 
 __all__ = [
     "DielectricObject",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DielectricObject:
     """Geometry plus material: density rho and eps_r = eps1 + i eps2."""
 
@@ -73,8 +73,10 @@ class DielectricObject:
         return shape.radius * shape.arc_L * self.mass / (4.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@record
 class TweezerConfig:
+    """Optical tweezer: peak intensity and waist."""
+
     intensity_I0: float  # W/m^2
     waist_W0: float      # m
 
@@ -83,7 +85,7 @@ class TweezerConfig:
             raise ValidationError("tweezer intensity and waist must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class DriveConfig:
     """Cavity drive laser: power, frequency, and detuning Delta = omega_c - omega_L.
 
@@ -104,7 +106,7 @@ class DriveConfig:
             raise ValidationError("detuning must be finite")
 
 
-@dataclass(frozen=True)
+@record
 class OptomechParams:
     """Full coupling record for one trapped-object scenario.
 

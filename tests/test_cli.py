@@ -164,6 +164,7 @@ class TestMalformedScenario:
         ("protocol", "n_points", 1e300, "protocol.n_points"),
         ("protocol", "sigma_over_kappa", -1, "protocol.sigma_over_kappa"),
         ("protocol", "t_max_kappa", 0, "protocol.t_max_kappa"),
+        ("drive", "wavelength_m", 1.0e-310, "drive.wavelength_m"),
     ])
     @pytest.mark.parametrize("command", ["feasibility", "trace"])
     def test_exit_1_with_one_error_line(self, capsys, tmp_path, command, section, key,
@@ -179,6 +180,17 @@ class TestMalformedScenario:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma-over-kappa", "0"), ("--sigma-over-kappa", "-1"),
+        ("--sigma-over-kappa", "nan"), ("--g-over-kappa", "-1"), ("--g-over-kappa", "inf")])
+    def test_bad_trace_flag_named(self, capsys, sphere_file, flag, value):
+        # the flags go through the protocol keys' checks: one reason per value,
+        # naming the flag
+        code, out, err = run(capsys, ["trace", sphere_file, flag, value, "--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}: must be ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("values", [",", ""])
     def test_sweep_without_values_exit_1(self, capsys, sphere_file, values):
@@ -360,7 +372,7 @@ def test_report_paths_import_no_scipy(tmp_path):
 PRESET_PROBE = """
 import json, sys
 RECORD_MODULES = ("levicav.scenario", "levicav.cavity", "levicav.sphere", "levicav.rod",
-                  "levicav.environment", "levicav.constants")
+                  "levicav.environment", "levicav.constants", "levicav.records")
 had_dataclasses = "dataclasses" in sys.modules
 import levicav
 import levicav.cli as cli
