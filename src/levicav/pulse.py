@@ -39,7 +39,6 @@ import importlib.util
 import math
 import sys
 import types
-from dataclasses import field
 
 import numpy as np
 
@@ -77,7 +76,7 @@ class PulseProtocol:
     gamma: float    # rad/s
     sigma: float    # rad/s, 1/e amplitude half-width of the spectrum
     delay_L: float  # s, pulse-center arrival time
-    t_grid: np.ndarray = field(repr=False)  # s, strictly increasing
+    t_grid: np.ndarray  # s, strictly increasing
     omega_t: float | None = None  # rad/s, trap frequency if known
 
     #: factor defining "much greater" for the rotating-wave check
@@ -132,10 +131,10 @@ def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
 class PhononTrace:
     """Phonon expectation over the time grid, with its grid maximum."""
 
-    times: np.ndarray = field(repr=False)      # s
-    n_phonon: np.ndarray = field(repr=False)   # <b^dag b>(t)
-    peak_time: float   # s, grid argmax
-    peak_value: float  # max over the grid
+    times: np.ndarray     # s
+    n_phonon: np.ndarray  # <b^dag b>(t)
+    peak_time: float      # s, grid argmax
+    peak_value: float     # max over the grid
 
 
 @record

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -38,7 +37,7 @@ from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
 from .errors import LevicavError, NumericalError, UnknownAxisError, ValidationError
 from .presets import PRESET_NAMES, preset_scenario_dict
-from .records import record
+from .records import record, replace
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
@@ -452,16 +451,27 @@ def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> P
         report = evaluate_scenario(s)
     kappa = report.cavity.kappa
     p = s.protocol
-    g = (p.g_over_kappa * kappa if p.g_over_kappa is not None
+    g = (_rate(p, "g_over_kappa", kappa) if p.g_over_kappa is not None
          else abs(report.optomech.g))
     if p.gamma_per_s is not None:
         gamma = p.gamma_per_s
     else:
         gamma = report.gamma if report.gamma is not None else 0.0
     return PulseProtocol(g=g, kappa=kappa, gamma=gamma,
-                         sigma=p.sigma_over_kappa * kappa, delay_L=p.delay_kappa / kappa,
+                         sigma=_rate(p, "sigma_over_kappa", kappa),
+                         delay_L=p.delay_kappa / kappa,
                          t_grid=_uniform_grid(p.t_max_kappa / kappa, p.n_points),
                          omega_t=report.optomech.omega_t)
+
+
+def _rate(p: ProtocolSettings, key: str, kappa: float) -> float:
+    """The rate ``p.<key> * kappa`` in rad/s. A finite ratio whose product
+    overflows is a numerical failure naming the key and the product."""
+    ratio = getattr(p, key)
+    rate = ratio * kappa
+    if not math.isfinite(rate):
+        raise NumericalError(f"protocol.{key} * kappa = {ratio:g} * {kappa:g} is {rate}")
+    return rate
 
 
 def _section(doc: dict, section: Optional[str]) -> tuple:

@@ -282,6 +282,24 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("flags, file_value, key", [
+        (["--sigma-over-kappa", "1e308"], None, "sigma_over_kappa"),
+        (["--g-over-kappa", "1e308"], None, "g_over_kappa"),
+        ([], 1.0e308, "sigma_over_kappa"),
+    ], ids=["sigma-flag", "g-flag", "sigma-key"])
+    def test_rate_overflow_names_the_key(self, capsys, tmp_path, flags, file_value, key):
+        # a finite ratio times kappa that overflows the rate was reported as
+        # "sigma must be finite" with exit 1, naming neither flag nor key
+        doc = yaml.safe_load(open_preset())
+        if file_value is not None:
+            doc["protocol"][key] = file_value
+        path = tmp_path / "rate.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, ["trace", str(path), "--quiet", *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"numerical failure: protocol.{key} * kappa = 1e+308 * ")
+        assert err.endswith(" is inf\n") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_sweep_documents(self, capsys, sphere_file):
@@ -350,23 +368,29 @@ path = sys.argv[1]
 codes = [cli.main(["preset", "sphere-appendix-h", "--out", path]),
          cli.main(["feasibility", path, "--quiet"]),
          cli.main(["sweep", path, "--axis", "P", "--values", "0.001", "--quiet"])]
-print("PROBE " + json.dumps([after_package, after_import, codes, heavy_modules()]))
+introspection = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print("PROBE " + json.dumps([after_package, after_import, codes, heavy_modules(),
+                             introspection]))
 """
 
 
 def test_report_paths_import_no_scipy(tmp_path):
     # numpy and scipy are loaded only by trace/envelope calls and the
     # oracles; the package, the preset, feasibility and sweep paths start
-    # without them
+    # without them. Records register with dataclasses only when something
+    # asks for their dataclass fields, which these paths never do, so
+    # neither dataclasses nor inspect loads either
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
-    after_package, after_import, codes, after_commands = json.loads(line[len("PROBE "):])
+    after_package, after_import, codes, after_commands, introspection = json.loads(
+        line[len("PROBE "):])
     assert after_package == []
     assert after_import == []
     assert codes == [0, 0, 0]
     assert after_commands == []
+    assert introspection == []
 
 
 PRESET_PROBE = """

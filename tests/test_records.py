@@ -216,6 +216,21 @@ def test_dataclass_functions(cls):
     assert cls.__dataclass_params__.frozen
 
 
+@by_record
+def test_replace_helper(cls):
+    # records.replace, which the sweep path uses without registering the
+    # record with dataclasses, builds what dataclasses.replace builds
+    from levicav.records import replace
+    obj = sample(cls)
+    first = dataclasses.fields(cls)[0].name
+    for changes in ({}, {first: getattr(obj, first)}):
+        made = replace(obj, **changes)
+        assert type(made) is cls and made is not obj
+        assert made == dataclasses.replace(obj, **changes)
+    assert outcome(lambda: replace(obj, not_a_field=0)) == outcome(
+        lambda: dataclasses.replace(obj, not_a_field=0))
+
+
 def test_plain_default_only():
     from levicav.records import record
 
