@@ -19,8 +19,7 @@ import sys
 from importlib import import_module
 from typing import Optional
 
-import yaml
-
+from . import kvdoc as yaml
 from .errors import NumericalError, ValidationError
 from .presets import PRESET_NAMES, preset_scenario_dict
 

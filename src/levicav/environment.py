@@ -163,7 +163,7 @@ def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment,
         t_star = math.inf
         t_star_first = math.inf
     else:
-        t_star = -math.log(1.0 - quantum_ratio) / (2.0 * gamma)
+        t_star = -math.log1p(-quantum_ratio) / (2.0 * gamma)
         t_star_first = quantum_ratio / (2.0 * gamma)
     p_max = (3.0 * obj.mass * cooling_rate_Gamma * CODATA.hbar * omega_t
              / (8.0 * env.molecule_mass * env.v_bar * math.pi * radius**2))

@@ -408,11 +408,20 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
 
     Raises NumericalError when the trace cannot be formed in floating
     point or is not finite, and GridError when the grid is too coarse to
-    sample it (parabolic-interpolation error above 1e-4 of the peak).
+    sample it: parabolic-interpolation error above 1e-4 of the peak, or
+    every sample 0 where g > 0 and the pulse reaches grid times after t = 0.
     """
     n = _finite("phonon trace", lambda: 2.0 * p.kappa * _filtered_input(p, p.t_grid)[1] ** 2)
     i = int(n.argmax())
     peak = float(n[i])
+    if peak == 0.0 and p.g > 0.0:
+        lo, hi = _pulse_window(p)
+        if hi > 0.0 and p.t_grid[-1] > max(lo, 0.0):  # the pulse fell between two points
+            raise GridError(
+                f"time grid too coarse: every sample is 0 with a grid step up to "
+                f"{float((p.t_grid[1:] - p.t_grid[:-1]).max()):.3e} s against the "
+                f"pulse width 1/sigma = {1.0 / p.sigma:.3e} s"
+            )
     if peak > 0.0:
         # sampling error of a smooth curve read off a uniform-ish grid
         step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead

@@ -27,8 +27,7 @@ from contextlib import contextmanager
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
 
-import yaml
-
+from . import kvdoc as yaml
 from .cavity import (BodyGeometry, CavityConfig, CavityDerived, Rod, Sphere,
                      derived_cavity_quantities)
 from .constants import (CODATA, TWO_PI, angular_to_hz, hz_to_angular, pa_to_torr,

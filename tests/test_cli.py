@@ -7,12 +7,15 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levicav.cli as cli
+from levicav import pulse
 from levicav.cli import main, render_kv
 
 
@@ -282,6 +285,25 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_pulse_between_grid_points_exit_2(self, capsys, tmp_path):
+        # at t_max = 1e308/kappa the pulse falls between the first two grid
+        # points and every sample is 0; this exited 0 with an all-zero CSV
+        doc = yaml.safe_load(open_preset())
+        doc["protocol"]["t_max_kappa"] = 1.0e308
+        path = tmp_path / "sparse.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, ["trace", str(path), "--quiet"])
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: time grid too coarse: every sample is 0 ")
+        assert "1/sigma" in err and err.count("\n") == 1
+
+    def test_zero_coupling_zero_trace_exit_0(self, capsys, sphere_file):
+        # with g = 0 no phonon is made: the all-zero trace is the answer
+        code, out, _ = run(capsys, ["trace", sphere_file, "--quiet", "--g-over-kappa", "0"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 2000 and all(float(r[2]) == 0.0 for r in rows)
+
     @pytest.mark.parametrize("flags, file_value, key", [
         (["--sigma-over-kappa", "1e308"], None, "sigma_over_kappa"),
         (["--g-over-kappa", "1e308"], None, "g_over_kappa"),
@@ -370,7 +392,7 @@ codes = [cli.main(["preset", "sphere-appendix-h", "--out", path]),
          cli.main(["sweep", path, "--axis", "P", "--values", "0.001", "--quiet"])]
 introspection = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 print("PROBE " + json.dumps([after_package, after_import, codes, heavy_modules(),
-                             introspection]))
+                             introspection, "yaml" in sys.modules]))
 """
 
 
@@ -379,18 +401,20 @@ def test_report_paths_import_no_scipy(tmp_path):
     # oracles; the package, the preset, feasibility and sweep paths start
     # without them. Records register with dataclasses only when something
     # asks for their dataclass fields, which these paths never do, so
-    # neither dataclasses nor inspect loads either
+    # neither dataclasses nor inspect loads either. levicav.kvdoc writes and
+    # reads the preset file, so PyYAML does not load
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
-    after_package, after_import, codes, after_commands, introspection = json.loads(
+    after_package, after_import, codes, after_commands, introspection, pyyaml = json.loads(
         line[len("PROBE "):])
     assert after_package == []
     assert after_import == []
     assert codes == [0, 0, 0]
     assert after_commands == []
     assert introspection == []
+    assert pyyaml is False
 
 
 PRESET_PROBE = """
@@ -404,18 +428,40 @@ code = cli.main(["preset", "sphere-appendix-h", "--out", sys.argv[1]])
 loaded = [m for m in RECORD_MODULES if m in sys.modules]
 if "dataclasses" in sys.modules and not had_dataclasses:
     loaded.append("dataclasses")
+if "yaml" in sys.modules:
+    loaded.append("yaml")
 print("PROBE " + json.dumps([code, loaded]))
 """
 
 
 def test_preset_loads_no_record_module(tmp_path):
     # a preset is a dict dumped as YAML: no record type, so neither the
-    # record modules nor dataclasses load
+    # record modules nor dataclasses load, and levicav.kvdoc writes it
+    # without PyYAML
     proc = subprocess.run([sys.executable, "-c", PRESET_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
     assert json.loads(line[len("PROBE "):]) == [0, []]
+
+
+TRACE_PROBE = """
+import json, sys
+import levicav.cli as cli
+codes = [cli.main(["preset", "rod-rotation", "--out", sys.argv[1]]),
+         cli.main(["trace", sys.argv[1], "--quiet", "--out", sys.argv[1] + ".csv"])]
+print("PROBE " + json.dumps([codes, "yaml" in sys.modules]))
+"""
+
+
+def test_trace_loads_no_pyyaml(tmp_path):
+    # a preset file is read by levicav.kvdoc: PyYAML is only the fallback
+    # for YAML outside the subset, so trace runs without it too
+    proc = subprocess.run([sys.executable, "-c", TRACE_PROBE, str(tmp_path / "s.yaml")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
+    assert json.loads(line[len("PROBE "):]) == [[0, 0], False]
 
 
 #: the 56 public names the package serves, by home module
@@ -593,14 +639,16 @@ OVERRIDES = st.one_of(st.none(), st.sampled_from(["0.25", "0.5", "1", "2.5"]),
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(doc=st.one_of(mutated_preset(sections=("protocol",), changes=(0, 2)), mutated_preset()),
-       n_points=st.just(400) | st.integers(3, 400), t_max_kappa=st.sampled_from([None, 6.0]),
+       n_points=st.just(400) | st.integers(3, 400),
+       t_max_kappa=st.sampled_from([None, 6.0, 1e308]),
        g_over_kappa=OVERRIDES, sigma_over_kappa=OVERRIDES)
 def test_mutated_traces_fail_cleanly(scenario_path, doc, n_points, t_max_kappa,
                                      g_over_kappa, sigma_over_kappa):
     # a trace is a finite CSV or one stderr line; half the documents change
     # at most the protocol, so many reach the swap numerics; n_points is drawn
     # small, so a mutation cannot ask for a large grid, and a shorter t_max
-    # lets such a grid resolve the swap
+    # lets such a grid resolve the swap; at 1e308 the pulse falls between
+    # two grid points, which must not pass as an all-zero trace
     if isinstance(doc.get("protocol"), dict):
         doc["protocol"]["n_points"] = n_points
         if t_max_kappa is not None:
@@ -612,10 +660,16 @@ def test_mutated_traces_fail_cleanly(scenario_path, doc, n_points, t_max_kappa,
         if value is not None:
             argv += [flag, value]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "phonon_trace", wraps=cli.phonon_trace) as traced:
         code = main(argv)
     if code == 0:
         rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row), (argv, doc)
+        # a coupled pulse that reaches the grid after t = 0 leaves a phonon
+        protocol = traced.call_args.args[0]
+        lo, hi = pulse._pulse_window(protocol)
+        if protocol.g > 0.0 and hi > 0.0 and protocol.t_grid[-1] > max(lo, 0.0):
+            assert any(float(row[2]) for row in rows), (argv, doc)
     else:
         assert code in (1, 2) and err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -90,6 +90,17 @@ class TestHeatingBound:
         rel_gap = abs(bound.t_star - bound.t_star_first_order) / bound.t_star_first_order
         assert rel_gap <= ratio
 
+    @pytest.mark.parametrize("T", [300.0, 30.0, 20.0, 3.0e4])
+    def test_heating_time_has_no_cancellation(self, T):
+        # -log(1 - x) lost about 1e-16/x of its digits to the rounding of 1 - x
+        # (7.6e-10 relative at the sphere preset's x = 5.6e-8)
+        obj, env = make_sphere(), air(T=T)
+        x = CODATA.hbar * OMEGA_T / (CODATA.k_B * T)
+        assert x <= 1e-6
+        series = (x + x**2 / 2.0 + x**3 / 3.0) / (2.0 * gas_damping(obj, env))
+        bound = heating_time_and_bound(obj, env, OMEGA_T, 1e5)
+        assert bound.t_star == pytest.approx(series, rel=1e-15, abs=0.0)
+
     def test_first_order_expression(self):
         obj, env = make_sphere(), air()
         gamma = gas_damping(obj, env)
