@@ -98,7 +98,6 @@ class HeatingBound:
     t_star: float          # s, exact one-quantum heating time
     t_star_first_order: float  # s, hbar w / (2 gamma k_B T)
     bound_satisfied: bool  # t* Gamma >= HEATING_MARGIN_MIN
-    heating_margin: float  # t* Gamma
     P_max: float           # Pa, pressure bound at the given cooling rate
     torr_per_hz_linear: float   # Torr s: P_max/Gamma with Gamma in 1/s
     torr_per_hz_angular: float  # Torr s: P_max/(2 pi Gamma), angular reading
@@ -119,15 +118,11 @@ class DecoherenceBudget:
     """Gas damping, heating, decoherence and pressure bound of one sphere."""
 
     gamma: float       # 1/s
-    t_star: float      # s
     Q_factor: float
-    Lambda: float
-    Gamma_dec: float
-    Gamma_plus: float
-    ratio: Optional[float]
     noise_D: float     # m^2/s^3, fluctuation-dissipation strength
-    P_max: float       # Pa
     pressure_margin: float  # P_max / P (inf at P = 0)
+    heating: HeatingBound
+    rates: DecoherenceRates
 
 
 def _sphere_radius(obj: DielectricObject) -> float:
@@ -167,12 +162,10 @@ def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment,
         t_star_first = quantum_ratio / (2.0 * gamma)
     p_max = (3.0 * obj.mass * cooling_rate_Gamma * CODATA.hbar * omega_t
              / (8.0 * env.molecule_mass * env.v_bar * math.pi * radius**2))
-    margin = t_star * cooling_rate_Gamma
     coeff = pa_to_torr(p_max) / cooling_rate_Gamma
     return HeatingBound(t_star=t_star, t_star_first_order=t_star_first,
-                        bound_satisfied=margin >= HEATING_MARGIN_MIN,
-                        heating_margin=margin, P_max=p_max,
-                        torr_per_hz_linear=coeff,
+                        bound_satisfied=t_star * cooling_rate_Gamma >= HEATING_MARGIN_MIN,
+                        P_max=p_max, torr_per_hz_linear=coeff,
                         torr_per_hz_angular=coeff / TWO_PI)
 
 
@@ -233,8 +226,6 @@ def decoherence_budget(obj: DielectricObject, env: GasEnvironment,
     rates = decoherence_rates(obj, env, omega_t, z_m)
     noise_d = 2.0 * CODATA.k_B * env.temperature_T * gamma / obj.mass
     margin = bound.P_max / env.pressure_P if env.pressure_P > 0.0 else math.inf
-    return DecoherenceBudget(gamma=gamma, t_star=bound.t_star,
-                             Q_factor=quality_factor(omega_t, gamma),
-                             Lambda=rates.Lambda, Gamma_dec=rates.Gamma_dec,
-                             Gamma_plus=rates.Gamma_plus, ratio=rates.ratio,
-                             noise_D=noise_d, P_max=bound.P_max, pressure_margin=margin)
+    return DecoherenceBudget(gamma=gamma, Q_factor=quality_factor(omega_t, gamma),
+                             noise_D=noise_d, pressure_margin=margin,
+                             heating=bound, rates=rates)

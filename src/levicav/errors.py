@@ -43,10 +43,6 @@ class NumericalError(LevicavError, RuntimeError):
     """A numerical routine failed to certify its result."""
 
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
-
-
 class DerivativeError(NumericalError):
     """Finite-difference step underflow or non-finite samples."""
 

@@ -26,10 +26,10 @@ convolution is evaluated in closed form through the Faddeeva function
 (``_filtered_input``), with an even series at critical coupling; after the
 window the input has ended and the state is propagated by exp(M tau),
 M = [[-kappa, -ig], [-ig, -gamma]]; both in real arithmetic on u_a and
-v_b = i u_b. Two independent routes to the same quantity (a direct double
-quadrature of the Green's function against the input correlation, and
-time-stepped integration of the second-moment equations) are provided for
-cross-validation.
+v_b = i u_b. A direct double quadrature of the Green's function against
+the input correlation is an independent route to the same quantity; the
+time-stepped second-moment equations, a second one, are a test oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "greens_ba",
     "phonon_trace",
     "phonon_expectation_direct",
-    "phonon_expectation_moments",
     "output_field_envelope",
     "refined_peak",
     "conditional_superposition",
@@ -461,36 +460,6 @@ def phonon_expectation_direct(p: PulseProtocol, t: float, n_nodes: int = 160) ->
     kernel = np.conj(gvals)[:, None] * gvals[None, :] * corr
     val = np.einsum("i,ij,j->", ws, kernel, ws)
     return float(2.0 * p.kappa * np.real(val))
-
-
-def phonon_expectation_moments(p: PulseProtocol, t: float) -> float:
-    """Oracle route 2: time-stepped second-moment equations.
-
-    State y = (u_a, u_b, N_aa, N_ab, N_bb): u is the filtered input
-    amplitude (du/dt = M u + (f, 0)), N_ij = <x_i^dag x_j> with source
-    terms 2 kappa f(t-L) coupling N to u. Integrated with RK45 at tight
-    tolerance; returns N_bb(t).
-    """
-    from scipy.integrate import solve_ivp
-
-    m = np.array([[-p.kappa, -1j * p.g], [-1j * p.g, -p.gamma]], dtype=complex)
-
-    def rhs(t_now, y):
-        u = y[0:2]
-        n_aa, n_ab, n_bb = y[2], y[3], y[4]
-        f_now = float(pulse_envelope(t_now - p.delay_L, p.sigma))
-        du = m @ u + np.array([f_now, 0.0], dtype=complex)
-        nmat = np.array([[n_aa, n_ab], [np.conj(n_ab), n_bb]], dtype=complex)
-        src = np.zeros((2, 2), dtype=complex)
-        src[0, :] += 2.0 * p.kappa * f_now * u          # <e_a^dag x_j>
-        src[:, 0] += 2.0 * p.kappa * f_now * np.conj(u)  # <x_i^dag e_a>
-        dn = np.conj(m) @ nmat + nmat @ m.T + src
-        return np.array([du[0], du[1], dn[0, 0], dn[0, 1], dn[1, 1]])
-
-    y0 = np.zeros(5, dtype=complex)
-    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-14,
-                    max_step=0.1 / max(p.kappa, p.g, p.sigma))
-    return float(np.real(sol.y[4, -1]))
 
 
 def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:

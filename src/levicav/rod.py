@@ -96,9 +96,7 @@ class SelfTrapSolution:
     n_photons_1: float
     n_photons_2: float
     cooled_dof: str        # "translation" | "rotation"
-    equilibrium: tuple[float, float]  # (phi0, z0)
-    grad_1: float          # frequency gradient of mode 1 along the cooled dof
-    grad_2: float          # same for mode 2; n1*grad_1 + n2*grad_2 balances to 0
+    grad_2: float          # mode-2 slope along the cooled dof; n1*xi + n2*grad_2 = 0
 
 
 def _check_rod_regime(obj: DielectricObject, cfg: CavityConfig) -> Rod:
@@ -239,8 +237,7 @@ def solve_self_trap(obj: DielectricObject, cfg: CavityConfig,
                             omega_t_phi=omega_t_phi, xi_z=xi_z, xi_phi=xi_phi,
                             delta_1=delta_1, delta_2=delta_2,
                             n_photons_1=n1, n_photons_2=n2,
-                            cooled_dof=cooled_dof, equilibrium=(phi0, z0),
-                            grad_1=-omega0 * d1, grad_2=-omega0 * d2)
+                            cooled_dof=cooled_dof, grad_2=-omega0 * d2)
 
 
 def rod_optomech_params(obj: DielectricObject, cfg: CavityConfig,

@@ -22,6 +22,7 @@ Internally everything is SI with angular frequencies.
 
 from __future__ import annotations
 
+import io
 import math
 from contextlib import contextmanager
 from operator import attrgetter
@@ -30,8 +31,8 @@ from typing import TYPE_CHECKING, Optional, Union
 from . import kvdoc as yaml
 from .cavity import (BodyGeometry, CavityConfig, CavityDerived, Rod, Sphere,
                      derived_cavity_quantities)
-from .constants import (CODATA, TWO_PI, angular_to_hz, hz_to_angular, pa_to_torr,
-                        torr_to_pa, wavelength_omega)
+from .constants import (CODATA, angular_to_hz, hz_to_angular, pa_to_torr, torr_to_pa,
+                        wavelength_omega)
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
                           bulk_temperature, decoherence_budget, gas_damping)
 from .errors import LevicavError, NumericalError, UnknownAxisError, ValidationError
@@ -107,7 +108,8 @@ class Scenario:
 
 @record
 class FeasibilityReport:
-    """Every quantity and regime flag that ``evaluate_scenario`` derives."""
+    """Every quantity and regime flag that ``evaluate_scenario`` derives,
+    each held once; ``_REPORT`` maps them to the printed keys."""
 
     name: str
     cavity: CavityDerived
@@ -117,85 +119,34 @@ class FeasibilityReport:
     strong_coupling: bool
     g_over_kappa: float
     g_over_gamma: Optional[float]
-    gamma: Optional[float]                 # 1/s
     scattering_finesse_ok: Optional[bool]
     F_max: Optional[float]
     pressure_ok: Optional[bool]
-    P_max_torr: Optional[float]
     bulk_T: Optional[float]                # K
-    Q: Optional[float]
     decoherence: Optional[DecoherenceBudget]
     selftrap: Optional[SelfTrapSolution]
 
     def to_dict(self) -> dict:
-        """Nested plain-value dict, ready for key-value rendering.
+        """Nested plain-value dict in the printed units, one entry per
+        ``_REPORT`` row, ready for key-value rendering.
 
         Every float it holds is finite; an overflow that reached a field
         raises NumericalError naming ``section.key``.
         """
-        out: dict = {"scenario": self.name}
-        out["cavity"] = {
-            "omega_c0_rad_s": self.cavity.omega_c0,
-            "kappa_rad_s": self.cavity.kappa,
-            "kappa_hz": self.cavity.kappa / TWO_PI,
-            "waist_m": self.cavity.waist_W,
-        }
-        om = self.optomech
-        out["optomech"] = {
-            "omega_t_hz": om.omega_t / TWO_PI,
-            "xi0": om.xi0,
-            "zero_point": om.zm,
-            "g0_rad_s": om.g0,
-            "alpha_abs": om.alpha_abs,
-            "g_hz": om.g / TWO_PI,
-            "delta_shift_hz": om.delta_shift / TWO_PI,
-            "beta": om.beta,
-            "detuning_hz": om.detuning / TWO_PI,
-        }
-        out["regimes"] = {
-            "good_cavity": self.good_cavity,
-            "kappa_over_omega_t": self.kappa_over_omega_t,
-            "strong_coupling": self.strong_coupling,
-            "g_over_kappa": self.g_over_kappa,
-            "g_over_gamma": self.g_over_gamma,
-            "scattering_finesse_ok": self.scattering_finesse_ok,
-            "finesse_max": self.F_max,
-            "pressure_ok": self.pressure_ok,
-            "P_max_torr": self.P_max_torr,
-        }
-        out["environment"] = {
-            "gamma_per_s": self.gamma,
-            "Q_factor": self.Q,
-            "bulk_T_K": self.bulk_T,
-        }
-        if self.decoherence is not None:
-            d = self.decoherence
-            out["decoherence"] = {
-                "t_star_s": d.t_star,
-                "Lambda_m2_s": d.Lambda,
-                "Gamma_dec_per_s": d.Gamma_dec,
-                "Gamma_plus_per_s": d.Gamma_plus,
-                "dec_over_heating": d.ratio,
-                "pressure_margin": d.pressure_margin,
-            }
-        if self.selftrap is not None:
-            st = self.selftrap
-            out["selftrap"] = {
-                "cooled_dof": st.cooled_dof,
-                "alpha_ratio_sq": st.alpha_ratio_sq,
-                "omega_t_z_hz": st.omega_t_z / TWO_PI,
-                "omega_t_phi_hz": st.omega_t_phi / TWO_PI,
-                "xi_z": st.xi_z,
-                "xi_phi": st.xi_phi,
-                "delta_1_hz": st.delta_1 / TWO_PI,
-                "delta_2_hz": st.delta_2 / TWO_PI,
-                "n_photons_1": st.n_photons_1,
-                "n_photons_2": st.n_photons_2,
-            }
-        for section, body in out.items():
-            for key, value in body.items() if isinstance(body, dict) else ():
+        out: dict = {}
+        for section, record, rows in _REPORT:
+            if record and getattr(self, record) is None:
+                continue
+            body = out.setdefault(section, {}) if section else out
+            for key, path, convert in rows:
+                value = self
+                for attr in path.split("."):  # through an absent record: None
+                    value = None if value is None else getattr(value, attr)
+                if convert and value is not None:
+                    value = convert(value)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise NumericalError(f"report field {section}.{key} is {value}")
+                body[key] = value
         return out
 
 
@@ -255,19 +206,13 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
     kappa_over_omega_t = kappa / optomech.omega_t
     good_cavity = optomech.omega_t > kappa
 
-    gamma = None
-    budget = None
-    pressure_ok = None
-    p_max_torr = None
-    q_factor = None
+    gamma = budget = pressure_ok = None
     if is_sphere and s.gas is not None:
         with _stage("decoherence"):
             gamma = gas_damping(s.object, s.gas)
             budget = decoherence_budget(s.object, s.gas, optomech.omega_t,
                                         optomech.zm, s.cooling_rate)
-        p_max_torr = pa_to_torr(budget.P_max)
-        pressure_ok = s.gas.pressure_P <= budget.P_max / PRESSURE_MARGIN_MIN
-        q_factor = budget.Q_factor
+        pressure_ok = s.gas.pressure_P <= budget.heating.P_max / PRESSURE_MARGIN_MIN
 
     strong = g_mag >= kappa / STRONG_KAPPA_FACTOR
     g_over_gamma = None
@@ -292,10 +237,8 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
         name=s.name, cavity=derived, optomech=optomech,
         good_cavity=good_cavity, kappa_over_omega_t=kappa_over_omega_t,
         strong_coupling=strong, g_over_kappa=g_mag / kappa,
-        g_over_gamma=g_over_gamma, gamma=gamma,
-        scattering_finesse_ok=scattering_ok, F_max=f_max,
-        pressure_ok=pressure_ok, P_max_torr=p_max_torr,
-        bulk_T=bulk, Q=q_factor, decoherence=budget, selftrap=selftrap,
+        g_over_gamma=g_over_gamma, scattering_finesse_ok=scattering_ok, F_max=f_max,
+        pressure_ok=pressure_ok, bulk_T=bulk, decoherence=budget, selftrap=selftrap,
     )
 
 
@@ -377,7 +320,7 @@ _GROUPS = (
         ("wavelength_m", "laser_omega_L", _WAVELENGTH, "required", _positive, ()),
         ("detuning_hz", "detuning_Delta", _HZ, "optional", _finite, ()))),
     ("gas", None, "gas", GasEnvironment, (
-        ("pressure_torr", "pressure_P", _TORR, "required", _finite, ("pressure",)),
+        ("pressure_torr", "pressure_P", _TORR, "required", _positive, ("pressure",)),
         ("temperature_K", "temperature_T", None, "optional", _finite, ("T", "gas_temperature")),
         ("molecule_mass_amu", "molecule_mass", _AMU, "optional", _finite, ()))),
     ("gas", None, "", None, (
@@ -394,6 +337,62 @@ _GROUPS = (
         ("n_points", "n_points", None, "optional", _count, ()),
         ("g_over_kappa", "g_over_kappa", None, "override", _non_negative, ("g_over_kappa",)),
         ("gamma_per_s", "gamma_per_s", None, "override", _non_negative, ()))),
+)
+
+# The report: (section, record whose absence drops the section, rows); the
+# None section is the top level. A row is (printed key, attribute path in the
+# FeasibilityReport, converter to the printed unit); a path through an absent
+# record reads None, printed n/a.
+_REPORT = (
+    (None, None, (
+        ("scenario", "name", None),)),
+    ("cavity", None, (
+        ("omega_c0_rad_s", "cavity.omega_c0", None),
+        ("kappa_rad_s", "cavity.kappa", None),
+        ("kappa_hz", "cavity.kappa", angular_to_hz),
+        ("waist_m", "cavity.waist_W", None))),
+    ("optomech", None, (
+        ("omega_t_hz", "optomech.omega_t", angular_to_hz),
+        ("xi0", "optomech.xi0", None),
+        ("zero_point", "optomech.zm", None),
+        ("g0_rad_s", "optomech.g0", None),
+        ("alpha_abs", "optomech.alpha_abs", None),
+        ("g_hz", "optomech.g", angular_to_hz),
+        ("delta_shift_hz", "optomech.delta_shift", angular_to_hz),
+        ("beta", "optomech.beta", None),
+        ("detuning_hz", "optomech.detuning", angular_to_hz))),
+    ("regimes", None, (
+        ("good_cavity", "good_cavity", None),
+        ("kappa_over_omega_t", "kappa_over_omega_t", None),
+        ("strong_coupling", "strong_coupling", None),
+        ("g_over_kappa", "g_over_kappa", None),
+        ("g_over_gamma", "g_over_gamma", None),
+        ("scattering_finesse_ok", "scattering_finesse_ok", None),
+        ("finesse_max", "F_max", None),
+        ("pressure_ok", "pressure_ok", None),
+        ("P_max_torr", "decoherence.heating.P_max", pa_to_torr))),
+    ("environment", None, (
+        ("gamma_per_s", "decoherence.gamma", None),
+        ("Q_factor", "decoherence.Q_factor", None),
+        ("bulk_T_K", "bulk_T", None))),
+    ("decoherence", "decoherence", (
+        ("t_star_s", "decoherence.heating.t_star", None),
+        ("Lambda_m2_s", "decoherence.rates.Lambda", None),
+        ("Gamma_dec_per_s", "decoherence.rates.Gamma_dec", None),
+        ("Gamma_plus_per_s", "decoherence.rates.Gamma_plus", None),
+        ("dec_over_heating", "decoherence.rates.ratio", None),
+        ("pressure_margin", "decoherence.pressure_margin", None))),
+    ("selftrap", "selftrap", (
+        ("cooled_dof", "selftrap.cooled_dof", None),
+        ("alpha_ratio_sq", "selftrap.alpha_ratio_sq", None),
+        ("omega_t_z_hz", "selftrap.omega_t_z", angular_to_hz),
+        ("omega_t_phi_hz", "selftrap.omega_t_phi", angular_to_hz),
+        ("xi_z", "selftrap.xi_z", None),
+        ("xi_phi", "selftrap.xi_phi", None),
+        ("delta_1_hz", "selftrap.delta_1", angular_to_hz),
+        ("delta_2_hz", "selftrap.delta_2", angular_to_hz),
+        ("n_photons_1", "selftrap.n_photons_1", None),
+        ("n_photons_2", "selftrap.n_photons_2", None))),
 )
 
 _SECTIONS = tuple(dict.fromkeys(group[0] for group in _GROUPS if group[0]))
@@ -455,7 +454,7 @@ def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> P
     if p.gamma_per_s is not None:
         gamma = p.gamma_per_s
     else:
-        gamma = report.gamma if report.gamma is not None else 0.0
+        gamma = report.decoherence.gamma if report.decoherence is not None else 0.0
     return PulseProtocol(g=g, kappa=kappa, gamma=gamma,
                          sigma=_rate(p, "sigma_over_kappa", kappa),
                          delay_L=p.delay_kappa / kappa,
@@ -542,13 +541,20 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:  # its message spans lines: keep one
-            raise ValidationError(f"scenario file {path} is not valid YAML: "
-                                  + " ".join(str(exc).split())) from None
+    """Read a scenario YAML file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        stream = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario file {path} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+    stream.name = path  # PyYAML's error marks name the file
+    try:
+        doc = yaml.safe_load(stream)
+    except yaml.YAMLError as exc:  # its message spans lines: keep one
+        raise ValidationError(f"scenario file {path} is not valid YAML: "
+                              + " ".join(str(exc).split())) from None
     if not isinstance(doc, dict):
         raise ValidationError(f"scenario file {path} is not a mapping document")
     return scenario_from_dict(doc)

@@ -24,6 +24,11 @@ The LG pairs are counter-rotating superpositions, giving an azimuthal
 standing wave; the transverse profiles are the standard LG_{l0} forms at
 the beam waist, with the Gaussian envelope taken constant along z (bodies
 sit near the cavity center).
+
+Swap-protocol moment equations: the phonon number of the single-photon
+swap, time-stepped by RK45 from the second-moment equations. It is the
+second route beside the direct double quadrature
+``levicav.pulse.phonon_expectation_direct``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ import numpy as np
 
 from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI
-from levicav.errors import GeometryError, QuadratureError, ValidationError
+from levicav.errors import GeometryError, NumericalError, ValidationError
+from levicav.pulse import PulseProtocol, pulse_envelope
 
 # ---------------------------------------------------------------------------
 # mode catalog
@@ -98,6 +104,10 @@ def lg_pair_mode(cfg: CavityConfig, ell: int, z_offset: float = 0.0,
 # ---------------------------------------------------------------------------
 
 _MAX_NODES = 192
+
+
+class QuadratureError(NumericalError):
+    """Adaptive quadrature did not converge to the requested tolerance."""
 
 
 def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,3 +184,37 @@ def perturbative_shift(mode: ModeField, body: BodyGeometry, eps_r: float,
         f"overlap quadrature did not reach rel_tol={rel_tol:g} at {n} nodes "
         f"(last change {err/scale:.2e})"
     )
+
+
+# ---------------------------------------------------------------------------
+# swap-protocol moment equations
+# ---------------------------------------------------------------------------
+
+def phonon_expectation_moments(p: PulseProtocol, t: float) -> float:
+    """Oracle route 2: time-stepped second-moment equations.
+
+    State y = (u_a, u_b, N_aa, N_ab, N_bb): u is the filtered input
+    amplitude (du/dt = M u + (f, 0)), N_ij = <x_i^dag x_j> with source
+    terms 2 kappa f(t-L) coupling N to u. Integrated with RK45 at tight
+    tolerance; returns N_bb(t).
+    """
+    from scipy.integrate import solve_ivp
+
+    m = np.array([[-p.kappa, -1j * p.g], [-1j * p.g, -p.gamma]], dtype=complex)
+
+    def rhs(t_now, y):
+        u = y[0:2]
+        n_aa, n_ab, n_bb = y[2], y[3], y[4]
+        f_now = float(pulse_envelope(t_now - p.delay_L, p.sigma))
+        du = m @ u + np.array([f_now, 0.0], dtype=complex)
+        nmat = np.array([[n_aa, n_ab], [np.conj(n_ab), n_bb]], dtype=complex)
+        src = np.zeros((2, 2), dtype=complex)
+        src[0, :] += 2.0 * p.kappa * f_now * u          # <e_a^dag x_j>
+        src[:, 0] += 2.0 * p.kappa * f_now * np.conj(u)  # <x_i^dag e_a>
+        dn = np.conj(m) @ nmat + nmat @ m.T + src
+        return np.array([du[0], du[1], dn[0, 0], dn[0, 1], dn[1, 1]])
+
+    y0 = np.zeros(5, dtype=complex)
+    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-14,
+                    max_step=0.1 / max(p.kappa, p.g, p.sigma))
+    return float(np.real(sol.y[4, -1]))

@@ -15,14 +15,14 @@ from levicav.environment import (GasEnvironment, ThermalInput, bulk_temperature,
                                  heating_time_and_bound, quality_factor)
 from levicav.pulse import (PulseProtocol, amplification_envelope,
                            conditional_superposition, phonon_expectation_direct,
-                           phonon_expectation_moments, phonon_trace, refined_peak)
+                           phonon_trace, refined_peak)
 from levicav.rod import (rod_optomech_params, rotation_configuration,
                          solve_self_trap, translation_configuration)
 from levicav.scenario import evaluate_scenario, preset_scenario_dict, scenario_from_dict
 from levicav.sphere import (DielectricObject, TweezerConfig, equilibrium_z,
                             sphere_frequency_profile, sphere_linear_coupling,
                             tweezer_trap_frequency)
-from oracles import perturbative_shift, tem00_mode
+from oracles import perturbative_shift, phonon_expectation_moments, tem00_mode
 
 REF_CAVITY = CavityConfig(length_d=4e-3, finesse_F=1e5, wavelength_lambda=1.064e-6)
 REF_SPHERE = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1, 2.5e-10)

@@ -245,6 +245,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "numerical failure: report field optomech.alpha_abs is inf\n"
 
+    @pytest.mark.parametrize("offset", [0, 9000])
+    def test_undecodable_file_exit_1(self, capsys, tmp_path, offset):
+        # the offset counts from the start of the file, past the first
+        # 8192-byte read chunk too
+        path = tmp_path / "bytes.yaml"
+        path.write_bytes(b"#" * offset + b"\xff\xfe: 2\n")
+        code, out, err = run(capsys, ["feasibility", str(path), "--quiet"])
+        assert (code, out) == (1, "")
+        assert err == (f"error: scenario file {path} is not UTF-8 text: "
+                       f"invalid start byte at byte {offset}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["feasibility"], ["sweep", "--axis", "pressure", "--values", "0,1e-6"]],
+        ids=["feasibility", "sweep"])
+    def test_zero_pressure_names_its_key(self, capsys, tmp_path, argv):
+        # zero pressure makes Q infinite; a chamber without gas leaves the
+        # gas section out
+        doc = yaml.safe_load(open_preset())
+        if argv[0] == "feasibility":
+            doc["gas"]["pressure_torr"] = 0.0
+        path = tmp_path / "vacuum.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:], "--quiet"])
+        assert (code, out) == (1, "")
+        assert err == "error: gas.pressure_torr: must be positive, got 0.0\n"
+
     def test_unexpected_exception_one_line(self, capsys, monkeypatch, sphere_file):
         # a defect in a subcommand reaches the user as one line, not a traceback
         import levicav.cli as cli
@@ -549,7 +575,8 @@ def test_trace_csv_matches_csv_writer(case):
         assert _trace_csv(times, kappa, values) == csv_writer_trace(times, kappa, values)
 
 
-ORACLE_NAMES = {"ModeField", "tem00_mode", "lg_pair_mode", "perturbative_shift"}
+ORACLE_NAMES = {"ModeField", "tem00_mode", "lg_pair_mode", "perturbative_shift",
+                "phonon_expectation_moments", "QuadratureError", "solve_ivp"}
 
 
 def identifiers(tree):
@@ -569,8 +596,9 @@ def identifiers(tree):
 
 
 def test_oracles_stay_out_of_the_package():
-    # the volume-quadrature route lives in tests/oracles.py, so the tests
-    # compare the package against a route it does not share
+    # the volume-quadrature route and the RK45 moment equations live in
+    # tests/oracles.py, so the tests compare the package against routes it
+    # does not share
     src = Path(__file__).resolve().parent.parent / "src" / "levicav"
     found = [(path.name, sorted(ORACLE_NAMES.intersection(identifiers(ast.parse(path.read_text())))))
              for path in sorted(src.glob("*.py"))]

@@ -212,7 +212,7 @@ class TestBudget:
         z_m = math.sqrt(CODATA.hbar / (2.0 * obj.mass * OMEGA_T))
         budget = decoherence_budget(obj, env, OMEGA_T, z_m, 1e5)
         assert budget.Q_factor * budget.gamma == pytest.approx(OMEGA_T, rel=1e-12)
-        assert budget.ratio == pytest.approx(9.0 / 16.0, abs=1e-12)
+        assert budget.rates.ratio == pytest.approx(9.0 / 16.0, abs=1e-12)
         assert budget.noise_D == pytest.approx(
             2.0 * CODATA.k_B * env.temperature_T * budget.gamma / obj.mass, rel=1e-12)
 

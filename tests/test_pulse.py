@@ -14,8 +14,9 @@ from levicav.errors import GridError, NoSwapError, NumericalError, ValidationErr
 from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            cavity_population, conditional_superposition,
                            output_field_envelope,
-                           phonon_expectation_direct, phonon_expectation_moments,
-                           phonon_trace, pulse_envelope, refined_peak)
+                           phonon_expectation_direct, phonon_trace, pulse_envelope,
+                           refined_peak)
+from oracles import phonon_expectation_moments
 
 KAPPA = 1.177e6
 

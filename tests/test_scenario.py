@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
-from levicav.constants import TWO_PI
+from levicav.constants import TWO_PI, pa_to_torr
 from levicav.environment import GasEnvironment, ThermalInput
 from levicav.errors import LevicavError, UnknownAxisError, ValidationError
 from levicav import scenario as scenario_module
@@ -44,8 +44,8 @@ class TestSphereScenario:
         assert report.g_over_kappa == pytest.approx(182.0 / 188.0, rel=2e-2)
         assert report.strong_coupling
         assert report.optomech.g == pytest.approx(TWO_PI * 182e3, rel=3e-2)
-        assert report.Q == pytest.approx(1.5e9, rel=0.5)
-        assert report.decoherence.ratio == pytest.approx(9.0 / 16.0, abs=1e-12)
+        assert report.decoherence.Q_factor == pytest.approx(1.5e9, rel=0.5)
+        assert report.decoherence.rates.ratio == pytest.approx(9.0 / 16.0, abs=1e-12)
         assert report.bulk_T > 300.0
 
     def test_zero_drive_power_kills_strong_coupling(self):
@@ -65,7 +65,7 @@ class TestSphereScenario:
         base = evaluate_scenario(scenario)
         factors = [0.5, 0.95, 1.05, 2.0]
         powers = [f * scenario.drive.power_P * (0.5 / base.g_over_kappa) ** 2 for f in factors]
-        pressures = [f * base.P_max_torr / 10.0 for f in factors]
+        pressures = [f * pa_to_torr(base.decoherence.heating.P_max) / 10.0 for f in factors]
         by_power = sweep(scenario, "P", powers)
         by_pressure = sweep(scenario, "pressure", pressures)
         for report in [base, *by_power, *by_pressure]:
@@ -75,7 +75,8 @@ class TestSphereScenario:
             assert report.strong_coupling == strong
             assert report.scattering_finesse_ok == (1e5 <= report.F_max)
         for pressure, report in zip(pressures, by_pressure):
-            assert report.pressure_ok == (pressure <= report.P_max_torr / 10.0)
+            assert report.pressure_ok == (
+                pressure <= pa_to_torr(report.decoherence.heating.P_max) / 10.0)
         assert [r.strong_coupling for r in by_power] == [False, False, True, True]
         assert [r.pressure_ok for r in by_pressure] == [True, True, False, False]
 
@@ -94,7 +95,7 @@ class TestRodScenarios:
         assert st.alpha_ratio_sq == pytest.approx(6.27, rel=1e-3)
         assert report.good_cavity
         # sphere-only sections are absent, not fabricated
-        assert report.gamma is None
+        assert report.to_dict()["environment"]["gamma_per_s"] is None
         assert report.decoherence is None
         assert report.bulk_T is None
         assert report.scattering_finesse_ok is None
@@ -128,7 +129,8 @@ class TestSweep:
 
     def test_pressure_axis_in_torr(self):
         reports = sweep(preset("sphere-appendix-h"), "pressure", [1e-6, 2e-6])
-        assert reports[1].gamma == pytest.approx(2.0 * reports[0].gamma, rel=1e-12)
+        assert reports[1].decoherence.gamma == pytest.approx(
+            2.0 * reports[0].decoherence.gamma, rel=1e-12)
 
     def test_finesse_axis(self):
         reports = sweep(preset("sphere-appendix-h"), "F", [1e5, 2e5])
@@ -166,7 +168,7 @@ class TestProtocolBuild:
         assert protocol.g == pytest.approx(abs(report.optomech.g), rel=1e-12)
         assert protocol.kappa == pytest.approx(report.cavity.kappa, rel=1e-12)
         assert protocol.sigma == pytest.approx(5.6 * protocol.kappa, rel=1e-12)
-        assert protocol.gamma == pytest.approx(report.gamma, rel=1e-12)
+        assert protocol.gamma == pytest.approx(report.decoherence.gamma, rel=1e-12)
 
     def test_override_g_over_kappa(self):
         doc = preset_scenario_dict("sphere-appendix-h")
@@ -335,3 +337,107 @@ def table_schema():
 
 def test_readme_documents_the_table():
     assert readme_schema() == table_schema()
+
+
+def readme_report():
+    """(key, unit) rows of README's report table, in order."""
+    table = README.read_text().split("| key | unit | quantity |\n", 1)[1].split("\n\n", 1)[0]
+    return [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+            for line in table.splitlines()[1:]]
+
+
+def test_readme_documents_the_report():
+    # every printed key in printed order; exactly the converted rows print
+    # in Hz or Torr
+    units = {scenario_module.angular_to_hz: "Hz", scenario_module.pa_to_torr: "Torr"}
+    table = [(f"{section}.{key}" if section else key, units.get(convert))
+             for section, _, rows in scenario_module._REPORT for key, _, convert in rows]
+    readme = readme_report()
+    assert [key for key, _ in readme] == [key for key, _ in table]
+    for (key, unit), (_, converted_unit) in zip(readme, table):
+        assert (unit if unit in ("Hz", "Torr") else None) == converted_unit, key
+
+
+#: the sphere preset's report with one optional section left out, as
+#: printed at the commit before the report table (the golden reports all
+#: have both sections)
+SPHERE_WITHOUT = {
+    "gas": """\
+scenario: sphere-appendix-h
+cavity:
+  omega_c0_rad_s: 1.77035e+15
+  kappa_rad_s: 1.17728e+06
+  kappa_hz: 187370
+  waist_m: 2.60262e-05
+optomech:
+  omega_t_hz: 351556
+  xi0: 8.84233e+13
+  zero_point: 4.07072e-13
+  g0_rad_s: 35.9947
+  alpha_abs: 31725.3
+  g_hz: 181745
+  delta_shift_hz: -1.19157e+06
+  beta: -16401.1
+  detuning_hz: 351556
+regimes:
+  good_cavity: true
+  kappa_over_omega_t: 0.532974
+  strong_coupling: true
+  g_over_kappa: 0.96998
+  g_over_gamma: n/a
+  scattering_finesse_ok: false
+  finesse_max: 10837.8
+  pressure_ok: n/a
+  P_max_torr: n/a
+environment:
+  gamma_per_s: n/a
+  Q_factor: n/a
+  bulk_T_K: 481.964""",
+    "thermal": """\
+scenario: sphere-appendix-h
+cavity:
+  omega_c0_rad_s: 1.77035e+15
+  kappa_rad_s: 1.17728e+06
+  kappa_hz: 187370
+  waist_m: 2.60262e-05
+optomech:
+  omega_t_hz: 351556
+  xi0: 8.84233e+13
+  zero_point: 4.07072e-13
+  g0_rad_s: 35.9947
+  alpha_abs: 31725.3
+  g_hz: 181745
+  delta_shift_hz: -1.19157e+06
+  beta: -16401.1
+  detuning_hz: 351556
+regimes:
+  good_cavity: true
+  kappa_over_omega_t: 0.532974
+  strong_coupling: true
+  g_over_kappa: 0.96998
+  g_over_gamma: 8.03592e+08
+  scattering_finesse_ok: false
+  finesse_max: 10837.8
+  pressure_ok: false
+  P_max_torr: 1.97883e-06
+environment:
+  gamma_per_s: 0.00142104
+  Q_factor: 1.55441e+09
+  bulk_T_K: n/a
+decoherence:
+  t_star_s: 1.97883e-05
+  Lambda_m2_s: 1.71542e+29
+  Gamma_dec_per_s: 28425.9
+  Gamma_plus_per_s: 50534.9
+  dec_over_heating: 0.5625
+  pressure_margin: 1.97883""",
+}
+
+
+@pytest.mark.parametrize("dropped", SPHERE_WITHOUT)
+def test_sphere_report_without_optional_section(dropped):
+    from levicav.cli import render_kv
+    doc = preset_scenario_dict("sphere-appendix-h")
+    del doc[dropped]
+    report = evaluate_scenario(scenario_from_dict(doc))
+    assert render_kv(report.to_dict()) == SPHERE_WITHOUT[dropped]
