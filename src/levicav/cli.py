@@ -1,27 +1,30 @@
 """Command-line interface.
 
+    levicav preset NAME [--out FILE] [--quiet]
     levicav feasibility SCENARIO.yaml [--out FILE] [--quiet]
     levicav trace SCENARIO.yaml [--g-over-kappa X] [--sigma-over-kappa Y]
                   [--out FILE] [--quiet]
     levicav sweep SCENARIO.yaml --axis NAME --values CSV [--out FILE] [--quiet]
-    levicav preset NAME [--out FILE]
+    levicav [SUBCOMMAND] -h/--help
 
 Feasibility reports are emitted as indented key-value documents (YAML
 subset); traces as CSV with header ``t_seconds,t_kappa_units,n_phonon``.
 All numbers carry 6 significant figures. Exit codes: 0 success,
-1 validation error, 2 numerical failure.
+1 validation error (a malformed command line among them), 2 numerical
+failure.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 from typing import Optional
 
 from . import kvdoc as yaml
 from .errors import NumericalError, ValidationError
-from .presets import PRESET_NAMES, preset_scenario_dict
+from .presets import preset_scenario_dict
 
 __all__ = ["main", "render_kv"]
 
@@ -145,50 +148,141 @@ def _cmd_preset(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="levicav",
-        description="Optomechanical feasibility and protocol dynamics for "
-                    "dielectric objects levitated in a high-finesse cavity.")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: flags every subcommand takes, and those of each subcommand below:
+#: flag -> (converter, required, metavar), converter None for a switch
+_SHARED = {"--out": (str, False, "FILE"), "--quiet": (None, False, None)}
 
-    def add_common(p):
-        p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress everything except the report")
+#: subcommand -> (handler, positional's attribute, its metavar, own flags);
+#: a flag's value is stored as the attribute named by the flag
+_COMMANDS = {
+    "preset": (_cmd_preset, "name", "NAME", {}),
+    "feasibility": (_cmd_feasibility, "scenario", "SCENARIO.yaml", {}),
+    "trace": (_cmd_trace, "scenario", "SCENARIO.yaml",
+              {"--g-over-kappa": (float, False, "X"), "--sigma-over-kappa": (float, False, "Y")}),
+    "sweep": (_cmd_sweep, "scenario", "SCENARIO.yaml",
+              {"--axis": (str, True, "NAME"), "--values": (str, True, "CSV")}),
+}
+_HELP = {"--help": (None, False, None)}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option, as argparse reads it
 
-    p_feas = sub.add_parser("feasibility", help="evaluate a scenario file")
-    p_feas.add_argument("scenario")
-    add_common(p_feas)
-    p_feas.set_defaults(func=_cmd_feasibility)
 
-    p_trace = sub.add_parser("trace", help="phonon-expectation trace as CSV")
-    p_trace.add_argument("scenario")
-    p_trace.add_argument("--g-over-kappa", type=float, default=None)
-    p_trace.add_argument("--sigma-over-kappa", type=float, default=None)
-    add_common(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
+def _usage(command: Optional[str] = None) -> str:
+    """Synopsis of one subcommand, or of all, wrapped at 75 columns."""
+    lines = []
+    for name in [command] if command else _COMMANDS:
+        _, _, metavar, own = _COMMANDS[name]
+        line = f"levicav {name} {metavar}"
+        for flag, (convert, required, var) in {**own, **_SHARED}.items():
+            word = flag if convert is None else f"{flag} {var}"
+            word = word if required else f"[{word}]"
+            if len(line) + len(word) >= 75:
+                lines.append(line)
+                line = " " * len(f"levicav {name}")
+            line += " " + word
+        lines.append(line)
+    return "\n".join([*lines, "levicav [SUBCOMMAND] -h/--help", ""])
 
-    p_sweep = sub.add_parser("sweep", help="evaluate a scenario along one axis")
-    p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--axis", required=True)
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated numbers in boundary units")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_preset = sub.add_parser("preset", help="emit a built-in scenario file")
-    p_preset.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
-    add_common(p_preset)
-    p_preset.set_defaults(func=_cmd_preset)
-    return parser
+def _option(token: str, flags, where: str) -> Optional[tuple]:
+    """``(flag, value given with '=' or None)`` of an option token, flag None
+    if unknown; None for a value or positional. Long flags match by unique
+    prefix, and ``-h...`` is ``--help`` with the rest as its value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        hits = [flag for flag in flags if flag == name] or [
+            flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            raise ValidationError(f"{where}: ambiguous option {token!r} could match "
+                                  f"{', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return "--help", token[2:] or None
+    return None if _NUMBER.match(token) or " " in token else (None, None)
+
+
+def _parse(argv: list[str]) -> tuple:
+    """``(subcommand, args)`` read from argv as argparse read it; args is None
+    when -h/--help asks for the synopsis (subcommand None at the top level).
+    An unknown option or an extra argument is reported at the end, so a
+    later -h still wins; every other error where it occurs."""
+    unknown = command = None
+    for at, token in enumerate(argv):
+        option = None if token == "--" else _option(token, _HELP, "levicav")
+        if option is None:
+            command = token
+            break
+        if option[0] is None:
+            unknown = unknown or f"unrecognized option {token!r}"
+        elif option[1] is not None:
+            raise ValidationError(f"levicav: --help takes no value, got {token!r}")
+        else:
+            return None, None
+    if command not in _COMMANDS:
+        found = (unknown or "missing subcommand") if command is None else (
+            f"unknown subcommand {command!r}")
+        raise ValidationError(f"levicav: {found}; expected one of {', '.join(_COMMANDS)}")
+    rest = argv[at + 1:]
+    _, positional, metavar, own = _COMMANDS[command]
+    where = f"levicav {command}"
+    flags = {**own, **_SHARED, **_HELP}
+    dest = {flag: flag[2:].replace("-", "_") for flag in flags}
+    args = {positional: None, **{dest[flag]: None if spec[0] else False
+                                 for flag, spec in {**own, **_SHARED}.items()}}
+    end = rest.index("--") if "--" in rest else len(rest)
+    # every option is classified before any is read, as argparse does; after
+    # the first '--' every token is an argument
+    options = [_option(token, flags, where) for token in rest[:end]] + [None] * len(rest[end:])
+    taken_at, i = None, 0
+    while i < len(rest):
+        token, option = rest[i], options[i]
+        i += 1
+        if i - 1 == end:  # argparse drops this '--' only where it touches the positional
+            if args[positional] is not None and taken_at != end - 1:
+                unknown = unknown or "unexpected argument '--'"
+        elif option is None:
+            if args[positional] is None:
+                args[positional], taken_at = token, i - 1
+            else:
+                unknown = unknown or f"unexpected argument {token!r}"
+        elif option[0] is None:
+            unknown = unknown or f"unrecognized option {token!r}"
+        elif option == ("--help", None):
+            return command, None
+        elif flags[option[0]][0] is None:
+            if option[1] is not None:
+                raise ValidationError(f"{where}: {option[0]} takes no value, got {token!r}")
+            args[dest[option[0]]] = True
+        else:
+            flag, value = option
+            if value is None:
+                if i >= end or options[i] is not None:
+                    raise ValidationError(f"{where}: {flag} expects a value")
+                value, i = rest[i], i + 1
+            try:
+                args[dest[flag]] = flags[flag][0](value)
+            except ValueError:
+                raise ValidationError(f"{where}: {flag} expects a number, got {value!r}") \
+                    from None
+    missing = [metavar] if args[positional] is None else []
+    missing += [f"{flag} {spec[2]}" for flag, spec in own.items()
+                if spec[1] and args[dest[flag]] is None]
+    if missing:
+        raise ValidationError(f"{where}: missing {' and '.join(missing)}")
+    if unknown:
+        raise ValidationError(f"{where}: {unknown}")
+    return command, SimpleNamespace(**args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(_usage(command))
+            return 0
+        return _COMMANDS[command][0](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

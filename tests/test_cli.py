@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -6,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 
 import levicav.cli as cli
 from levicav import pulse
-from levicav.cli import main, render_kv
+from levicav.cli import _cmd_feasibility, _cmd_preset, _cmd_sweep, _cmd_trace, main, render_kv
+from levicav.errors import ValidationError
+from levicav.presets import PRESET_NAMES
 
 
 @pytest.fixture
@@ -256,6 +260,42 @@ class TestExitCodes:
         assert err == (f"error: scenario file {path} is not UTF-8 text: "
                        f"invalid start byte at byte {offset}\n")
 
+    @pytest.mark.parametrize("argv, named", [
+        ([], "levicav: missing subcommand"),
+        (["bogus"], "levicav: unknown subcommand 'bogus'"),
+        (["feasibility"], "levicav feasibility: missing SCENARIO.yaml"),
+        (["trace", "F", "--g-over-kappa"], "levicav trace: --g-over-kappa expects a value"),
+        (["trace", "F", "--g-over-kappa", "abc"], "levicav trace: --g-over-kappa expects a "
+                                                   "number, got 'abc'"),
+        (["sweep", "F", "--axis", "power"], "levicav sweep: missing --values CSV"),
+        (["feasibility", "F", "extra"], "levicav feasibility: unexpected argument 'extra'"),
+        (["feasibility", "F", "--quiet=1"], "levicav feasibility: --quiet takes no value, "
+                                            "got '--quiet=1'"),
+        (["feasibility", "F", "--nope"], "levicav feasibility: unrecognized option '--nope'"),
+    ])
+    def test_usage_error_exit_1(self, capsys, sphere_file, argv, named):
+        # a malformed command line is a validation error: one line naming the
+        # subcommand and the token, not argparse's exit 2 and usage block
+        code, out, err = run(capsys, [sphere_file if arg == "F" else arg for arg in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flags", [
+        (None, ["--out", "--quiet", "--g-over-kappa", "--sigma-over-kappa", "--axis",
+                "--values"]),
+        ("preset", ["NAME", "--out", "--quiet"]),
+        ("feasibility", ["SCENARIO.yaml", "--out", "--quiet"]),
+        ("trace", ["SCENARIO.yaml", "--g-over-kappa", "--sigma-over-kappa", "--out",
+                   "--quiet"]),
+        ("sweep", ["SCENARIO.yaml", "--axis", "--values", "--out", "--quiet"]),
+    ])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exit_0(self, capsys, command, flags, flag):
+        code, out, err = run(capsys, [flag] if command is None else [command, flag])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"levicav {command or 'preset'} ")
+        assert all(name in out for name in flags)
+
     @pytest.mark.parametrize("argv", [
         ["feasibility"], ["sweep", "--axis", "pressure", "--values", "0,1e-6"]],
         ids=["feasibility", "sweep"])
@@ -417,8 +457,9 @@ codes = [cli.main(["preset", "sphere-appendix-h", "--out", path]),
          cli.main(["feasibility", path, "--quiet"]),
          cli.main(["sweep", path, "--axis", "P", "--values", "0.001", "--quiet"])]
 introspection = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+parsers = [m for m in ("argparse", "gettext") if m in sys.modules]
 print("PROBE " + json.dumps([after_package, after_import, codes, heavy_modules(),
-                             introspection, "yaml" in sys.modules]))
+                             introspection, "yaml" in sys.modules, parsers]))
 """
 
 
@@ -428,19 +469,21 @@ def test_report_paths_import_no_scipy(tmp_path):
     # without them. Records register with dataclasses only when something
     # asks for their dataclass fields, which these paths never do, so
     # neither dataclasses nor inspect loads either. levicav.kvdoc writes and
-    # reads the preset file, so PyYAML does not load
+    # reads the preset file, so PyYAML does not load, and cli._parse reads
+    # the command line, so neither argparse nor gettext does
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
-    after_package, after_import, codes, after_commands, introspection, pyyaml = json.loads(
-        line[len("PROBE "):])
+    (after_package, after_import, codes, after_commands, introspection, pyyaml,
+     parsers) = json.loads(line[len("PROBE "):])
     assert after_package == []
     assert after_import == []
     assert codes == [0, 0, 0]
     assert after_commands == []
     assert introspection == []
     assert pyyaml is False
+    assert parsers == []
 
 
 PRESET_PROBE = """
@@ -454,8 +497,7 @@ code = cli.main(["preset", "sphere-appendix-h", "--out", sys.argv[1]])
 loaded = [m for m in RECORD_MODULES if m in sys.modules]
 if "dataclasses" in sys.modules and not had_dataclasses:
     loaded.append("dataclasses")
-if "yaml" in sys.modules:
-    loaded.append("yaml")
+loaded += [m for m in ("yaml", "argparse", "gettext") if m in sys.modules]
 print("PROBE " + json.dumps([code, loaded]))
 """
 
@@ -463,7 +505,7 @@ print("PROBE " + json.dumps([code, loaded]))
 def test_preset_loads_no_record_module(tmp_path):
     # a preset is a dict dumped as YAML: no record type, so neither the
     # record modules nor dataclasses load, and levicav.kvdoc writes it
-    # without PyYAML
+    # without PyYAML; the command line is read without argparse or gettext
     proc = subprocess.run([sys.executable, "-c", PRESET_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -476,18 +518,20 @@ import json, sys
 import levicav.cli as cli
 codes = [cli.main(["preset", "rod-rotation", "--out", sys.argv[1]]),
          cli.main(["trace", sys.argv[1], "--quiet", "--out", sys.argv[1] + ".csv"])]
-print("PROBE " + json.dumps([codes, "yaml" in sys.modules]))
+print("PROBE " + json.dumps([codes, [m for m in ("yaml", "argparse", "gettext")
+                                      if m in sys.modules]]))
 """
 
 
 def test_trace_loads_no_pyyaml(tmp_path):
     # a preset file is read by levicav.kvdoc: PyYAML is only the fallback
-    # for YAML outside the subset, so trace runs without it too
+    # for YAML outside the subset, so trace runs without it too, and without
+    # argparse or gettext
     proc = subprocess.run([sys.executable, "-c", TRACE_PROBE, str(tmp_path / "s.yaml")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
-    assert json.loads(line[len("PROBE "):]) == [[0, 0], False]
+    assert json.loads(line[len("PROBE "):]) == [[0, 0], []]
 
 
 #: the 56 public names the package serves, by home module
@@ -575,6 +619,156 @@ def test_trace_csv_matches_csv_writer(case):
         assert _trace_csv(times, kappa, values) == csv_writer_trace(times, kappa, values)
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli._parse`` replaced, kept as its reference."""
+    parser = argparse.ArgumentParser(
+        prog="levicav",
+        description="Optomechanical feasibility and protocol dynamics for "
+                    "dielectric objects levitated in a high-finesse cavity.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress everything except the report")
+
+    p_feas = sub.add_parser("feasibility", help="evaluate a scenario file")
+    p_feas.add_argument("scenario")
+    add_common(p_feas)
+    p_feas.set_defaults(func=_cmd_feasibility)
+
+    p_trace = sub.add_parser("trace", help="phonon-expectation trace as CSV")
+    p_trace.add_argument("scenario")
+    p_trace.add_argument("--g-over-kappa", type=float, default=None)
+    p_trace.add_argument("--sigma-over-kappa", type=float, default=None)
+    add_common(p_trace)
+    p_trace.set_defaults(func=_cmd_trace)
+
+    p_sweep = sub.add_parser("sweep", help="evaluate a scenario along one axis")
+    p_sweep.add_argument("scenario")
+    p_sweep.add_argument("--axis", required=True)
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated numbers in boundary units")
+    add_common(p_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep)
+
+    p_preset = sub.add_parser("preset", help="emit a built-in scenario file")
+    p_preset.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
+    add_common(p_preset)
+    p_preset.set_defaults(func=_cmd_preset)
+    return parser
+
+
+def argparse_outcome(argv):
+    """("help",), ("error",) or ("ok", subcommand, values) from the reference."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return ("help",) if exc.code == 0 else ("error",)
+    return "ok", args.command, {k: v for k, v in vars(args).items()
+                                if k not in ("command", "func")}
+
+
+def parse_outcome(argv):
+    """The same from ``cli._parse``."""
+    try:
+        command, args = cli._parse(list(argv))
+    except ValidationError:
+        return ("error",)
+    return ("help",) if args is None else ("ok", command, vars(args))
+
+
+#: tokens of the differential test. Forms where this parser and argparse
+#: part, or argparse releases part, are the explicit cases below: a
+#: negative number other than "-1" or "-.5" ("-1e5", "-1,2"), "--" before
+#: the subcommand or as a flag's "=" value, and "-h" run together with
+#: more letters ("-hx", "-hh")
+FLAGS = ["--out", "--quiet", "--g-over-kappa", "--sigma-over-kappa", "--axis", "--values",
+         "--help", "-h", "--o", "--q", "--qu", "--g", "--g-over", "--s", "--sigma", "--a",
+         "--ax", "--v", "--val", "--h", "--he", "--nope", "-x", "--outx", "--quiet-x", "-inf"]
+VALUES = ["0.5", "-1", "-0.5", "-.5", "-", "nan", "inf", "", "abc", "power", "1,2", "s.yaml",
+          "x y", "trace"]
+
+
+@st.composite
+def command_lines(draw):
+    """A top-level option or none, a subcommand or an unknown word, then flags
+    alone, with a value or in '=' form, and words, with the positional
+    bare or beside a '--'."""
+    argv = draw(st.lists(st.sampled_from(["-h", "--help", "--he", "--nope", "-x"]), max_size=1))
+    argv.append(draw(st.sampled_from(["preset", "feasibility", "trace", "sweep", "bogus", "-1"])))
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(FLAGS)),
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+        st.builds(lambda flag, value: (f"{flag}={value}",), st.sampled_from(FLAGS),
+                  st.sampled_from(VALUES)),
+        st.tuples(st.sampled_from(VALUES))), max_size=6))
+    positional = draw(st.sampled_from([(), ("s.yaml",), ("--", "s.yaml"), ("s.yaml", "--"),
+                                       ("--", "-h")]))
+    pieces.insert(draw(st.integers(0, len(pieces))), positional)
+    return argv + [token for piece in pieces for token in piece]
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(argv=command_lines())
+def test_parse_matches_argparse(argv):
+    # same values where argparse accepted; exit 1 with one line where it
+    # exited 2; exit 0 where it printed help
+    want = argparse_outcome(argv)
+    if want[0] == "ok":
+        # repr tells nan from nan and -0.0 from 0.0
+        assert repr(parse_outcome(argv)) == repr(want), argv
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if want[0] == "help":
+        assert (code, err.getvalue()) == (0, ""), argv
+        assert out.getvalue().startswith("levicav "), argv
+    else:
+        assert (code, out.getvalue()) == (1, ""), argv
+        assert err.getvalue().startswith("error: levicav") and err.getvalue().count("\n") == 1, \
+            (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("argv, want", [
+    # "-hh" is two -h to argparse, and "-hx" an error to 3.11 and help to
+    # 3.13.0; here -h takes no value
+    (["feasibility", "s.yaml", "-hh"], ("error",)),
+    (["feasibility", "s.yaml", "-hx"], ("error",)),
+    # argparse 3.10 to 3.13.0 take "--" for the subcommand's name
+    (["--", "preset", "rod-rotation"], ("error",)),
+    # a "--" that touches no positional is an unexpected argument
+    (["feasibility", "s.yaml", "--quiet", "--"], ("error",)),
+    (["feasibility", "--quiet", "--", "s.yaml"],
+     ("ok", "feasibility", {"scenario": "s.yaml", "out": None, "quiet": True})),
+    # argparse 3.10 to 3.13.0 dropped the "--" of "--out=--" and stored []
+    (["preset", "x", "--out=--"], ("ok", "preset", {"name": "x", "out": "--", "quiet": False})),
+    (["trace", "s.yaml", "--g-over-kappa=--"], ("error",)),
+    # "-1e5" and "-1,2" look like options, not values, to argparse 3.10 to
+    # 3.13.0
+    (["trace", "s.yaml", "--g-over-kappa", "-1e5"], ("error",)),
+    (["sweep", "s.yaml", "--axis", "P", "--values", "-1,2"], ("error",)),
+    (["sweep", "s.yaml", "--axis", "P", "--values=-1,2"],
+     ("ok", "sweep", {"scenario": "s.yaml", "axis": "P", "values": "-1,2", "out": None,
+                      "quiet": False})),
+    # an ambiguous prefix is an error wherever it stands, as in argparse
+    (["feasibility", "-h", "--=x"], ("error",)),
+])
+def test_parse_explicit_cases(argv, want):
+    assert parse_outcome(argv) == want
+
+
+def test_synopsis_is_documented():
+    # -h prints the synopsis built from cli._COMMANDS; the module docstring
+    # and README's CLI block show the same lines
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f"## CLI\n\n```\n{cli._usage()}```\n" in readme
+    assert f"\n\n{textwrap.indent(cli._usage(), '    ')}\n" in cli.__doc__
+
+
 ORACLE_NAMES = {"ModeField", "tem00_mode", "lg_pair_mode", "perturbative_shift",
                 "phonon_expectation_moments", "QuadratureError", "solve_ivp"}
 
@@ -642,13 +836,16 @@ def scenario_path(tmp_path_factory):
 @given(doc=mutated_preset(),
        axis=st.sampled_from(["P", "R", "F", "d", "pressure", "T", "I0", "mode1_power",
                              "sigma", "g_over_kappa"]),
-       value=st.sampled_from(["0", "-1", "1e-3", "1e308", "2e5"]))
-def test_mutated_scenarios_fail_cleanly(scenario_path, doc, axis, value):
+       value=st.sampled_from(["0", "-1", "1e-3", "1e308", "2e5"]),
+       odd_sweep=st.sampled_from([(0, 2), (2, 4), (0, 5)]))
+def test_mutated_scenarios_fail_cleanly(scenario_path, doc, axis, value, odd_sweep):
     # every outcome is an exit code: a report, or one stderr line; traces
-    # have their own test, which keeps n_points small
+    # have their own test, which keeps n_points small. A second sweep drops
+    # --axis or --values, or adds an unknown flag
     Path(scenario_path).write_text(yaml.safe_dump(doc))
-    for argv in (["feasibility", scenario_path],
-                 ["sweep", scenario_path, "--axis", axis, "--values", value]):
+    flags = ["--axis", axis, "--values", value, "--nope"]
+    for argv in (["feasibility", scenario_path], ["sweep", scenario_path, *flags[:4]],
+                 ["sweep", scenario_path, *flags[slice(*odd_sweep)]]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--quiet"])
@@ -660,9 +857,11 @@ def test_mutated_scenarios_fail_cleanly(scenario_path, doc, axis, value):
             assert code in (1, 2) and err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
-#: --g-over-kappa / --sigma-over-kappa arguments: none, a usual one or an odd one
+#: --g-over-kappa / --sigma-over-kappa arguments: none, a usual one or an
+#: odd one, a number or not
 OVERRIDES = st.one_of(st.none(), st.sampled_from(["0.25", "0.5", "1", "2.5"]),
-                      st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf"]))
+                      st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "abc", "",
+                                       "1,5"]))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
