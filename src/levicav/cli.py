@@ -163,7 +163,7 @@ _COMMANDS = {
               {"--axis": (str, True, "NAME"), "--values": (str, True, "CSV")}),
 }
 _HELP = {"--help": (None, False, None)}
-_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option, as argparse reads it
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative number
 
 
 def _usage(command: Optional[str] = None) -> str:
@@ -186,7 +186,9 @@ def _usage(command: Optional[str] = None) -> str:
 def _option(token: str, flags, where: str) -> Optional[tuple]:
     """``(flag, value given with '=' or None)`` of an option token, flag None
     if unknown; None for a value or positional. Long flags match by unique
-    prefix, and ``-h...`` is ``--help`` with the rest as its value."""
+    prefix, and ``-h...`` is ``--help`` with the rest as its value. As in
+    argparse, a negative number, or a token with a space that names no
+    flag, is a value."""
     if token[:1] != "-" or token == "-":
         return None
     if token.startswith("--"):
