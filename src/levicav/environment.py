@@ -25,8 +25,6 @@ blackbody emission.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
 from .cavity import Sphere
 from .constants import CODATA, TWO_PI, pa_to_torr
 from .errors import GeometryError, NumericalError, RegimeError, ValidationError
@@ -56,15 +54,15 @@ HEATING_MARGIN_MIN = 10.0
 
 @record
 class GasEnvironment:
-    """Residual gas in the chamber. Pressure in Pa (convert Torr at I/O)."""
+    """Residual gas in the chamber. Pressure in Pa (convert Torr at I/O), positive."""
 
     pressure_P: float                        # Pa
     temperature_T: float = 300.0             # K
     molecule_mass: float = AIR_MOLECULE_MASS  # kg
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pressure_P < math.inf:
-            raise ValidationError("pressure must be non-negative")
+        if not 0.0 < self.pressure_P < math.inf:
+            raise ValidationError("pressure must be positive")
         if not (0.0 < self.temperature_T < math.inf and 0.0 < self.molecule_mass < math.inf):
             raise ValidationError("temperature and molecule mass must be positive")
 
@@ -110,7 +108,7 @@ class DecoherenceRates:
     Lambda: float      # 1/(m^2 s), localization rate
     Gamma_dec: float   # 1/s
     Gamma_plus: float  # 1/s, first-order heating rate 1/t*
-    ratio: Optional[float]  # Gamma_dec / Gamma_plus, None at zero pressure
+    ratio: float       # Gamma_dec / Gamma_plus
 
 
 @record
@@ -120,7 +118,7 @@ class DecoherenceBudget:
     gamma: float       # 1/s
     Q_factor: float
     noise_D: float     # m^2/s^3, fluctuation-dissipation strength
-    pressure_margin: float  # P_max / P (inf at P = 0)
+    pressure_margin: float  # P_max / P
     heating: HeatingBound
     rates: DecoherenceRates
 
@@ -154,12 +152,8 @@ def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment,
     if quantum_ratio >= 1.0:
         raise RegimeError("hbar omega_t >= k_B T: heating-time formula out of regime")
     gamma = gas_damping(obj, env)
-    if gamma == 0.0:
-        t_star = math.inf
-        t_star_first = math.inf
-    else:
-        t_star = -math.log1p(-quantum_ratio) / (2.0 * gamma)
-        t_star_first = quantum_ratio / (2.0 * gamma)
+    t_star = -math.log1p(-quantum_ratio) / (2.0 * gamma)
+    t_star_first = quantum_ratio / (2.0 * gamma)
     p_max = (3.0 * obj.mass * cooling_rate_Gamma * CODATA.hbar * omega_t
              / (8.0 * env.molecule_mass * env.v_bar * math.pi * radius**2))
     coeff = pa_to_torr(p_max) / cooling_rate_Gamma
@@ -195,9 +189,8 @@ def decoherence_rates(obj: DielectricObject, env: GasEnvironment,
     gamma_plus = 2.0 * gamma * CODATA.k_B * env.temperature_T / (CODATA.hbar * omega_t)
     if not (math.isfinite(gamma_dec) and math.isfinite(gamma_plus)):
         raise NumericalError("decoherence rates overflow the float range")
-    ratio = gamma_dec / gamma_plus if gamma_plus > 0.0 else None  # 0/0 without gas
     return DecoherenceRates(Lambda=lam, Gamma_dec=gamma_dec,
-                            Gamma_plus=gamma_plus, ratio=ratio)
+                            Gamma_plus=gamma_plus, ratio=gamma_dec / gamma_plus)
 
 
 def bulk_temperature(obj: DielectricObject, th: ThermalInput, lambda_L: float) -> float:
@@ -225,7 +218,6 @@ def decoherence_budget(obj: DielectricObject, env: GasEnvironment,
     bound = heating_time_and_bound(obj, env, omega_t, cooling_rate_Gamma)
     rates = decoherence_rates(obj, env, omega_t, z_m)
     noise_d = 2.0 * CODATA.k_B * env.temperature_T * gamma / obj.mass
-    margin = bound.P_max / env.pressure_P if env.pressure_P > 0.0 else math.inf
     return DecoherenceBudget(gamma=gamma, Q_factor=quality_factor(omega_t, gamma),
-                             noise_D=noise_d, pressure_margin=margin,
+                             noise_D=noise_d, pressure_margin=bound.P_max / env.pressure_P,
                              heating=bound, rates=rates)

@@ -9,11 +9,13 @@ a word ``[A-Za-z_][A-Za-z0-9_.-]*`` other than a YAML 1.1 bool or null
 spelling. The writer emits mappings of such keys and values (finite floats
 in PyYAML's spelling) in PyYAML's block style. Everything else, including
 an empty document, a duplicate key or an empty value, goes to PyYAML,
-imported on first need, so every result and every error is PyYAML's own.
+imported on first need, so every result and every error is PyYAML's own,
+but a key repeated in its mapping is an error where PyYAML keeps the later.
 ``levicav.scenario`` and ``levicav.cli`` import this module as ``yaml``, the
 name under which perfbench's traced runs time its two calls.
 """
 
+import functools
 import io
 import math
 import re
@@ -96,10 +98,31 @@ def _parse(text: str):
     return root if root and opened is None else None
 
 
+@functools.cache
+def _strict_loader():
+    """PyYAML's ``SafeLoader``, rejecting two keys of a mapping that load as equal."""
+    import yaml
+
+    class StrictLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+            keys = [key for key, _ in pairs if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)  # every key hashable
+            seen: dict = {}
+            for key_node in keys:
+                key = self.construct_object(key_node, deep=deep)
+                if seen.setdefault(key, key_node) is not key_node:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+            return mapping
+    return StrictLoader
+
+
 def safe_load(stream):
-    """``yaml.safe_load(stream)``; a seekable text stream in the subset is
-    read here, and any other is rewound and read by PyYAML, so its error
-    marks name the stream."""
+    """``yaml.safe_load(stream)``, duplicate keys rejected; a seekable text
+    stream in the subset is read here, and any other is rewound and read by
+    PyYAML, so its error marks name the stream."""
     if isinstance(stream, io.TextIOBase) and stream.seekable():
         start = stream.tell()
         try:
@@ -110,7 +133,7 @@ def safe_load(stream):
             return doc
         stream.seek(start)
     import yaml
-    return yaml.safe_load(stream)
+    return yaml.load(stream, Loader=_strict_loader())
 
 
 def _scalar(value):

@@ -35,7 +35,7 @@ from .cavity import CavityConfig, Rod, numeric_derivatives
 from .constants import CODATA
 from .errors import GeometryError, NumericalError, ValidationError
 from .records import record
-from .sphere import (DielectricObject, DriveConfig, OptomechParams, _overlap_amplitude,
+from .sphere import (DielectricObject, OptomechParams, _overlap_amplitude,
                      assemble_optomech_params, equilibrium_z)
 
 __all__ = [
@@ -246,13 +246,11 @@ def rod_optomech_params(obj: DielectricObject, cfg: CavityConfig,
 
     Translation uses q_m = sqrt(hbar/(2 M omega_t_z)); rotation uses the
     angular zero-point sqrt(hbar/(2 I omega_t_phi)). The enhancement
-    amplitude is mode 1's sqrt(photon number).
+    amplitude is mode 1's sqrt(photon number), on the red sideband.
     """
     if sol.cooled_dof == "translation":
-        omega_t, xi, inertia = sol.omega_t_z, sol.xi_z, None
+        omega_t, xi, mass_like = sol.omega_t_z, sol.xi_z, obj.mass
     else:
-        omega_t, xi, inertia = sol.omega_t_phi, sol.xi_phi, obj.moment_of_inertia
-    drive = DriveConfig(power_P=0.0, laser_omega_L=cfg.omega_c0)  # red sideband: Delta = omega_t
-    return assemble_optomech_params(obj, cfg, omega_t, drive, xi0=xi,
-                                    delta_shift=sol.delta_1, inertia=inertia,
-                                    alpha_abs=math.sqrt(sol.n_photons_1))
+        omega_t, xi, mass_like = sol.omega_t_phi, sol.xi_phi, obj.moment_of_inertia
+    return assemble_optomech_params(omega_t, xi, sol.delta_1, math.sqrt(sol.n_photons_1),
+                                    omega_t, mass_like)

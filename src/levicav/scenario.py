@@ -41,7 +41,8 @@ from .records import record, replace
 from .rod import (SelfTrapSolution, rod_optomech_params, rotation_configuration,
                   solve_self_trap, translation_configuration)
 from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfig,
-                     assemble_optomech_params, tweezer_trap_frequency)
+                     assemble_optomech_params, intracavity_amplitude,
+                     sphere_linear_coupling, tweezer_trap_frequency)
 
 if TYPE_CHECKING:
     from .pulse import PulseProtocol
@@ -193,7 +194,11 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
             if s.drive is None:
                 raise ValidationError("tweezer scenarios need a drive section")
             omega_t = tweezer_trap_frequency(s.object, s.trap)
-            optomech = assemble_optomech_params(s.object, s.cavity, omega_t, s.drive)
+            detuning = omega_t if s.drive.detuning_Delta is None else s.drive.detuning_Delta
+            _, alpha_abs = intracavity_amplitude(s.drive, s.cavity.kappa, detuning)
+            optomech = assemble_optomech_params(
+                omega_t, *sphere_linear_coupling(s.object, s.cavity), alpha_abs, detuning,
+                s.object.mass)
         else:
             build = (translation_configuration if s.trap.cooled_dof == "translation"
                      else rotation_configuration)
@@ -206,17 +211,14 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
     kappa_over_omega_t = kappa / optomech.omega_t
     good_cavity = optomech.omega_t > kappa
 
-    gamma = budget = pressure_ok = None
+    strong = g_mag >= kappa / STRONG_KAPPA_FACTOR
+    budget = pressure_ok = g_over_gamma = None
     if is_sphere and s.gas is not None:
         with _stage("decoherence"):
             gamma = gas_damping(s.object, s.gas)
             budget = decoherence_budget(s.object, s.gas, optomech.omega_t,
                                         optomech.zm, s.cooling_rate)
         pressure_ok = s.gas.pressure_P <= budget.heating.P_max / PRESSURE_MARGIN_MIN
-
-    strong = g_mag >= kappa / STRONG_KAPPA_FACTOR
-    g_over_gamma = None
-    if gamma is not None and gamma > 0.0:
         g_over_gamma = g_mag / gamma
         strong = strong and g_mag >= STRONG_GAMMA_FACTOR * gamma
 
@@ -324,7 +326,7 @@ _GROUPS = (
         ("temperature_K", "temperature_T", None, "optional", _finite, ("T", "gas_temperature")),
         ("molecule_mass_amu", "molecule_mass", _AMU, "optional", _finite, ()))),
     ("gas", None, "", None, (
-        ("cooling_rate_per_s", "cooling_rate", None, "optional", _finite, ()),)),
+        ("cooling_rate_per_s", "cooling_rate", None, "optional", _positive, ()),)),
     ("thermal", None, "thermal", ThermalInput, (
         ("intensity_W_m2", "intensity_I0", None, "required", _finite, ()),
         ("emissivity", "emissivity_e", None, "optional", _finite, ()),
@@ -518,7 +520,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 args[attr] = default(kwargs)
         if record is not None:
             parent, _, leaf = path.rpartition(".")
-            kwargs.setdefault(parent, {})[leaf] = record(**kwargs.pop(path))
+            try:
+                kwargs.setdefault(parent, {})[leaf] = record(**kwargs.pop(path))
+            except ValidationError as exc:
+                raise type(exc)(f"{section}: {exc}") from None
     return Scenario(**kwargs[""])
 
 

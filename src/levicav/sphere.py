@@ -89,8 +89,9 @@ class TweezerConfig:
 class DriveConfig:
     """Cavity drive laser: power, frequency, and detuning Delta = omega_c - omega_L.
 
-    detuning_Delta=None selects the red sideband Delta = omega_t when the
-    record is assembled.
+    detuning_Delta=None selects the red sideband Delta = omega_t, resolved in
+    the tweezer branch of ``scenario.evaluate_scenario``. A self-trapped rod
+    has no drive record and sits on the red sideband.
     """
 
     power_P: float          # W
@@ -197,51 +198,30 @@ def tweezer_trap_frequency(obj: DielectricObject, tw: TweezerConfig) -> float:
 
 
 def intracavity_amplitude(drive: DriveConfig, kappa: float,
-                          detuning: Optional[float] = None) -> tuple[float, float]:
-    """(|E|, |alpha|): drive strength and steady coherent amplitude.
+                          detuning: float) -> tuple[float, float]:
+    """(|E|, |alpha|): drive strength and steady coherent amplitude at ``detuning``.
 
     |E| = sqrt(2 P kappa / hbar omega_L);  |alpha| = |E| / sqrt(Delta^2 + kappa^2).
-    ``detuning`` overrides the drive record's Delta (and must be supplied
-    if the record defers to the red sideband).
     """
     if kappa <= 0.0:
         raise ValidationError("kappa must be positive")
-    delta = drive.detuning_Delta if detuning is None else detuning
-    if delta is None:
-        raise ValidationError("detuning unresolved: pass one or set it on the drive")
     e_abs = math.sqrt(2.0 * drive.power_P * kappa / (CODATA.hbar * drive.laser_omega_L))
-    alpha_abs = e_abs / math.hypot(delta, kappa)
-    return e_abs, alpha_abs
+    return e_abs, e_abs / math.hypot(detuning, kappa)
 
 
-def assemble_optomech_params(obj: DielectricObject, cfg: CavityConfig,
-                             omega_t: float, drive: DriveConfig,
-                             xi0: Optional[float] = None,
-                             delta_shift: Optional[float] = None,
-                             inertia: Optional[float] = None,
-                             alpha_abs: Optional[float] = None) -> OptomechParams:
-    """Build the full OptomechParams record from its ingredients.
+def assemble_optomech_params(omega_t: float, xi0: float, delta_shift: float,
+                             alpha_abs: float, detuning: float,
+                             mass_like: float) -> OptomechParams:
+    """The OptomechParams record of one cooled coordinate from its inputs.
 
-    The trap-frequency source is pluggable (tweezer formula or a
-    self-trapping solution); xi0/delta default to the sphere closed forms.
-    ``inertia`` switches the zero-point scale to the rotational
-    sqrt(hbar/(2 I omega_t)); ``alpha_abs`` bypasses the drive-based
-    amplitude (used by the self-trapped rod path).
+    ``mass_like`` is the mass of a translation or the moment of inertia of
+    a rotation: zm = sqrt(hbar/(2 mass_like omega_t)), g0 = zm xi0 and
+    g = |alpha| g0, for a tweezed sphere and a self-trapped rod alike.
     """
     if omega_t <= 0.0:
         raise ValidationError("trap frequency must be positive")
-    if xi0 is None or delta_shift is None:
-        xi0_s, delta_s = sphere_linear_coupling(obj, cfg)
-        xi0 = xi0_s if xi0 is None else xi0
-        delta_shift = delta_s if delta_shift is None else delta_shift
-    detuning = drive.detuning_Delta if drive.detuning_Delta is not None else omega_t
-    if alpha_abs is None:
-        _, alpha_abs = intracavity_amplitude(drive, cfg.kappa, detuning)
-    mass_like = obj.mass if inertia is None else inertia
     zm = math.sqrt(CODATA.hbar / (2.0 * mass_like * omega_t))
     g0 = zm * xi0
-    g = alpha_abs * g0
-    beta = -zm * xi0 * alpha_abs**2 / omega_t
-    return OptomechParams(omega_t=omega_t, xi0=xi0, zm=zm, g0=g0,
-                          alpha_abs=alpha_abs, g=g, delta_shift=delta_shift,
-                          beta=beta, detuning=detuning)
+    return OptomechParams(omega_t=omega_t, xi0=xi0, zm=zm, g0=g0, alpha_abs=alpha_abs,
+                          g=alpha_abs * g0, delta_shift=delta_shift,
+                          beta=-zm * xi0 * alpha_abs**2 / omega_t, detuning=detuning)

@@ -29,12 +29,25 @@ Swap-protocol moment equations: the phonon number of the single-photon
 swap, time-stepped by RK45 from the second-moment equations. It is the
 second route beside the direct double quadrature
 ``levicav.pulse.phonon_expectation_direct``.
+
+50-digit shadow of the report path: the package's own formulas, imported
+in a fresh interpreter over a ``math`` module whose functions and constants
+come from mpmath, evaluated on the same float inputs lifted to ``mpf``. It
+checks the floating-point arithmetic of the formulas, not the model.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -218,3 +231,89 @@ def phonon_expectation_moments(p: PulseProtocol, t: float) -> float:
     sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=1e-10, atol=1e-14,
                     max_step=0.1 / max(p.kappa, p.g, p.sigma))
     return float(np.real(sol.y[4, -1]))
+
+
+# ---------------------------------------------------------------------------
+# 50-digit shadow of the report path
+# ---------------------------------------------------------------------------
+
+#: decimal digits of the shadow's arithmetic
+SHADOW_DPS = 50
+#: the shadow ``math`` module's names besides ``pi`` and ``e``: those the package
+#: reads, so that a new one fails the shadow run instead of leaving it in floats
+_SHADOW_FUNCTIONS = ("sqrt", "cos", "log1p", "hypot", "isfinite", "isnan", "inf")
+
+
+def report_fields(case, lift=None) -> dict:
+    """``section.key`` -> printed-unit value of every report row of one
+    case, ``(preset, axis, value)``, with ``axis`` None for the preset
+    itself and a sweep point otherwise; ``lift`` maps the scenario before
+    it is evaluated. The levicav modules are looked up at the call."""
+    from levicav.scenario import (axis_setter, evaluate_scenario, preset_scenario_dict,
+                                  scenario_from_dict)
+    preset, axis, value = case
+    s = scenario_from_dict(preset_scenario_dict(preset))
+    if axis is not None:
+        s = axis_setter(s, axis)(value)
+    doc = evaluate_scenario(lift(s) if lift else s).to_dict()
+    return {f"{section}.{key}": item for section, body in doc.items()
+            if isinstance(body, dict) for key, item in body.items()}
+
+
+def _lift(value):
+    """``value`` with every float, in nested records too, as an exact mpf."""
+    import mpmath
+    if type(value) is float:
+        return mpmath.mpf(value)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: _lift(getattr(value, f.name))
+                                             for f in dataclasses.fields(value)})
+    return value
+
+
+def shadow_main() -> None:
+    """The shadow's interpreter: cases as JSON on stdin, and for each the
+    ``report_fields`` of the shadowed package as JSON on stdout, every value
+    as ``[type name, text]`` (50 digits for a number)."""
+    import mpmath
+    mpmath.mp.dps = SHADOW_DPS
+    shadow = types.ModuleType("math")
+    for name in _SHADOW_FUNCTIONS:
+        setattr(shadow, name, getattr(mpmath, name))
+    shadow.pi, shadow.e = +mpmath.pi, +mpmath.e  # fixed at SHADOW_DPS digits
+    for name in [name for name in sys.modules if name.split(".")[0] == "levicav"]:
+        del sys.modules[name]  # this module's own imports of the float package
+    real = sys.modules["math"]
+    sys.modules["math"] = shadow
+    try:
+        importlib.import_module("levicav.scenario")
+    finally:
+        sys.modules["math"] = real
+    leaked = [name for name, module in list(sys.modules.items())  # no module __getattr__ runs
+              if name.split(".")[0] != "levicav"
+              and getattr(module, "__dict__", {}).get("math") is shadow]
+    if leaked:
+        raise RuntimeError(f"modules outside levicav took the shadow math: {leaked}")
+
+    def text(value):
+        if isinstance(value, (float, mpmath.mpf)):
+            return [type(value).__name__, mpmath.nstr(value, SHADOW_DPS)]
+        return [type(value).__name__, repr(value)]
+
+    cases = json.load(sys.stdin)
+    json.dump([{key: text(value) for key, value in report_fields(case, _lift).items()}
+               for case in cases], sys.stdout)
+
+
+def shadow_reports(cases: list) -> list[dict]:
+    """``report_fields`` of each case from the 50-digit shadow, run in a
+    fresh interpreter so that the caller's modules keep the real ``math``:
+    ``section.key`` -> ``[type name, text]``."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", "import oracles; oracles.shadow_main()"],
+                          input=json.dumps(cases), capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    if proc.returncode != 0:
+        raise RuntimeError(f"shadow run failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)

@@ -311,6 +311,43 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: gas.pressure_torr: must be positive, got 0.0\n"
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("gas", "temperature_K", 0.0, "gas: temperature and molecule mass must be positive"),
+        ("gas", "molecule_mass_amu", 1e-320, "gas: temperature and molecule mass must be "
+                                             "positive"),
+        ("gas", "cooling_rate_per_s", 0.0, "gas.cooling_rate_per_s: must be positive, got 0.0"),
+        ("gas", "cooling_rate_per_s", -1e5, "gas.cooling_rate_per_s: must be positive, "
+                                            "got -100000.0"),
+        ("cavity", "finesse", 1.0, "cavity: finesse must exceed 1"),
+        ("object", "eps1", 0.5, "object: eps1 must be >= 1"),
+        ("drive", "power_W", -1.0, "drive: drive power must be non-negative"),
+        ("thermal", "emissivity", 2.0, "thermal: emissivity must be in (0, 1]"),
+    ])
+    def test_record_error_names_its_section(self, capsys, tmp_path, section, key, value,
+                                            message):
+        # a value that passes its key's check but not its record's
+        doc = yaml.safe_load(open_preset())
+        doc[section][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, ["feasibility", str(path), "--quiet"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_duplicate_key_exit_1(self, capsys, tmp_path):
+        # PyYAML would keep the later value silently
+        text = open_preset()
+        assert "  finesse: 100000.0\n" in text
+        path = tmp_path / "dup.yaml"
+        path.write_text(text.replace("  finesse: 100000.0\n",
+                                     "  finesse: 100000.0\n  finesse: 1.0e+9\n"))
+        lines = text.splitlines()  # 1-based: the cavity mapping and the second finesse
+        start, second = lines.index("cavity:") + 2, lines.index("  finesse: 100000.0") + 2
+        code, out, err = run(capsys, ["feasibility", str(path), "--quiet"])
+        assert (code, out) == (1, "")
+        assert err == (f"error: scenario file {path} is not valid YAML: while constructing a "
+                       f"mapping in \"{path}\", line {start}, column 3 found duplicate key "
+                       f"'finesse' in \"{path}\", line {second}, column 3\n")
+
     def test_unexpected_exception_one_line(self, capsys, monkeypatch, sphere_file):
         # a defect in a subcommand reaches the user as one line, not a traceback
         import levicav.cli as cli

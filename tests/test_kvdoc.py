@@ -1,5 +1,6 @@
 """levicav.kvdoc against PyYAML: the same documents, the same dumps and the
-same errors, on generated scenario-like files and their edges."""
+same errors, on generated scenario-like files and their edges; except that
+a duplicate key, which PyYAML overwrites, is an error."""
 
 import io
 import string
@@ -106,12 +107,57 @@ def outcome(call, *args, **kwargs):
         return type(exc), str(exc)
 
 
+MERGE = "tag:yaml.org,2002:merge"
+
+
+def has_duplicate_key(text) -> bool:
+    """Whether a mapping of ``text`` holds two keys that load as equal, merge
+    keys aside: a walk over PyYAML's node graph that constructs each
+    mapping's keys with the plain SafeLoader, paired with distinct values."""
+    try:
+        nodes = [yaml.compose(text, Loader=yaml.SafeLoader)]
+    except yaml.YAMLError:  # PyYAML's own error stands
+        return False
+    visited = set()
+    while nodes:
+        node = nodes.pop()
+        if node is None or isinstance(node, yaml.ScalarNode) or id(node) in visited:
+            continue
+        visited.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            nodes.extend(node.value)
+            continue
+        nodes.extend(child for pair in node.value for child in pair)
+        pairs = [(key, yaml.ScalarNode("tag:yaml.org,2002:int", str(i)))
+                 for i, (key, _) in enumerate(node.value) if key.tag != MERGE]
+        try:
+            keys = yaml.SafeLoader("").construct_mapping(
+                yaml.MappingNode("tag:yaml.org,2002:map", pairs), deep=True)
+        except (yaml.YAMLError, ValueError):  # an unhashable or unreadable key: PyYAML's error
+            continue
+        if len(keys) < len(pairs):
+            return True
+    return False
+
+
+def assert_same_outcome(ours, theirs, duplicate, text, stream_name):
+    """PyYAML's outcome; but where ``text`` holds a duplicate key, an error
+    naming the key's stream, unless PyYAML fails on another error first."""
+    if duplicate and (theirs[0] == "ok" or ours != theirs):
+        assert ours[0] is yaml.constructor.ConstructorError, text
+        assert "found duplicate key" in ours[1] and f'"{stream_name}"' in ours[1], text
+    else:
+        assert ours == theirs, text
+
+
 def assert_loads_as_pyyaml(text, path):
-    assert (outcome(kvdoc.safe_load, io.StringIO(text))
-            == outcome(yaml.safe_load, io.StringIO(text))), text
+    duplicate = has_duplicate_key(text)
+    assert_same_outcome(outcome(kvdoc.safe_load, io.StringIO(text)),
+                        outcome(yaml.safe_load, io.StringIO(text)), duplicate, text, "<file>")
     path.write_text(text, encoding="utf-8", newline="")
     with open(path, encoding="utf-8") as ours, open(path, encoding="utf-8") as theirs:
-        assert outcome(kvdoc.safe_load, ours) == outcome(yaml.safe_load, theirs), text
+        assert_same_outcome(outcome(kvdoc.safe_load, ours), outcome(yaml.safe_load, theirs),
+                            duplicate, text, path)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +186,9 @@ EDGE_DOCUMENTS = [
     "a:\nb: 1\n", "a:\n", "a: 1\n  b: 2\n", "a:\n    b: 1\n  c: 2\n", "  a: 1\nb: 2\n",
     "  a: 1\n  b: 2\n", "a:\n  b:\n    c: 1\n  d: 2\ne: 3\n", "a:\n  b: 1\n   c: 2\n",
     "a: 1\na: 2\n", "a:\n  x: 1\na:\n  y: 2\n", "a:\n  x: 1\n  x:\n    y: 2\n",
+    "a: 1\n'a': 2\n", "1: a\n1.0: b\n", "yes: 1\ntrue: 2\n", "=: 1\n=: 2\n", "a: !!set {x, x}\n",
+    "b: &x\n  a: 1\nc:\n  <<: *x\n  a: 2\n", "b: &x\n  a: 1\nc:\n  <<: [*x, *x]\n",
+    "a: &x\n  b: 1\nc: *x\nd: *x\n", "? [1]\n: 1\n? [1]\n: 2\n", "a: 1\na: [\n",
     "", "# only a comment\n", "\n\n", "   ",
     "a: 1 # c\n", "a: 1 #\n", "a: 1#c\n", "a:# c\n", "a: # c\n  b: 1\n", "#c\na: 1\n   # c\n",
     "a:\n# c\n  b: 1\n", "a:\n  # c\nb: 1\n", "a:1\n", "a : 1\n", "a:  1  \n",
@@ -153,6 +202,15 @@ EDGE_DOCUMENTS = [
 @pytest.mark.parametrize("text", EDGE_DOCUMENTS)
 def test_edge_documents_load_as_pyyaml(doc_path, text):
     assert_loads_as_pyyaml(text, doc_path)
+
+
+@pytest.mark.parametrize("text, duplicate", [
+    ("a: 1\na: 2\n", True), ("a:\n  x: 1\nb:\n  x: 2\n", False), ("1: a\n1.0: b\n", True),
+    ("b: &x\n  a: 1\nc:\n  <<: *x\n  a: 2\n", False), ("s: [{a: 1, a: 2}]\n", True),
+    ("a: 1\n", False), ("a: [\n", False)])
+def test_duplicate_key_oracle(text, duplicate):
+    # the oracle the differential tests lean on finds what it claims to
+    assert has_duplicate_key(text) is duplicate
 
 
 @pytest.mark.parametrize("token", BOOL_NULL + EDGE_TOKENS + ["x" * 122, "x" * 123, "k" * 1030])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -115,10 +116,18 @@ class TestTweezer:
             tweezer_trap_frequency(obj, ref_tweezer)
 
 
+def tweezed(obj, cfg, omega_t, drive):
+    """OptomechParams of a tweezed sphere on the red sideband Delta = omega_t,
+    from the inputs evaluate_scenario hands the builder."""
+    xi0, delta = sphere_linear_coupling(obj, cfg)
+    _, alpha = intracavity_amplitude(drive, cfg.kappa, omega_t)
+    return assemble_optomech_params(omega_t, xi0, delta, alpha, omega_t, obj.mass)
+
+
 class TestIntracavityAmplitude:
     def test_zero_power(self, ref_cavity):
         drive = DriveConfig(0.0, TWO_PI * CODATA.c / 1.064e-6, detuning_Delta=0.0)
-        e_abs, alpha = intracavity_amplitude(drive, ref_cavity.kappa)
+        e_abs, alpha = intracavity_amplitude(drive, ref_cavity.kappa, 0.0)
         assert e_abs == 0.0 and alpha == 0.0
 
     def test_reference_photon_amplitude(self, ref_cavity, ref_drive, silica_sphere,
@@ -129,18 +138,27 @@ class TestIntracavityAmplitude:
 
     def test_resonant_drive(self, ref_cavity):
         drive = DriveConfig(1e-3, TWO_PI * CODATA.c / 1.064e-6, detuning_Delta=0.0)
-        e_abs, alpha = intracavity_amplitude(drive, ref_cavity.kappa)
+        e_abs, alpha = intracavity_amplitude(drive, ref_cavity.kappa, 0.0)
         assert alpha == pytest.approx(e_abs / ref_cavity.kappa, rel=1e-12)
 
-    def test_unresolved_detuning_rejected(self, ref_cavity, ref_drive):
-        with pytest.raises(ValidationError):
-            intracavity_amplitude(ref_drive, ref_cavity.kappa)
+    def test_detuning_argument_not_the_record(self, ref_cavity):
+        # the caller resolves Delta; the drive record's own value is not read
+        drive = DriveConfig(1e-3, TWO_PI * CODATA.c / 1.064e-6, detuning_Delta=0.0)
+        e_abs, alpha = intracavity_amplitude(drive, ref_cavity.kappa, ref_cavity.kappa)
+        assert alpha == pytest.approx(e_abs / (math.sqrt(2.0) * ref_cavity.kappa), rel=1e-12)
 
 
 class TestAssembledParams:
+    def test_inputs_are_explicit(self):
+        # one builder for sphere and rod: every input is passed, none defaults
+        params = inspect.signature(assemble_optomech_params).parameters.values()
+        assert [p.name for p in params] == ["omega_t", "xi0", "delta_shift", "alpha_abs",
+                                            "detuning", "mass_like"]
+        assert all(p.default is inspect.Parameter.empty for p in params)
+
     def test_reference_scenario(self, ref_cavity, silica_sphere, ref_tweezer, ref_drive):
         omega_t = tweezer_trap_frequency(silica_sphere, ref_tweezer)
-        params = assemble_optomech_params(silica_sphere, ref_cavity, omega_t, ref_drive)
+        params = tweezed(silica_sphere, ref_cavity, omega_t, ref_drive)
         assert params.g == pytest.approx(TWO_PI * 182e3, rel=3e-2)
         assert params.zm == pytest.approx(4.1e-13, rel=2e-2)
         assert params.detuning == pytest.approx(omega_t)
@@ -149,14 +167,14 @@ class TestAssembledParams:
     def test_zero_drive(self, ref_cavity, silica_sphere, ref_tweezer):
         omega_t = tweezer_trap_frequency(silica_sphere, ref_tweezer)
         drive = DriveConfig(0.0, TWO_PI * CODATA.c / 1.064e-6)
-        params = assemble_optomech_params(silica_sphere, ref_cavity, omega_t, drive)
+        params = tweezed(silica_sphere, ref_cavity, omega_t, drive)
         assert params.g == 0.0
         assert params.beta == 0.0
 
     def test_zero_point_identity(self, ref_cavity, silica_sphere, ref_tweezer, ref_drive):
         # zm^2 * 2 M omega_t = hbar exactly
         omega_t = tweezer_trap_frequency(silica_sphere, ref_tweezer)
-        params = assemble_optomech_params(silica_sphere, ref_cavity, omega_t, ref_drive)
+        params = tweezed(silica_sphere, ref_cavity, omega_t, ref_drive)
         assert params.zm**2 * 2.0 * silica_sphere.mass * omega_t == pytest.approx(
             CODATA.hbar, rel=1e-12)
 
@@ -166,13 +184,16 @@ class TestAssembledParams:
         gs = []
         for power in (0.25e-3, 1e-3, 4e-3):
             drive = DriveConfig(power, omega_L)
-            gs.append(assemble_optomech_params(silica_sphere, ref_cavity,
-                                               omega_t, drive).g)
+            gs.append(tweezed(silica_sphere, ref_cavity, omega_t, drive).g)
         assert gs[1] / gs[0] == pytest.approx(2.0, rel=1e-9)
         assert gs[2] / gs[1] == pytest.approx(2.0, rel=1e-9)
 
     def test_consistency_identities(self, ref_cavity, silica_sphere, ref_tweezer, ref_drive):
         omega_t = tweezer_trap_frequency(silica_sphere, ref_tweezer)
-        params = assemble_optomech_params(silica_sphere, ref_cavity, omega_t, ref_drive)
+        params = tweezed(silica_sphere, ref_cavity, omega_t, ref_drive)
         assert params.g == pytest.approx(params.alpha_abs * params.g0, rel=1e-12)
         assert params.g0 == pytest.approx(params.zm * params.xi0, rel=1e-12)
+
+    def test_non_positive_trap_frequency_rejected(self):
+        with pytest.raises(ValidationError, match="trap frequency must be positive"):
+            assemble_optomech_params(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
