@@ -12,10 +12,15 @@ subset); traces as CSV with header ``t_seconds,t_kappa_units,n_phonon``.
 All numbers carry 6 significant figures. Exit codes: 0 success,
 1 validation error (a malformed command line among them), 2 numerical
 failure.
+
+``levicav`` and ``python -m levicav.cli`` enter through ``run``, which
+ends the process without the interpreter's teardown; a caller that stays
+in the process, a test or an embedding program, calls ``main``.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from importlib import import_module
@@ -26,7 +31,7 @@ from . import kvdoc as yaml
 from .errors import NumericalError, ValidationError
 from .presets import preset_scenario_dict
 
-__all__ = ["main", "render_kv"]
+__all__ = ["main", "render_kv", "run"]
 
 
 def _deferred(module: str, name: str):
@@ -297,5 +302,38 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler watches the process: ``sys.settrace`` or
+    ``sys.setprofile`` (``trace``, coverage, pdb, cProfile before 3.12), or a
+    ``sys.monitoring`` tool (cProfile and coverage on 3.12+)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile()) or monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))  # ids 0-5
+
+
+def run() -> None:
+    """The ``levicav`` script and ``python -m levicav.cli``: ``main()``, both
+    streams flushed, then ``os._exit``, since the interpreter's teardown
+    (unloading numpy, a collection, atexit) costs more than a subcommand's
+    own work and nothing a subcommand leaves needs it. A stdout that cannot
+    take the output is reported as ``main`` reports a write error: one
+    ``error:`` line, exit 1. A watched process (``_observed``) ends with
+    ``sys.exit``, so its observer still reports."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when launched with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        sys.stdout = None  # else a watched run's teardown flushes it again
+        if code == 0:  # a write error of main's own is already reported
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    if sys.stderr is not None:  # line-buffered: holds at most a partial line
+        sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -216,6 +216,8 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
     if is_sphere and s.gas is not None:
         with _stage("decoherence"):
             gamma = gas_damping(s.object, s.gas)
+            if gamma == 0.0:
+                raise NumericalError("gas damping underflows to 0 at this gas.pressure_torr")
             budget = decoherence_budget(s.object, s.gas, optomech.omega_t,
                                         optomech.zm, s.cooling_rate)
         pressure_ok = s.gas.pressure_P <= budget.heating.P_max / PRESSURE_MARGIN_MIN
@@ -426,7 +428,8 @@ def _replace_at(record, path: str, value):
 def axis_setter(s: Scenario, axis: str, name: Optional[str] = None):
     """A function of one boundary value: ``s`` with the named sweep axis set
     to it through the axis's schema row. An invalid value raises
-    ValidationError naming ``name`` (by default ``section.key``)."""
+    ValidationError naming ``name`` (by default ``section.key``), and one
+    that its record rejects names the section, as in a scenario file."""
     axis = axis.strip()
     for section, variant, path, record, rows in _GROUPS:
         for row in (row for row in rows if axis in row[5]):
@@ -434,7 +437,13 @@ def axis_setter(s: Scenario, axis: str, name: Optional[str] = None):
                 need = f"a {variant} {section}" if variant else f"a {section} section"
                 raise ValidationError(f"sweep axis {axis!r} needs {need}")
             target, key = f"{path}.{row[1]}", name or f"{section}.{row[0]}"
-            return lambda value: _replace_at(s, target, _load(row, value, key))
+            def set_value(value):
+                number = _load(row, value, key)
+                try:
+                    return _replace_at(s, target, number)
+                except ValidationError as exc:  # a record's own check, as in the file
+                    raise type(exc)(f"{section}: {exc}") from None
+            return set_value
     raise UnknownAxisError(f"unknown sweep axis {axis!r}")
 
 

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -333,6 +336,44 @@ class TestExitCodes:
         code, out, err = run(capsys, ["feasibility", str(path), "--quiet"])
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("preset, section, key, axis, value, message", [
+        ("sphere-appendix-h", "gas", "temperature_K", "T", 0.0,
+         "gas: temperature and molecule mass must be positive"),
+        ("sphere-appendix-h", "cavity", "finesse", "F", 1.0, "cavity: finesse must exceed 1"),
+        ("sphere-appendix-h", "drive", "power_W", "P", -1.0,
+         "drive: drive power must be non-negative"),
+        ("rod-translation", "trap", "mode1_power_W", "mode1_power", 0.0,
+         "trap: mode-1 power must be positive"),
+    ], ids=["T", "F", "P", "mode1_power"])
+    def test_sweep_record_error_reads_as_in_the_file(self, capsys, tmp_path, preset, section,
+                                                     key, axis, value, message):
+        # a sweep value that fails its record's check named no section
+        from levicav.scenario import preset_scenario_dict
+        doc = preset_scenario_dict(preset)
+        good = tmp_path / "good.yaml"
+        good.write_text(yaml.safe_dump(doc))
+        doc[section][key] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        from_file = run(capsys, ["feasibility", str(bad), "--quiet"])
+        from_sweep = run(capsys, ["sweep", str(good), "--axis", axis, "--values", str(value),
+                                  "--quiet"])
+        assert from_file == from_sweep == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["feasibility", "trace"])
+    def test_gas_damping_underflow_exit_2(self, capsys, tmp_path, command):
+        # a positive pressure whose damping rate underflows divided by zero
+        # in the heating time, a message naming neither cause nor key
+        doc = yaml.safe_load(open_preset())
+        doc["object"]["density_kg_m3"] = 1.0e20
+        doc["gas"]["pressure_torr"] = 1.0e-320
+        path = tmp_path / "thin.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, [command, str(path), "--quiet"])
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: decoherence stage: gas damping underflows to 0 "
+                       "at this gas.pressure_torr\n")
+
     def test_duplicate_key_exit_1(self, capsys, tmp_path):
         # PyYAML would keep the later value silently
         text = open_preset()
@@ -477,6 +518,183 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "rod-rotation" in proc.stdout
+
+
+def fresh(argv, stdout=subprocess.PIPE, entry=("-m", "levicav.cli"), unbuffered=False):
+    """``python -m levicav.cli ARGV`` in a new process, its stdout
+    block-buffered as for any pipe or file unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *entry, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+#: each subcommand's arguments after the scenario file, per preset
+FRESH_ARGS = {
+    ("sweep", "sphere-appendix-h"): ["--axis", "P", "--values", "0.00025,0.0005,0.001"],
+    ("sweep", "rod-rotation"): ["--axis", "mode1_power", "--values", "0.002,0.004"],
+}
+
+
+class TestFreshProcess:
+    """``python -m levicav.cli`` flushes its streams and ends with
+    ``os._exit``: nothing written may be lost, and every failure is still
+    one stderr line."""
+
+    @pytest.mark.parametrize("command", ["preset", "feasibility", "trace", "sweep"])
+    @pytest.mark.parametrize("preset", ["sphere-appendix-h", "rod-rotation"])
+    def test_output_matches_main(self, capsys, tmp_path, preset, command):
+        path = tmp_path / "s.yaml"
+        assert main(["preset", preset, "--out", str(path)]) == 0
+        argv = [command, preset if command == "preset" else str(path),
+                *FRESH_ARGS.get((command, preset), []), "--quiet"]
+        code, want, _ = run(capsys, argv)
+        assert code == 0 and len(want) > (60_000 if command == "trace" else 300)
+        proc = fresh(argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == want.encode()
+        out = tmp_path / "out.txt"
+        proc = fresh([*argv, "--out", str(out)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("argv, code, start", [
+        (["trace"], 1, "error: levicav trace: missing SCENARIO.yaml"),
+        (["sweep", "F", "--axis", "T", "--values", "0"], 1,
+         "error: gas: temperature and molecule mass must be positive"),
+        (["trace", "F", "--sigma-over-kappa", "1e308"], 2,
+         "numerical failure: protocol.sigma_over_kappa * kappa = 1e+308 * "),
+    ], ids=["usage", "validation", "numerical"])
+    def test_failure_is_one_line(self, sphere_file, argv, code, start):
+        proc = fresh([sphere_file if arg == "F" else arg for arg in argv] + ["--quiet"])
+        err = proc.stderr.decode()
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert err.startswith(start) and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered, entry", [
+        (False, ("-m", "levicav.cli")),
+        (True, ("-m", "levicav.cli")),
+        (False, ("-c", "import runpy, sys; sys.setprofile(lambda *a: None); "
+                       "runpy.run_module('levicav.cli', run_name='__main__')")),
+    ], ids=["buffered", "unbuffered", "profiled"])
+    @pytest.mark.parametrize("command", ["feasibility", "trace"])
+    def test_full_stdout_exit_1(self, sphere_file, command, unbuffered, entry):
+        # a report fits the stdout buffer and fails only on the final flush;
+        # the 60 KB trace fails inside main; a profiled run's normal exit
+        # must not flush the failed buffer again
+        with open("/dev/full", "wb") as full:
+            proc = fresh([command, sphere_file, "--quiet"], stdout=full, entry=entry,
+                         unbuffered=unbuffered)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Exception ignored" not in err
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
+    def test_closed_stdout_no_traceback(self, sphere_file):
+        # stdout is None in the process: main reports it as a defect, in one
+        # line, and the flush must not raise past it
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m",
+                               "levicav.cli", "feasibility", sphere_file, "--quiet"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+    def test_profiled_run_prints_its_stats(self, capsys):
+        # cProfile prints its table after the program ends through SystemExit;
+        # os._exit would end the process first (on 3.12+ cProfile registers
+        # as a sys.monitoring tool, not through sys.setprofile)
+        _, want, _ = run(capsys, ["preset", "sphere-appendix-h", "--quiet"])
+        proc = fresh(["preset", "sphere-appendix-h", "--quiet"],
+                     entry=("-m", "cProfile", "-m", "levicav.cli"))
+        out = proc.stdout.decode()
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.startswith(want) and "function calls" in out[len(want):]
+
+    def test_console_script_enters_through_run(self, sphere_file):
+        # the installed script calls the [project.scripts] entry as
+        # sys.exit(entry()); its trace must equal python -m's
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        module, func = re.search(r'^levicav = "([\w.]+):(\w+)"$', text, re.M).groups()
+        assert (module, func) == ("levicav.cli", "run")
+        argv = ["trace", sphere_file, "--quiet"]
+        script = (f"import sys; from {module} import {func}; "
+                  f"sys.argv[0] = 'levicav'; sys.exit({func}())")
+        got, want = fresh(argv, entry=("-c", script)), fresh(argv)
+        assert (got.returncode, got.stderr) == (want.returncode, want.stderr) == (0, b"")
+        assert got.stdout == want.stdout
+
+
+class _Monitoring:
+    """Stand-in for ``sys.monitoring`` with the given tool ids in use."""
+
+    def __init__(self, *tools):
+        self.tools = tools
+
+    def get_tool(self, tool):
+        return "tool" if tool in self.tools else None
+
+
+def run_entry(monkeypatch, argv, writable=True, watch=None):
+    """``cli.run()`` in this process with argv, stdout failing its flush
+    unless ``writable``, and sys.gettrace, sys.getprofile and sys.monitoring
+    replaced as ``watch`` says (unset when absent): ``(exits, stdout,
+    stderr)``, exits being the ``(function, code)`` it left through."""
+    watch = watch or {}
+
+    class Stream(io.StringIO):
+        def flush(self):
+            if not writable and self is stdout:
+                raise OSError(28, "No space left on device")
+
+    class Exited(Exception):
+        pass
+
+    def leave_by(name):
+        def leave(code):
+            exits.append((name, code))
+            raise Exited
+        return leave
+
+    stdout, stderr, exits = Stream(), Stream(), []
+    monkeypatch.setattr(sys, "argv", ["levicav", *argv])
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    for name in ("gettrace", "getprofile"):
+        monkeypatch.setattr(sys, name, watch.get(name, lambda: None))
+    monkeypatch.setattr(sys, "monitoring", watch.get("monitoring"), raising=False)
+    monkeypatch.setattr(sys, "exit", leave_by("sys.exit"))
+    monkeypatch.setattr(os, "_exit", leave_by("os._exit"))
+    with pytest.raises(Exited):
+        cli.run()
+    return exits, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("watch, exit_through", [
+    ({}, "os._exit"),
+    ({"gettrace": lambda: print}, "sys.exit"),
+    ({"getprofile": lambda: print}, "sys.exit"),
+    ({"monitoring": _Monitoring(2)}, "sys.exit"),
+    ({"monitoring": _Monitoring(5)}, "sys.exit"),
+    ({"monitoring": _Monitoring()}, "os._exit"),
+], ids=["unwatched", "trace", "profile", "monitoring-profiler", "monitoring-5", "monitoring-idle"])
+@pytest.mark.parametrize("writable", [True, False], ids=["written", "full"])
+def test_run_exits_by_observer(monkeypatch, watch, exit_through, writable):
+    # a watched process keeps the normal exit; an unwritable stdout is one
+    # error line and exit 1 on either path
+    exits, out, err = run_entry(monkeypatch, ["preset", "sphere-appendix-h"], writable, watch)
+    assert exits == [(exit_through, 0 if writable else 1)]
+    assert out.startswith("name: sphere-appendix-h\n")
+    assert err == ("" if writable else "error: [Errno 28] No space left on device\n")
+
+
+def test_run_keeps_the_error_of_main(monkeypatch):
+    # a failed run reports its own error only, with its own code
+    exits, out, err = run_entry(monkeypatch, ["preset", "nope"], writable=False)
+    assert exits == [("os._exit", 1)]
+    assert out == "" and err.startswith("error: unknown preset") and err.count("\n") == 1
 
 
 SCIPY_PROBE = """
