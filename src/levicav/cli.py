@@ -10,8 +10,8 @@
 Feasibility reports are emitted as indented key-value documents (YAML
 subset); traces as CSV with header ``t_seconds,t_kappa_units,n_phonon``.
 All numbers carry 6 significant figures. Exit codes: 0 success,
-1 validation error (a malformed command line among them), 2 numerical
-failure.
+1 validation error (a malformed command line among them) or an output
+that cannot be written, 2 numerical failure.
 
 ``levicav`` and ``python -m levicav.cli`` enter through ``run``, which
 ends the process without the interpreter's teardown; a caller that stays
@@ -75,11 +75,20 @@ def render_kv(doc: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def _stream(name: str):
+    """``sys.stdout`` or ``sys.stderr``; one closed at launch is None, and
+    writing to it is a write error like any other."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out is None:
-        sys.stdout.write(text)
+        _stream("stdout").write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -87,7 +96,16 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _info(args, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        print(message, file=_stream("stderr"))
+
+
+def _report(line: str) -> None:
+    """The one stderr line of a failed run, best-effort: a stderr that is
+    closed or cannot be written loses it, and the run keeps its code."""
+    try:
+        print(line, file=_stream("stderr"))
+    except Exception:
+        pass
 
 
 def _cmd_feasibility(args) -> int:
@@ -287,18 +305,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         command, args = _parse(sys.argv[1:] if argv is None else list(argv))
         if args is None:
-            sys.stdout.write(_usage(command))
+            _write_output(_usage(command), None)
             return 0
         return _COMMANDS[command][0](args)
     except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _report(f"numerical failure: {exc}")
         return 2
     except Exception as exc:  # a defect, still reported in one line
-        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
-              file=sys.stderr)
+        _report(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}")
         return 2
 
 
@@ -317,7 +334,8 @@ def run() -> None:
     (unloading numpy, a collection, atexit) costs more than a subcommand's
     own work and nothing a subcommand leaves needs it. A stdout that cannot
     take the output is reported as ``main`` reports a write error: one
-    ``error:`` line, exit 1. A watched process (``_observed``) ends with
+    ``error:`` line, exit 1; a stderr that cannot take it loses the line,
+    not the code. A watched process (``_observed``) ends with
     ``sys.exit``, so its observer still reports."""
     code = main()
     try:
@@ -326,10 +344,13 @@ def run() -> None:
     except OSError as exc:
         sys.stdout = None  # else a watched run's teardown flushes it again
         if code == 0:  # a write error of main's own is already reported
-            print(f"error: {exc}", file=sys.stderr)
+            _report(f"error: {exc}")
             code = 1
-    if sys.stderr is not None:  # line-buffered: holds at most a partial line
-        sys.stderr.flush()
+    try:
+        if sys.stderr is not None:  # line-buffered: holds at most a partial line
+            sys.stderr.flush()
+    except OSError:  # the line main could not write is already lost
+        sys.stderr = None
     if _observed():
         sys.exit(code)
     os._exit(code)

@@ -180,33 +180,53 @@ def _pulse_window(p: PulseProtocol) -> tuple[float, float]:
 _SERIES_TERMS = 12
 
 
+def _import_bare(name: str, packages: tuple[str, ...]):
+    """Module ``name``, imported with a bare stand-in (the real ``__path__``
+    and spec, nothing run) in sys.modules for each of ``packages`` not yet
+    loaded, so no package ``__init__`` runs; the stand-ins are dropped on
+    return or failure."""
+    placed = []
+    try:
+        for package in packages:
+            if package not in sys.modules:
+                spec = importlib.util.find_spec(package)
+                stub = types.ModuleType(package)
+                stub.__path__, stub.__spec__ = spec.submodule_search_locations, spec
+                sys.modules[package] = stub
+                placed.append(stub)
+        __import__(name)  # not importlib.import_module: -X importtime lists this
+        return sys.modules[name]
+    finally:
+        for stub in placed:
+            if sys.modules.get(stub.__name__) is stub:
+                del sys.modules[stub.__name__]
+
+
 @functools.cache
 def _wofz():
     """scipy's Faddeeva ufunc ``wofz``, bound on first use.
 
-    ``from scipy.special import wofz`` runs ``scipy/special/__init__``, whose
-    array-API layer loads numpy.f2py, numpy.random, numpy.ma and
-    numpy.testing; the ufunc itself is defined in ``scipy.special._ufuncs``.
-    That module is imported under a bare stand-in for its package, which is
-    then dropped, so a later ``import scipy.special`` runs in full and hands
-    out this same object. Any failure takes the ordinary import.
+    ``from scipy.special import wofz`` runs ``scipy/__init__`` and
+    ``scipy/special/__init__``, whose array-API layer loads numpy.f2py,
+    numpy.random, numpy.ma and numpy.testing. Where ``scipy.special`` is not
+    loaded yet, the ufunc is taken from the extension that defines it:
+    ``scipy.special._special_ufuncs``, which imports no scipy module, under
+    stand-ins for both packages; on releases where that module has no
+    ``wofz``, ``scipy.special._ufuncs`` under a stand-in for
+    ``scipy.special`` alone. Neither stand-in nor the ``_special_ufuncs``
+    entry stays in sys.modules, so a later ``import scipy.special`` runs in
+    full, re-creates that module as its attribute and hands out this same
+    object. Any failure takes the ordinary import.
     """
     if "scipy.special" not in sys.modules:
         try:
-            import scipy
-            spec = importlib.util.find_spec("scipy.special")
-            stub = types.ModuleType(spec.name)
-            stub.__path__, stub.__spec__ = spec.submodule_search_locations, spec
-            sys.modules[spec.name] = stub
-            try:
-                from scipy.special._ufuncs import wofz
-            finally:
-                if sys.modules.get(spec.name) is stub:
-                    del sys.modules[spec.name]
-                # not getattr: scipy's module __getattr__ would import scipy.special
-                if vars(scipy).get("special") is stub:
-                    del scipy.special
-            return wofz
+            return _import_bare("scipy.special._special_ufuncs", ("scipy", "scipy.special")).wofz
+        except Exception:
+            pass
+        finally:
+            sys.modules.pop("scipy.special._special_ufuncs", None)
+        try:
+            return _import_bare("scipy.special._ufuncs", ("scipy.special",)).wofz
         except Exception:
             pass
     from scipy.special import wofz

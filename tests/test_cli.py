@@ -401,6 +401,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "internal error: RuntimeError: boom second line\n"
 
+    @pytest.mark.parametrize("argv, code", [
+        (["feasibility", "F"], 1),
+        (["feasibility", "missing.yaml", "--quiet"], 1),
+        (["trace", "F", "--sigma-over-kappa", "1e308", "--quiet"], 2),
+    ], ids=["chatter", "validation", "numerical"])
+    def test_unwritable_stderr_still_returns(self, capsys, monkeypatch, sphere_file, argv,
+                                             code):
+        # main returns its code when stderr cannot take a line: a failed
+        # chatter line is a write error, and a failure keeps its own code
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main([sphere_file if arg == "F" else arg for arg in argv]) == code
+        assert capsys.readouterr().out == ""
+
     def test_keyboard_interrupt_passes_through(self, monkeypatch, sphere_file):
         import levicav.cli as cli
 
@@ -594,13 +611,22 @@ class TestFreshProcess:
 
     @pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
     def test_closed_stdout_no_traceback(self, sphere_file):
-        # stdout is None in the process: main reports it as a defect, in one
-        # line, and the flush must not raise past it
+        # stdout is None in the process: main reports it as a write error, in
+        # one line, and the flush must not raise past it
         proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m",
                                "levicav.cli", "feasibility", sphere_file, "--quiet"],
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode != 0
-        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert proc.returncode == 1
+        assert proc.stderr == "error: stdout is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stderr_exit_1(self, sphere_file):
+        # the chatter line fails, and so does the error line that reports it
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "levicav.cli", "feasibility",
+                                   sphere_file], stdout=subprocess.PIPE, stderr=full,
+                                  timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, b"")
 
     def test_profiled_run_prints_its_stats(self, capsys):
         # cProfile prints its table after the program ends through SystemExit;

@@ -232,33 +232,62 @@ class TestFaddeevaEvaluation:
                    for u in pulse._filtered_input(protocol, protocol.t_grid))
 
 
-#: a trace in a fresh interpreter; prints which scipy layers it loaded, what
-#: sys.modules holds as scipy.special, the trace's sha256 and whether the
-#: bound wofz is scipy.special.wofz
+#: a trace in a fresh interpreter, with scipy.special imported before it
+#: ("before"), scipy alone ("scipy"), no wofz in _special_ufuncs ("ufuncs")
+#: or every bare route broken ("fallback"); prints which scipy
+#: layers it loaded, the scipy modules sys.modules holds after the trace,
+#: what it holds as scipy.special, the trace's sha256, and, after a full
+#: import, whether the bound wofz is scipy.special.wofz and
+#: scipy.special._special_ufuncs.wofz
 BINDER_PROBE = """
 import hashlib, importlib.util, json, sys
 mode = sys.argv[1]
 if mode == "before":
     import scipy.special
+if mode == "scipy":
+    import scipy
 from levicav import pulse
+if mode == "ufuncs":  # a _special_ufuncs without wofz, as in older releases
+    bare = pulse._import_bare
+    def without_wofz(name, packages):
+        module = bare(name, packages)
+        return object() if name.endswith("._special_ufuncs") else module
+    pulse._import_bare = without_wofz
 if mode == "fallback":
     importlib.util.find_spec = lambda *args, **kwargs: None
 trace = pulse.phonon_trace(pulse.PulseProtocol.standard(g=1.0, kappa=1.0))
 special = sys.modules.get("scipy.special")
 state = {"layers": [name for name in ("scipy.special._support_alternative_backends",
                                       "scipy._lib._array_api") if name in sys.modules],
+         "loaded": sorted(name for name in sys.modules if name.startswith("scipy")),
          "special": None if special is None else hasattr(special, "wofz"),
          "sha": hashlib.sha256(trace.n_phonon.tobytes()).hexdigest()}
 import scipy.special
 state["same"] = pulse._wofz() is scipy.special.wofz
+state["extension"] = getattr(getattr(scipy.special, "_special_ufuncs", None), "wofz",
+                             None) is pulse._wofz()
 print("PROBE " + json.dumps(state))
 """
 
 
+def special_ufuncs_has_wofz():
+    """Whether this scipy defines wofz in ``scipy.special._special_ufuncs``,
+    the extension the binder takes it from (not scipy 1.10)."""
+    try:
+        from scipy.special import _special_ufuncs
+    except ImportError:
+        return False
+    return hasattr(_special_ufuncs, "wofz")
+
+
 class TestWofzBinding:
-    """``pulse._wofz`` binds scipy's ufunc from ``scipy.special._ufuncs``
-    without running ``scipy/special/__init__``; each case runs in a fresh
-    interpreter, so sys.modules starts empty of scipy."""
+    """``pulse._wofz`` binds scipy's ufunc from
+    ``scipy.special._special_ufuncs`` under stand-ins for ``scipy`` and
+    ``scipy.special``, so neither package's ``__init__`` runs; where that
+    module has no ``wofz`` (scipy 1.10), from ``scipy.special._ufuncs``
+    under a stand-in for ``scipy.special`` alone. Each case runs in a fresh
+    interpreter, so sys.modules starts empty of scipy; after it a full
+    ``import scipy.special`` hands out the same ufunc."""
 
     def probe(self, mode):
         proc = subprocess.run([sys.executable, "-c", BINDER_PROBE, mode],
@@ -271,10 +300,33 @@ class TestWofzBinding:
         return state
 
     def test_fast_path_skips_the_array_api_layer(self):
-        # the stand-in package is gone and the real import comes later, in
-        # full, with the same ufunc; if a scipy release breaks the fast path,
-        # this says so rather than letting trace slow down unseen
-        assert self.probe("after") == {"layers": [], "special": None, "same": True}
+        # the stand-ins are gone and the real import comes later, in full,
+        # with the same ufunc; if a scipy release breaks the fast path, this
+        # says so rather than letting trace slow down unseen
+        state = self.probe("after")
+        loaded, extension = state.pop("loaded"), state.pop("extension")
+        assert state == {"layers": [], "special": None, "same": True}
+        if special_ufuncs_has_wofz():
+            # no scipy module but the extension loads, and it leaves no entry
+            # behind, so the full import re-creates it as a package attribute
+            assert loaded == [] and extension is True
+
+    def test_loaded_scipy_keeps_its_own_namespace(self):
+        # with scipy itself imported, only scipy.special is stood in for
+        state = self.probe("scipy")
+        loaded, extension = state.pop("loaded"), state.pop("extension")
+        assert state == {"layers": [], "special": None, "same": True}
+        assert "scipy" in loaded
+        if special_ufuncs_has_wofz():
+            assert [name for name in loaded if name.startswith("scipy.special")] == []
+            assert extension is True
+
+    def test_ufuncs_route(self):
+        # the route of releases whose _special_ufuncs has no wofz, taken on
+        # any release by hiding it there
+        state = self.probe("ufuncs")
+        assert state["layers"] == [] and state["special"] is None and state["same"] is True
+        assert "scipy.special" not in state["loaded"]
 
     def test_prior_import_is_reused(self):
         state = self.probe("before")
