@@ -23,11 +23,14 @@ the phonon expectation is exactly
 where G_ba is the impulse response of the pair; no Fock-space truncation
 is involved, and <b>(t) = 0 identically. Inside the pulse window the
 convolution is evaluated in closed form through the Faddeeva function
-(``_filtered_input``), with an even series at critical coupling; after the
-window the input has ended and the state is propagated by exp(M tau),
+(``_filtered_input``), with an even series at critical coupling; a real
+rate needs w only on the imaginary axis, where Faddeeva's w returns
+erfcx itself, so the real ufunc is exact there. After the window the
+input has ended and the state is propagated by exp(M tau),
 M = [[-kappa, -ig], [-ig, -gamma]]; both in real arithmetic on u_a and
-v_b = i u_b. A direct double quadrature of the Green's function against
-the input correlation is an independent route to the same quantity; the
+v_b = i u_b, of which the phonon trace forms v_b alone past the window.
+A direct double quadrature of the Green's function against the input
+correlation is an independent route to the same quantity; the
 time-stepped second-moment equations, a second one, are a test oracle in
 ``tests/oracles.py``.
 """
@@ -203,34 +206,46 @@ def _import_bare(name: str, packages: tuple[str, ...]):
 
 
 @functools.cache
-def _wofz():
-    """scipy's Faddeeva ufunc ``wofz``, bound on first use.
+def _faddeeva():
+    """scipy's ufuncs ``wofz`` and ``erfcx``, bound together on first use.
 
     ``from scipy.special import wofz`` runs ``scipy/__init__`` and
     ``scipy/special/__init__``, whose array-API layer loads numpy.f2py,
     numpy.random, numpy.ma and numpy.testing. Where ``scipy.special`` is not
-    loaded yet, the ufunc is taken from the extension that defines it:
+    loaded yet, the ufuncs are taken from the extension that defines them:
     ``scipy.special._special_ufuncs``, which imports no scipy module, under
-    stand-ins for both packages; on releases where that module has no
-    ``wofz``, ``scipy.special._ufuncs`` under a stand-in for
-    ``scipy.special`` alone. Neither stand-in nor the ``_special_ufuncs``
-    entry stays in sys.modules, so a later ``import scipy.special`` runs in
-    full, re-creates that module as its attribute and hands out this same
-    object. Any failure takes the ordinary import.
+    stand-ins for both packages; on releases where that module lacks one of
+    them, ``scipy.special._ufuncs`` under a stand-in for ``scipy.special``
+    alone. Neither stand-in nor the ``_special_ufuncs`` entry stays in
+    sys.modules, so a later ``import scipy.special`` runs in full, re-creates
+    that module as its attribute and hands out these same objects. Any
+    failure takes the ordinary import.
     """
     if "scipy.special" not in sys.modules:
         try:
-            return _import_bare("scipy.special._special_ufuncs", ("scipy", "scipy.special")).wofz
+            module = _import_bare("scipy.special._special_ufuncs", ("scipy", "scipy.special"))
+            return module.wofz, module.erfcx
         except Exception:
             pass
         finally:
             sys.modules.pop("scipy.special._special_ufuncs", None)
         try:
-            return _import_bare("scipy.special._ufuncs", ("scipy.special",)).wofz
+            module = _import_bare("scipy.special._ufuncs", ("scipy.special",))
+            return module.wofz, module.erfcx
         except Exception:
             pass
-    from scipy.special import wofz
-    return wofz
+    from scipy.special import erfcx, wofz
+    return wofz, erfcx
+
+
+def _wofz():
+    """scipy.special.wofz, as ``_faddeeva`` binds it."""
+    return _faddeeva()[0]
+
+
+def _erfcx():
+    """scipy.special.erfcx, as ``_faddeeva`` binds it."""
+    return _faddeeva()[1]
 
 
 def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
@@ -246,30 +261,36 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
     Re z_s < 0 the reflection erfc(z) = 2 - erfc(-z) keeps w's argument in
     the upper half plane; its constant cancels unless the limits straddle
     Re z = 0, and there it is bounded by the integrand. w depends on s
-    alone: it is evaluated once at lo and once at each t; np.where and
-    the straddle mask run only where some Re z_t < 0.
+    alone: it is evaluated once at lo and once at each t. A real lam (the
+    overdamped lam+-, the critical series' -h) makes i z_s imaginary, and
+    Faddeeva's w(iy) returns erfcx(y) itself, so the real ufunc gives w's
+    bits; e_s keeps lam's type, as complex and real exp can differ by an ulp.
     """
-    wofz = _wofz()
     sigma, delay = p.sigma, p.delay_L
-    z_lo = 0.5 * sigma * (lo - delay) + lam / sigma
-    reflected_lo = z_lo.real < 0.0
-    w_lo = wofz(1j * (-z_lo if reflected_lo else z_lo))
-    e_lo = np.exp(lam * (t - lo) - 0.25 * sigma**2 * (lo - delay) ** 2)
-    out = -e_lo * w_lo if reflected_lo else e_lo * w_lo
-    s = t - delay
-    z = 0.5 * sigma * s + lam / sigma
-    reflected = z.real < 0.0
-    e_t = np.exp(lam * 0.0 - 0.25 * sigma**2 * s**2)  # complex exp for complex lam
-    if reflected.any():
-        w_t = wofz(1j * np.where(reflected, -z, z))
-        out -= np.where(reflected, -e_t * w_t, e_t * w_t)
-        straddle = ~reflected
+    if lam.imag == 0.0:
+        w, shift = _erfcx(), lam.real / sigma
     else:
-        out -= e_t * wofz(1j * z)
-        straddle = slice(None)
+        wofz = _wofz()
+        w, shift = (lambda z: wofz(1j * z)), lam / sigma
+    z_lo = 0.5 * sigma * (lo - delay) + shift
+    reflected_lo = z_lo.real < 0.0
+    w_lo = w(-z_lo if reflected_lo else z_lo)
+    # products out of place: numpy's in-place complex product of a
+    # one-element array can round differently
+    out = np.exp(lam * (t - lo) - 0.25 * sigma**2 * (lo - delay) ** 2) * (
+        -w_lo if reflected_lo else w_lo)
+    s = t - delay
+    z = 0.5 * sigma * s + shift
+    reflected = z.real < 0.0
+    np.negative(z, out=z, where=reflected)
+    term = np.exp(lam * 0.0 - 0.25 * sigma**2 * s**2) * w(z)  # complex exp for complex lam
+    np.negative(term, out=term, where=reflected)
+    out -= term
     if reflected_lo:
+        straddle = ~reflected
         out[straddle] += 2.0 * np.exp(lam * s[straddle] + lam**2 / sigma**2)
-    return math.sqrt(math.pi) / sigma * out
+    out *= math.sqrt(math.pi) / sigma
+    return out
 
 
 def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
@@ -317,19 +338,20 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     return out[0].reshape(t.shape), out[1].reshape(t.shape)
 
 
-def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
-    """``_filtered_input`` at 1-D ascending times, as rows (u_a, v_b); a NaN
-    time sorts last and raises NumericalError."""
+def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray, both: bool = True) -> np.ndarray:
+    """``_filtered_input`` at 1-D ascending times, as rows (u_a, v_b), or as
+    the one row v_b where ``both`` is false (u_a is then formed at hi alone);
+    a NaN time sorts last and raises NumericalError."""
     if t.size and math.isnan(t[-1]):
         raise NumericalError("filtered input requested at a NaN time")
-    out = np.zeros((2, t.size))
+    out = np.zeros((2 if both else 1, t.size))
     lo, hi = _pulse_window(p)
     if hi <= 0.0:
         return out
     after = slice(t.searchsorted(hi), None)  # t >= hi
     if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
         area = (8.0 * math.pi / p.sigma**2) ** 0.25
-        out[0, after], out[1, after] = _free_evolution(p, t[after] - hi, area, 0.0)
+        out[:, after] = _free_evolution(p, t[after] - hi, area, 0.0, both)
         return out
     lo = max(lo, 0.0)
     inside = slice(t.searchsorted(lo, "right"), after.start)  # lo < t < hi
@@ -346,7 +368,7 @@ def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
     if not abs(nu) * (p.delay_L + half_sum * beta - lo + tail) > 1.0 + 1e-12:
         alpha = t_live - p.delay_L - half_sum * beta
         series = abs(nu) * ((t_live - lo) + np.abs(alpha) + tail) <= 1.0
-    ua, vb = np.empty((2, t_live.size))
+    ua, vb = live = np.empty((2, t_live.size))
 
     if series is not None and series.any():
         ts, al = t_live[series], alpha[series]
@@ -376,29 +398,38 @@ def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
         else:
             minus = _gaussian_convolution(-half_sum - nu, tr, lo, hi, p).real
             mean, dif, inv = 0.5 * (plus.real + minus), plus.real - minus, 1.0 / (2.0 * nu.real)
-        ua[rest] = mean - (half_dif * dif) * inv  # inv last, as complex division rounds
         vb[rest] = (p.g * dif) * inv
+        if both:
+            ua[rest] = mean - (half_dif * dif) * inv  # inv last, as complex division rounds
+        elif tr[-1] == hi:  # hi is a rest time, and v_b alone needs u_a there only
+            ua[-1] = mean[-1] - (half_dif * dif[-1]) * inv
 
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
-    ua, vb = norm * ua, norm * vb
-    out[0, inside], out[1, inside] = ua[:-1], vb[:-1]
-    out[0, after], out[1, after] = _free_evolution(p, t[after] - hi, ua[-1], vb[-1])
+    ua_hi = norm * ua[-1]
+    rows = live[-len(out):]  # those of out: (u_a, v_b), or v_b alone
+    rows *= norm
+    out[:, inside] = rows[:, :-1]
+    out[:, after] = _free_evolution(p, t[after] - hi, ua_hi, vb[-1], both)
     return out
 
 
-def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float):
+def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float,
+                    both: bool = True):
     """exp(M tau) (ua0, -i vb0) = (u_a, -i v_b) as the real pair
     (u_a, v_b) = e^{-h tau} [[c - d s, -g s], [g s, c + d s]] (ua0, vb0),
     c = cosh(nu tau), s = sinh(nu tau)/nu, in a real form per sign of
     nu^2 that divides no difference by nu: cos and sin/omega for nu = i omega;
     e^{(nu-h) tau} with expm1(-2 nu tau) for real nu <= h, which cannot
-    overflow; c = 1, s = tau at nu = 0."""
+    overflow; c = 1, s = tau at nu = 0. Where ``both`` is false, the v_b
+    row alone, as a 1-tuple."""
     h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
     nu2 = d * d - p.g * p.g
     if nu2 < 0.0:
         omega = math.sqrt(-nu2)
-        decay = np.exp(-h * tau)
-        c, s = decay * np.cos(omega * tau), decay * np.sin(omega * tau) / omega
+        decay, phase = np.exp(-h * tau), omega * tau
+        c, s = np.cos(phase) * decay, np.sin(phase, out=phase)
+        s *= decay
+        s /= omega
     elif nu2 > 0.0:
         nu = math.sqrt(nu2)
         decay, em = np.exp((nu - h) * tau), np.expm1(-2.0 * nu * tau)
@@ -407,17 +438,26 @@ def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float):
         c = np.exp(-h * tau)
         s = tau * c
     gs = p.g * s  # c and s carry the common factor e^{-h tau}
-    return (c - d * s) * ua0 - gs * vb0, (c + d * s) * vb0 + gs * ua0
+    ua = (c - d * s) * ua0 - gs * vb0 if both else None
+    vb = s  # (c + d s) vb0 + g s ua0, in place
+    vb *= d
+    vb += c
+    vb *= vb0
+    gs *= ua0
+    vb += gs
+    return (ua, vb) if both else (vb,)
 
 
-def _finite(quantity: str, compute) -> np.ndarray:
-    """compute(), or NumericalError where it is out of range or not finite."""
+def _finite(quantity: str, compute, scan: bool = True) -> np.ndarray:
+    """compute(), or NumericalError where it is out of range or, with
+    ``scan``, not finite (values >= 0 need no scan: their argmax is the
+    first NaN or inf, if any, and the caller checks that one)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             values = compute()
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalError(f"{quantity} out of floating-point range: {exc}") from exc
-    if not np.isfinite(values).all():
+    if scan and not np.isfinite(values).all():
         raise NumericalError(f"{quantity} is not finite")
     return values
 
@@ -430,9 +470,18 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     sample it: parabolic-interpolation error above 1e-4 of the peak, or
     every sample 0 where g > 0 and the pulse reaches grid times after t = 0.
     """
-    n = _finite("phonon trace", lambda: 2.0 * p.kappa * _filtered_input(p, p.t_grid)[1] ** 2)
-    i = int(n.argmax())
+    def n_phonon():
+        # PulseProtocol proved t_grid finite and increasing: no sort to undo
+        n = _sorted_filtered_input(p, p.t_grid, both=False)[0]
+        n *= n
+        n *= 2.0 * p.kappa
+        return n
+
+    n = _finite("phonon trace", n_phonon, scan=False)
+    i = int(n.argmax())  # n >= 0: the first NaN or inf, if any
     peak = float(n[i])
+    if not math.isfinite(peak):
+        raise NumericalError("phonon trace is not finite")
     if peak == 0.0 and p.g > 0.0:
         lo, hi = _pulse_window(p)
         if hi > 0.0 and p.t_grid[-1] > max(lo, 0.0):  # the pulse fell between two points

@@ -108,6 +108,23 @@ class TestTrace:
         with pytest.raises(NumericalError):
             cavity_population(protocol, protocol.t_grid)
 
+    @pytest.mark.parametrize("bad", [{700: math.nan}, {700: math.inf},
+                                     {100: math.inf, 900: math.nan}],
+                             ids=["nan", "inf", "inf-then-nan"])
+    def test_non_finite_trace_reported(self, bad, monkeypatch):
+        # the trace is read for NaN and inf at its argmax alone
+        sorted_input = pulse._sorted_filtered_input
+
+        def spoiled(p, t, both=True):
+            out = sorted_input(p, t, both)
+            for i, value in bad.items():
+                out[-1, i] = value
+            return out
+
+        monkeypatch.setattr(pulse, "_sorted_filtered_input", spoiled)
+        with pytest.raises(NumericalError, match="^phonon trace is not finite$"):
+            phonon_trace(standard(1.0))
+
     @pytest.mark.parametrize("times", [math.nan, [5.0, math.nan, 6.0], [math.nan] * 3],
                              ids=["scalar", "inside-array", "all-nan"])
     def test_nan_time_reported(self, times):
@@ -206,6 +223,12 @@ class TestFaddeevaEvaluation:
                 protocols.append(PulseProtocol(
                     g=g * KAPPA, kappa=KAPPA, gamma=(1.0 - 2.0 * d) * KAPPA,
                     sigma=sigma, delay_L=delay, t_grid=np.linspace(start, stop, n)))
+        # grids after hi convolve at hi alone; there numpy's in-place complex
+        # product of a one-element array rounds differently from the array form
+        for g in (1.6, 2.0, 3.0):
+            hi = 3.0 + 10.0 / 0.5
+            protocols.append(PulseProtocol(g=g, kappa=1.0, gamma=0.0, sigma=0.5, delay_L=3.0,
+                                           t_grid=np.linspace(hi + 1e-3, hi + 10.0, 50)))
         shuffled = rng.permutation(protocols[1].t_grid)
         new = [pulse._filtered_input(p, p.t_grid) for p in protocols]
         new_envelope = output_field_envelope(protocols[1], shuffled)
@@ -216,29 +239,49 @@ class TestFaddeevaEvaluation:
             assert np.array_equal(ua, ua_ref) and np.array_equal(ub, ub_ref)
 
     def test_one_evaluation_per_distinct_limit(self, monkeypatch):
-        wofz, evaluated = pulse._wofz(), []
+        wofz, erfcx, evaluated, real = pulse._wofz(), pulse._erfcx(), [], []
 
         def counting_wofz(z):
             evaluated.append(np.size(z))
             return wofz(z)
 
+        def counting_erfcx(y):
+            real.append(np.size(y))
+            return erfcx(y)
+
         monkeypatch.setattr(pulse, "_wofz", lambda: counting_wofz)
+        monkeypatch.setattr(pulse, "_erfcx", lambda: counting_erfcx)
         protocol = standard(1.0)  # underdamped: lam- = conj(lam+) needs no second call
         phonon_trace(protocol)
         lo, hi = pulse._pulse_window(protocol)
         n_inside = np.count_nonzero((protocol.t_grid > max(lo, 0.0)) & (protocol.t_grid < hi))
         assert 0 < sum(evaluated) <= n_inside + 2
+        assert real == []  # a complex rate takes w off the imaginary axis
         assert all(u.dtype == np.float64
                    for u in pulse._filtered_input(protocol, protocol.t_grid))
+        # real rates take erfcx alone: the overdamped lam+- (two convolutions)
+        # and the critical series' -h (one)
+        for g_over_kappa, rates in ((0.2, 2), (0.5, 1)):
+            evaluated.clear()
+            real.clear()
+            phonon_trace(standard(g_over_kappa))
+            assert evaluated == [] and 0 < sum(real) <= rates * (n_inside + 2)
+
+    def test_erfcx_is_w_on_the_imaginary_axis(self):
+        # real rates take erfcx for w: Faddeeva's w(iy) returns erfcx(y) itself
+        y = np.concatenate([np.linspace(0.0, 60.0, 100001), np.geomspace(1e-300, 1e300, 2001)])
+        w = pulse._wofz()(1j * y)
+        assert np.array_equal(w.real, pulse._erfcx()(y)) and not w.imag.any()
 
 
-#: a trace in a fresh interpreter, with scipy.special imported before it
-#: ("before"), scipy alone ("scipy"), no wofz in _special_ufuncs ("ufuncs")
-#: or every bare route broken ("fallback"); prints which scipy
-#: layers it loaded, the scipy modules sys.modules holds after the trace,
-#: what it holds as scipy.special, the trace's sha256, and, after a full
-#: import, whether the bound wofz is scipy.special.wofz and
-#: scipy.special._special_ufuncs.wofz
+#: an underdamped (wofz) and an overdamped (erfcx) trace in a fresh
+#: interpreter, with scipy.special imported before them ("before"), scipy
+#: alone ("scipy"), no wofz in _special_ufuncs ("ufuncs") or every bare
+#: route broken ("fallback"); prints which scipy layers they loaded, the
+#: scipy modules sys.modules holds after them, what it holds as
+#: scipy.special, the traces' sha256, and, after a full import, whether the
+#: bound wofz and erfcx are scipy.special's and
+#: scipy.special._special_ufuncs's
 BINDER_PROBE = """
 import hashlib, importlib.util, json, sys
 mode = sys.argv[1]
@@ -255,39 +298,43 @@ if mode == "ufuncs":  # a _special_ufuncs without wofz, as in older releases
     pulse._import_bare = without_wofz
 if mode == "fallback":
     importlib.util.find_spec = lambda *args, **kwargs: None
-trace = pulse.phonon_trace(pulse.PulseProtocol.standard(g=1.0, kappa=1.0))
+traces = [pulse.phonon_trace(pulse.PulseProtocol.standard(g=g, kappa=1.0)).n_phonon
+          for g in (1.0, 0.2)]
 special = sys.modules.get("scipy.special")
 state = {"layers": [name for name in ("scipy.special._support_alternative_backends",
                                       "scipy._lib._array_api") if name in sys.modules],
          "loaded": sorted(name for name in sys.modules if name.startswith("scipy")),
          "special": None if special is None else hasattr(special, "wofz"),
-         "sha": hashlib.sha256(trace.n_phonon.tobytes()).hexdigest()}
+         "sha": hashlib.sha256(b"".join(n.tobytes() for n in traces)).hexdigest()}
 import scipy.special
 state["same"] = pulse._wofz() is scipy.special.wofz
-state["extension"] = getattr(getattr(scipy.special, "_special_ufuncs", None), "wofz",
-                             None) is pulse._wofz()
+state["same_erfcx"] = pulse._erfcx() is scipy.special.erfcx
+extension = getattr(scipy.special, "_special_ufuncs", None)
+state["extension"] = all(getattr(extension, name, None) is bound
+                         for name, bound in (("wofz", pulse._wofz()), ("erfcx", pulse._erfcx())))
 print("PROBE " + json.dumps(state))
 """
 
 
-def special_ufuncs_has_wofz():
-    """Whether this scipy defines wofz in ``scipy.special._special_ufuncs``,
-    the extension the binder takes it from (not scipy 1.10)."""
+def special_ufuncs_has_faddeeva():
+    """Whether this scipy defines wofz and erfcx in
+    ``scipy.special._special_ufuncs``, the extension the binder takes them
+    from (not scipy 1.10)."""
     try:
         from scipy.special import _special_ufuncs
     except ImportError:
         return False
-    return hasattr(_special_ufuncs, "wofz")
+    return hasattr(_special_ufuncs, "wofz") and hasattr(_special_ufuncs, "erfcx")
 
 
 class TestWofzBinding:
-    """``pulse._wofz`` binds scipy's ufunc from
+    """``pulse._faddeeva`` binds scipy's ufuncs ``wofz`` and ``erfcx`` from
     ``scipy.special._special_ufuncs`` under stand-ins for ``scipy`` and
     ``scipy.special``, so neither package's ``__init__`` runs; where that
     module has no ``wofz`` (scipy 1.10), from ``scipy.special._ufuncs``
     under a stand-in for ``scipy.special`` alone. Each case runs in a fresh
     interpreter, so sys.modules starts empty of scipy; after it a full
-    ``import scipy.special`` hands out the same ufunc."""
+    ``import scipy.special`` hands out the same ufuncs."""
 
     def probe(self, mode):
         proc = subprocess.run([sys.executable, "-c", BINDER_PROBE, mode],
@@ -295,8 +342,9 @@ class TestWofzBinding:
         assert proc.returncode == 0, proc.stderr
         line = next(row for row in proc.stdout.splitlines() if row.startswith("PROBE "))
         state = json.loads(line[len("PROBE "):])
-        reference = phonon_trace(PulseProtocol.standard(g=1.0, kappa=1.0)).n_phonon
-        assert state.pop("sha") == hashlib.sha256(reference.tobytes()).hexdigest()
+        reference = b"".join(phonon_trace(PulseProtocol.standard(g=g, kappa=1.0)).n_phonon.tobytes()
+                             for g in (1.0, 0.2))
+        assert state.pop("sha") == hashlib.sha256(reference).hexdigest()
         return state
 
     def test_fast_path_skips_the_array_api_layer(self):
@@ -305,8 +353,8 @@ class TestWofzBinding:
         # says so rather than letting trace slow down unseen
         state = self.probe("after")
         loaded, extension = state.pop("loaded"), state.pop("extension")
-        assert state == {"layers": [], "special": None, "same": True}
-        if special_ufuncs_has_wofz():
+        assert state == {"layers": [], "special": None, "same": True, "same_erfcx": True}
+        if special_ufuncs_has_faddeeva():
             # no scipy module but the extension loads, and it leaves no entry
             # behind, so the full import re-creates it as a package attribute
             assert loaded == [] and extension is True
@@ -315,9 +363,9 @@ class TestWofzBinding:
         # with scipy itself imported, only scipy.special is stood in for
         state = self.probe("scipy")
         loaded, extension = state.pop("loaded"), state.pop("extension")
-        assert state == {"layers": [], "special": None, "same": True}
+        assert state == {"layers": [], "special": None, "same": True, "same_erfcx": True}
         assert "scipy" in loaded
-        if special_ufuncs_has_wofz():
+        if special_ufuncs_has_faddeeva():
             assert [name for name in loaded if name.startswith("scipy.special")] == []
             assert extension is True
 
@@ -326,17 +374,20 @@ class TestWofzBinding:
         # any release by hiding it there
         state = self.probe("ufuncs")
         assert state["layers"] == [] and state["special"] is None and state["same"] is True
+        assert state["same_erfcx"] is True
         assert "scipy.special" not in state["loaded"]
 
     def test_prior_import_is_reused(self):
         state = self.probe("before")
         assert state["special"] is True and state["same"] is True
+        assert state["same_erfcx"] is True
 
     def test_failed_fast_path_falls_back(self):
-        # with no prior import, a full scipy.special after the trace is the
+        # with no prior import, a full scipy.special after the traces is the
         # fallback's own import
         state = self.probe("fallback")
         assert state["special"] is True and state["same"] is True
+        assert state["same_erfcx"] is True
 
 
 def past_window_reference(p, t, dps=40):
@@ -656,7 +707,8 @@ def series_threshold_protocol(kappa, gamma_over_kappa):
 
 class TestSliceWindow:
     """The window and tail as slices of sorted times, and the scalar guard
-    on the critical-coupling series, give the mask-based values bit for bit."""
+    on the critical-coupling series, give the mask-based values bit for bit;
+    the trace, which forms v_b alone, gives 2 kappa v_b^2 of both."""
 
     @pytest.mark.parametrize("kappa", [1.0, KAPPA])
     @pytest.mark.parametrize("gamma_over_kappa", [0.0, 0.3])
@@ -674,6 +726,13 @@ class TestSliceWindow:
         lo, hi = pulse._pulse_window(p)  # lo > 0: a grid can start on it
         cases = [*bit_identity_protocols(kappa, gamma_over_kappa, rng), (p, p.t_grid),
                  (p, np.linspace(lo, hi + 2.0 / kappa, 500))]
+        # impulses (at 1e17 kappa the window closes to a point), on a grid
+        # fine enough for the kick, and a pulse that ends before t = 0
+        rates = dict(g=kappa, kappa=kappa, gamma=gamma_over_kappa * kappa)
+        for q in [*(PulseProtocol.standard(**rates, sigma_over_kappa=s, n_points=4000)
+                    for s in (1e12, 1e14, 1e17)),
+                  PulseProtocol.standard(**rates, delay_kappa=-5.0)]:
+            cases.append((q, q.t_grid))
         traces = 0
         for p, times in cases:
             pairs = rng.permutation(times)[:times.size // 2 * 2]
@@ -694,9 +753,11 @@ class TestSliceWindow:
                     continue       # may be too coarse to sample the trace
                 n = 2.0 * p.kappa * mask_filtered_input(p, p.t_grid)[1] ** 2
                 assert np.array_equal(trace.n_phonon, n)
+                assert np.array_equal(trace.n_phonon,
+                                      2.0 * p.kappa * pulse._filtered_input(p, p.t_grid)[1] ** 2)
                 assert (trace.peak_time, trace.peak_value) == (p.t_grid[np.argmax(n)], n.max())
                 traces += 1
-        assert traces >= 6 and any(series_calls)
+        assert traces >= 10 and any(series_calls)
 
 
 class TestOracles:
