@@ -29,10 +29,10 @@ erfcx itself, so the real ufunc is exact there. After the window the
 input has ended and the state is propagated by exp(M tau),
 M = [[-kappa, -ig], [-ig, -gamma]]; both in real arithmetic on u_a and
 v_b = i u_b, of which the phonon trace forms v_b alone past the window.
-A direct double quadrature of the Green's function against the input
-correlation is an independent route to the same quantity; the
-time-stepped second-moment equations, a second one, are a test oracle in
-``tests/oracles.py``.
+A direct quadrature of the Green's function against the input, one
+Gauss-Legendre sum squared as one photon's correlation is a product, is
+an independent route to the same quantity; the time-stepped second-moment
+equations, a second one, are a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import operator
 import sys
 import types
 
@@ -379,7 +380,7 @@ def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray, both: bool = True) -
         j_prev, j = 0.0, _gaussian_convolution(-half_sum, ts, lo, hi, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0  # nu^(2 floor(k/2)) / k!
-        for k in range(2 * _SERIES_TERMS):
+        for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
             if k % 2:
                 sinh_part = sinh_part + weight * j
             else:
@@ -387,6 +388,7 @@ def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray, both: bool = True) -
             weight *= (nu2 if k % 2 else 1.0) / (k + 1)
             j_prev, j = j, (al * j + k * beta * j_prev
                             + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
+        sinh_part = sinh_part + weight * j
         ua[series] = cosh_part - half_dif * sinh_part
         vb[series] = p.g * sinh_part
         rest = ~series
@@ -506,15 +508,33 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n_nodes)  # one eigen-solve per n_nodes
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's method
+    on P_n's three-term recurrence from cos(pi (k - 1/4)/(n + 1/2)), as a sine
+    so odd n has an exact 0, for x >= 0, mirrored. w = 2/((1 - x^2) P_n'^2),
+    which moves by 2x/(1 - x^2) of a node's shift, is carried to the last step."""
+    if operator.index(n) < 1:
+        raise ValidationError("n_nodes must be at least 1")
+    x, dx = np.sin(np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1)), 1.0
+    while np.abs(dx).max() > 1e-12:
+        p0, p1 = np.ones_like(x), x  # P_{j-1}, P_j
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        one_x2 = (1.0 - x) * (1.0 + x)  # 1 - x*x would lose digits near 1
+        dp = n * (p0 - x * p1) / one_x2
+        dx = p1 / dp
+        x = x - dx
+    w = 2.0 / (one_x2 * dp * dp) * (1.0 + 2.0 * (x + dx) * dx / one_x2)
+    x, w = np.concatenate((-x[: n // 2], x[::-1])), np.concatenate((w[: n // 2], w[::-1]))
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def phonon_expectation_direct(p: PulseProtocol, t: float, n_nodes: int = 160) -> float:
-    """Oracle route 1: literal double quadrature of the Green's function
-    against the input correlation <a_in^dag(s) a_in(s')>."""
+    """Oracle route: direct Gauss-Legendre quadrature over the pulse window up
+    to t. One photon's input correlation f(s-L) f(s'-L) is a product, so the
+    double sum of G_ba(t-s)* G_ba(t-s') against it on the nodes factors exactly
+    into 2 kappa |sum_j w_j G_ba(t-s_j) f(s_j-L)|^2."""
     lo, hi = _pulse_window(p)
     lo, hi = max(lo, 0.0), min(hi, t)
     if hi <= lo:
@@ -522,13 +542,9 @@ def phonon_expectation_direct(p: PulseProtocol, t: float, n_nodes: int = 160) ->
     x, w = _gauss_legendre(n_nodes)
     half = 0.5 * (hi - lo)
     s = lo + half * (x + 1.0)
-    ws = half * w
-    gvals = greens_ba(t - s, p.g, p.kappa, p.gamma)
-    corr = pulse_envelope(s[:, None] - p.delay_L, p.sigma) * \
-        pulse_envelope(s[None, :] - p.delay_L, p.sigma)
-    kernel = np.conj(gvals)[:, None] * gvals[None, :] * corr
-    val = np.einsum("i,ij,j->", ws, kernel, ws)
-    return float(2.0 * p.kappa * np.real(val))
+    amp = np.sum(half * w * greens_ba(t - s, p.g, p.kappa, p.gamma)
+                 * pulse_envelope(s - p.delay_L, p.sigma))
+    return float(2.0 * p.kappa * (amp.real * amp.real + amp.imag * amp.imag))
 
 
 def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:

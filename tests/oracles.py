@@ -27,7 +27,7 @@ sit near the cavity center).
 
 Swap-protocol moment equations: the phonon number of the single-photon
 swap, time-stepped by RK45 from the second-moment equations. It is the
-second route beside the direct double quadrature
+second route beside the direct quadrature
 ``levicav.pulse.phonon_expectation_direct``.
 
 50-digit shadow of the report path: the package's own formulas, imported

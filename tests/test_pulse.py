@@ -13,7 +13,7 @@ from levicav import pulse
 from levicav.errors import GridError, NoSwapError, NumericalError, ValidationError
 from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            cavity_population, conditional_superposition,
-                           output_field_envelope,
+                           greens_ba, output_field_envelope,
                            phonon_expectation_direct, phonon_trace, pulse_envelope,
                            refined_peak)
 from oracles import phonon_expectation_moments
@@ -151,7 +151,7 @@ def assert_trace_matches_direct(protocol):
 
 
 class TestClosedForm:
-    """The closed-form trace against the direct double quadrature."""
+    """The closed-form trace against the direct quadrature."""
 
     @pytest.mark.parametrize("gamma_over_kappa", [0.0, 0.3])
     @pytest.mark.parametrize("nu_over_d", [0.0, 1e-7, 1e-5, 1e-3, 3e-2,
@@ -781,6 +781,130 @@ class TestOracles:
         direct = phonon_expectation_direct(protocol, t_star)
         moments = phonon_expectation_moments(protocol, t_star)
         assert moments == pytest.approx(direct, rel=1e-6)
+
+
+def legendre_reference(n, dps=40):
+    """Nodes x >= 0 (ascending) and weights of the n-point Gauss-Legendre
+    rule at dps digits: Newton's method on P_n's three-term recurrence,
+    started from numpy's eigenvalue nodes."""
+    mp = pytest.importorskip("mpmath")
+    nodes, weights = [], []
+    with mp.workdps(dps):
+        for x in np.polynomial.legendre.leggauss(n)[0][n // 2:]:
+            x, dx = mp.mpf(x), 1
+            while abs(dx) > mp.mpf(10) ** (5 - dps):
+                p0, p1 = mp.mpf(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                dx = p1 / dp
+                x -= dx
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
+class TestGaussLegendre:
+    """The oracle's nodes and weights, by Newton's method on the recurrence,
+    against a 40-digit reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 160, 161, 400])
+    def test_matches_high_precision(self, n):
+        x, w = pulse._gauss_legendre(n)
+        assert x.shape == w.shape == (n,) and not (x.flags.writeable or w.flags.writeable)
+        nodes, weights = legendre_reference(n)
+        mpf = type(nodes[0])
+        assert max(abs(float(mpf(a) - b)) for a, b in zip(x[n // 2:], nodes)) <= 2e-16
+        assert max(abs(float((mpf(a) - b) / b)) for a, b in zip(w[n // 2:], weights)) <= 1e-12
+        assert abs(w.sum() - 2.0) <= 4e-15
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert (x[1:] > x[:-1]).all()
+        if n % 2:
+            middle = x[n // 2]
+            assert middle == 0.0 and not np.signbit(middle)
+
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError)])
+    def test_invalid_node_count_rejected(self, n, error):
+        with pytest.raises(error):
+            pulse._gauss_legendre(n)
+        with pytest.raises(error):
+            phonon_expectation_direct(standard(1.0), 6.0 / KAPPA, n_nodes=n)
+
+
+def literal_double_quadrature(p, t, n_nodes=160):
+    """phonon_expectation_direct as it was: numpy's Gauss-Legendre rule and
+    the n x n kernel of the Green's function against the input correlation."""
+    lo, hi = pulse._pulse_window(p)
+    lo, hi = max(lo, 0.0), min(hi, t)
+    if hi <= lo:
+        return 0.0
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    half = 0.5 * (hi - lo)
+    s = lo + half * (x + 1.0)
+    ws = half * w
+    gvals = greens_ba(t - s, p.g, p.kappa, p.gamma)
+    corr = pulse_envelope(s[:, None] - p.delay_L, p.sigma) * \
+        pulse_envelope(s[None, :] - p.delay_L, p.sigma)
+    kernel = np.conj(gvals)[:, None] * gvals[None, :] * corr
+    return float(2.0 * p.kappa * np.real(np.einsum("i,ij,j->", ws, kernel, ws)))
+
+
+def oracle_cases():
+    """20 seeded protocols, under-, over- and critically damped, with and
+    without gamma, each at odd and even node counts and at times before,
+    inside and after the pulse window."""
+    for seed in range(20):
+        rng = np.random.default_rng(2300 + seed)
+        gamma = (0.0, rng.uniform(0.05, 0.5))[seed % 2] * KAPPA
+        d = 0.5 * (KAPPA - gamma)
+        g = (rng.uniform(1.1, 3.0) * d, rng.uniform(0.1, 0.9) * d, d)[seed % 3]
+        p = PulseProtocol.standard(g=g, kappa=KAPPA, gamma=gamma,
+                                   sigma_over_kappa=rng.uniform(0.3, 20.0),
+                                   delay_kappa=rng.uniform(2.0, 8.0))
+        lo, hi = pulse._pulse_window(p)
+        times = (0.5 * max(lo, 0.0), rng.uniform(max(lo, 0.0), hi), p.delay_L,
+                 hi + rng.uniform(0.0, 10.0) / KAPPA)
+        yield p, times, (rng.integers(20, 200) * 2, rng.integers(20, 200) * 2 + 1)
+
+
+class TestDirectQuadrature:
+    """The factored single sum is the literal double quadrature, and it
+    shares nothing with the production route."""
+
+    def test_matches_literal_double_quadrature(self):
+        inside = 0
+        for p, times, node_counts in oracle_cases():
+            for t in times:
+                for n in node_counts:
+                    direct = phonon_expectation_direct(p, t, n_nodes=n)
+                    literal = literal_double_quadrature(p, t, n)
+                    assert type(direct) is float
+                    assert abs(direct - literal) <= 1e-12 * abs(literal) + 1e-15, (p, t, n)
+                    inside += literal > 0.0
+        assert inside >= 100
+
+    def test_independent_of_the_production_route(self, monkeypatch):
+        p = standard(1.0)
+        expected = [phonon_expectation_direct(p, t / KAPPA) for t in (4.0, 6.0, 12.0)]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle reached the production route")
+
+        for name in ("_faddeeva", "_gaussian_convolution", "_sorted_filtered_input"):
+            monkeypatch.setattr(pulse, name, broken)
+        assert [phonon_expectation_direct(p, t / KAPPA) for t in (4.0, 6.0, 12.0)] == expected
+
+    def test_loads_no_polynomial_module(self):
+        probe = ("import sys; from levicav import pulse; "
+                 "p = pulse.PulseProtocol.standard(g=1.0, kappa=1.0); "
+                 "print(pulse.phonon_expectation_direct(p, 6.0), 'numpy.polynomial' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        value, loaded = proc.stdout.split()
+        assert loaded == "False"
+        assert float(value) == phonon_expectation_direct(PulseProtocol.standard(g=1.0, kappa=1.0),
+                                                         6.0)
 
 
 class TestPhotonConservation:
