@@ -894,15 +894,18 @@ class TestDirectQuadrature:
             monkeypatch.setattr(pulse, name, broken)
         assert [phonon_expectation_direct(p, t / KAPPA) for t in (4.0, 6.0, 12.0)] == expected
 
-    def test_loads_no_polynomial_module(self):
+    def test_loads_no_polynomial_or_linalg_module(self):
+        # numpy < 2 imports both with numpy itself; the call must add neither
         probe = ("import sys; from levicav import pulse; "
-                 "p = pulse.PulseProtocol.standard(g=1.0, kappa=1.0); "
-                 "print(pulse.phonon_expectation_direct(p, 6.0), 'numpy.polynomial' in sys.modules)")
+                 "p = pulse.PulseProtocol.standard(g=1.0, kappa=1.0); before = set(sys.modules); "
+                 "value = pulse.phonon_expectation_direct(p, 6.0); "
+                 "print(value, *sorted(m for m in set(sys.modules) - before "
+                 "if m.startswith(('numpy.polynomial', 'numpy.linalg'))))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        value, loaded = proc.stdout.split()
-        assert loaded == "False"
+        value, *loaded = proc.stdout.split()
+        assert loaded == []
         assert float(value) == phonon_expectation_direct(PulseProtocol.standard(g=1.0, kappa=1.0),
                                                          6.0)
 
