@@ -21,14 +21,13 @@ _EXPORTS = {
     "presets": ("preset_scenario_dict",),
     "pulse": ("PhononTrace", "PulseProtocol", "SuperpositionState", "amplification_envelope",
               "conditional_superposition", "phonon_trace", "refined_peak"),
-    "rod": ("C1", "C2", "LGPairProfile", "SelfTrapSolution", "rod_coupling_constants",
-            "rod_frequency_profile", "rod_optomech_params", "rotation_configuration",
-            "solve_self_trap", "translation_configuration"),
+    "rod": ("C1", "C2", "LGPairProfile", "SelfTrapSolution", "rod_optomech_params",
+            "rotation_configuration", "solve_self_trap", "translation_configuration"),
     "scenario": ("FeasibilityReport", "Scenario", "SelfTrapSpec", "build_protocol",
                  "evaluate_scenario", "load_scenario", "scattering_finesse_bound", "sweep"),
     "sphere": ("DielectricObject", "DriveConfig", "OptomechParams", "TweezerConfig",
-               "assemble_optomech_params", "intracavity_amplitude", "sphere_frequency_profile",
-               "sphere_linear_coupling", "tweezer_trap_frequency"),
+               "assemble_optomech_params", "intracavity_amplitude", "sphere_linear_coupling",
+               "tweezer_trap_frequency"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -48,9 +48,6 @@ __all__ = [
 #: Mean molecular mass of air, kg (28.6 u).
 AIR_MOLECULE_MASS = 28.6 * CODATA.amu
 
-#: Smallest t* Gamma that satisfies the cooling bound t* Gamma >> 1.
-HEATING_MARGIN_MIN = 10.0
-
 
 @record
 class GasEnvironment:
@@ -94,8 +91,6 @@ class HeatingBound:
     """One-quantum heating time and the cooling pressure bound it sets."""
 
     t_star: float          # s, exact one-quantum heating time
-    t_star_first_order: float  # s, hbar w / (2 gamma k_B T)
-    bound_satisfied: bool  # t* Gamma >= HEATING_MARGIN_MIN
     P_max: float           # Pa, pressure bound at the given cooling rate
     torr_per_hz_linear: float   # Torr s: P_max/Gamma with Gamma in 1/s
     torr_per_hz_angular: float  # Torr s: P_max/(2 pi Gamma), angular reading
@@ -117,7 +112,6 @@ class DecoherenceBudget:
 
     gamma: float       # 1/s
     Q_factor: float
-    noise_D: float     # m^2/s^3, fluctuation-dissipation strength
     pressure_margin: float  # P_max / P
     heating: HeatingBound
     rates: DecoherenceRates
@@ -136,30 +130,26 @@ def gas_damping(obj: DielectricObject, env: GasEnvironment) -> float:
     return 4.0 * math.pi * radius**2 * env.pressure_P / (obj.mass * env.v_bar)
 
 
-def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment,
+def heating_time_and_bound(obj: DielectricObject, env: GasEnvironment, gamma: float,
                            omega_t: float, cooling_rate_Gamma: float) -> HeatingBound:
     """One-quantum heating time and the pressure bound for cooling.
 
-    Returns the exact logarithmic t* (the first-order form is carried
-    alongside); requires the classical-bath regime hbar omega_t << k_B T.
+    Returns the exact logarithmic t* at the gas damping rate ``gamma``;
+    requires the classical-bath regime hbar omega_t << k_B T.
     Both readings of the bound's Torr/Hz coefficient are exposed because
     the cooling rate's Hz-vs-angular convention is ambiguous upstream.
     """
     radius = _sphere_radius(obj)
-    if omega_t <= 0.0 or cooling_rate_Gamma <= 0.0:
-        raise ValidationError("omega_t and cooling rate must be positive")
+    if omega_t <= 0.0 or gamma <= 0.0 or cooling_rate_Gamma <= 0.0:
+        raise ValidationError("omega_t, gamma and cooling rate must be positive")
     quantum_ratio = CODATA.hbar * omega_t / (CODATA.k_B * env.temperature_T)
     if quantum_ratio >= 1.0:
         raise RegimeError("hbar omega_t >= k_B T: heating-time formula out of regime")
-    gamma = gas_damping(obj, env)
     t_star = -math.log1p(-quantum_ratio) / (2.0 * gamma)
-    t_star_first = quantum_ratio / (2.0 * gamma)
     p_max = (3.0 * obj.mass * cooling_rate_Gamma * CODATA.hbar * omega_t
              / (8.0 * env.molecule_mass * env.v_bar * math.pi * radius**2))
     coeff = pa_to_torr(p_max) / cooling_rate_Gamma
-    return HeatingBound(t_star=t_star, t_star_first_order=t_star_first,
-                        bound_satisfied=t_star * cooling_rate_Gamma >= HEATING_MARGIN_MIN,
-                        P_max=p_max, torr_per_hz_linear=coeff,
+    return HeatingBound(t_star=t_star, P_max=p_max, torr_per_hz_linear=coeff,
                         torr_per_hz_angular=coeff / TWO_PI)
 
 
@@ -172,7 +162,7 @@ def quality_factor(omega_t: float, gamma: float) -> float:
     return omega_t / gamma
 
 
-def decoherence_rates(obj: DielectricObject, env: GasEnvironment,
+def decoherence_rates(obj: DielectricObject, env: GasEnvironment, gamma: float,
                       omega_t: float, z_m: float) -> DecoherenceRates:
     """Localization rate and superposition decoherence vs heating.
 
@@ -180,11 +170,10 @@ def decoherence_rates(obj: DielectricObject, env: GasEnvironment,
     under which Gamma_dec/Gamma_plus reduces to the parameter-free 9/16.
     """
     radius = _sphere_radius(obj)
-    if omega_t <= 0.0 or z_m <= 0.0:
-        raise ValidationError("omega_t and z_m must be positive")
+    if omega_t <= 0.0 or gamma <= 0.0 or z_m <= 0.0:
+        raise ValidationError("omega_t, gamma and z_m must be positive")
     lam = (3.0 * env.molecule_mass * env.v_bar * env.pressure_P
            * math.pi * radius**2 / CODATA.hbar**2)
-    gamma = gas_damping(obj, env)
     gamma_dec = lam * z_m**2
     gamma_plus = 2.0 * gamma * CODATA.k_B * env.temperature_T / (CODATA.hbar * omega_t)
     if not (math.isfinite(gamma_dec) and math.isfinite(gamma_plus)):
@@ -210,14 +199,13 @@ def bulk_temperature(obj: DielectricObject, th: ThermalInput, lambda_L: float) -
     return (absorbed + th.T_env**4) ** 0.25
 
 
-def decoherence_budget(obj: DielectricObject, env: GasEnvironment,
+def decoherence_budget(obj: DielectricObject, env: GasEnvironment, gamma: float,
                        omega_t: float, z_m: float,
                        cooling_rate_Gamma: float) -> DecoherenceBudget:
-    """Assemble the full decoherence record for one sphere scenario."""
-    gamma = gas_damping(obj, env)
-    bound = heating_time_and_bound(obj, env, omega_t, cooling_rate_Gamma)
-    rates = decoherence_rates(obj, env, omega_t, z_m)
-    noise_d = 2.0 * CODATA.k_B * env.temperature_T * gamma / obj.mass
+    """Assemble the full decoherence record for one sphere scenario at the
+    gas damping rate ``gamma``, computed once by the caller."""
+    bound = heating_time_and_bound(obj, env, gamma, omega_t, cooling_rate_Gamma)
+    rates = decoherence_rates(obj, env, gamma, omega_t, z_m)
     return DecoherenceBudget(gamma=gamma, Q_factor=quality_factor(omega_t, gamma),
-                             noise_D=noise_d, pressure_margin=bound.P_max / env.pressure_P,
+                             pressure_margin=bound.P_max / env.pressure_P,
                              heating=bound, rates=rates)

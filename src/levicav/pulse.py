@@ -559,12 +559,6 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
                    - pulse_envelope(np.asarray(times) - p.delay_L, p.sigma))
 
 
-def cavity_population(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
-    """Intracavity photon expectation <a^dag a>(t) = 2 kappa |u_a(t)|^2."""
-    return _finite("cavity population",
-                   lambda: 2.0 * p.kappa * _filtered_input(p, times)[0] ** 2)
-
-
 def refined_peak(trace: PhononTrace) -> tuple[float, float]:
     """(t*, n(t*)): the vertex of the parabola through the grid argmax and
     its neighbours; the grid point itself at either end of the grid.

@@ -1,4 +1,4 @@
-"""Rod couplings: LG-pair frequency profiles and two-mode self-trapping.
+"""Rod couplings: two-mode self-trapping in LG-pair modes.
 
 The rod (two opposed wedges, radius R = W/2) sits in two counter-rotating
 LG-pair modes. Mode 1 (LG10 pair) and mode 2 (LG20 pair) shift the
@@ -23,7 +23,8 @@ Two standard configurations:
 
 Derivatives used by the solver act on the dimensionless shift profile
 (not the absolute frequency), which keeps finite differences far above
-the float64 roundoff floor of the ~1e15 rad/s carrier.
+the float64 roundoff floor of the ~1e15 rad/s carrier. The profiles in
+rad/s and the closed-form mode-1 slopes are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ __all__ = [
     "C2",
     "LGPairProfile",
     "SelfTrapSolution",
-    "rod_frequency_profile",
-    "rod_shift_profile",
-    "rod_coupling_constants",
     "translation_configuration",
     "rotation_configuration",
     "solve_self_trap",
@@ -96,7 +94,6 @@ class SelfTrapSolution:
     n_photons_1: float
     n_photons_2: float
     cooled_dof: str        # "translation" | "rotation"
-    grad_2: float          # mode-2 slope along the cooled dof; n1*xi + n2*grad_2 = 0
 
 
 def _check_rod_regime(obj: DielectricObject, cfg: CavityConfig) -> Rod:
@@ -117,42 +114,6 @@ def _shift(obj: DielectricObject, cfg: CavityConfig, pair: LGPairProfile,
     return (_overlap_amplitude(obj, cfg) * pair.overlap_constant
             * math.cos(k * (z - pair.offset_z)) ** 2
             * math.cos(ell * (phi - pair.offset_phi)) ** 2)
-
-
-def rod_shift_profile(obj: DielectricObject, cfg: CavityConfig,
-                      pair: LGPairProfile, phi: float, z: float) -> float:
-    """Resonance shift omega_c(phi,z) - omega_c0 in rad/s (carrier removed).
-
-    Finite differences of this profile are limited only by the shift's
-    own float64 precision, not by the bare optical frequency.
-    """
-    _check_rod_regime(obj, cfg)
-    return -cfg.omega_c0 * _shift(obj, cfg, pair, phi, z)
-
-
-def rod_frequency_profile(obj: DielectricObject, cfg: CavityConfig,
-                          pair: LGPairProfile, phi: float, z: float) -> float:
-    """Resonance frequency (rad/s) seen through one LG pair at (phi, z)."""
-    return cfg.omega_c0 + rod_shift_profile(obj, cfg, pair, phi, z)
-
-
-def rod_coupling_constants(obj: DielectricObject, cfg: CavityConfig,
-                           config: str) -> dict:
-    """Closed-form mode-1 couplings at the standard equilibria.
-
-    translation: xi_z = -omega_c0^2 C1 (eps1-1) V / (c sqrt(2) d pi W^2),
-    xi_phi = 0. rotation: xi_phi = -omega_c0 C1 sqrt(3) (eps1-1) V /
-    (2 d pi W^2), xi_z = 0.
-    """
-    _check_rod_regime(obj, cfg)
-    amp = _overlap_amplitude(obj, cfg) * C1 * cfg.omega_c0
-    if config == "translation":
-        return {"xi_z": -amp * cfg.wavenumber / math.sqrt(2.0), "xi_phi": 0.0,
-                "which_dof": "translation"}
-    if config == "rotation":
-        return {"xi_z": 0.0, "xi_phi": -amp * math.sqrt(3.0) / 2.0,
-                "which_dof": "rotation"}
-    raise ValidationError(f"unknown configuration {config!r}")
 
 
 def translation_configuration(cfg: CavityConfig, mode1_power: float) -> tuple:
@@ -237,7 +198,7 @@ def solve_self_trap(obj: DielectricObject, cfg: CavityConfig,
                             omega_t_phi=omega_t_phi, xi_z=xi_z, xi_phi=xi_phi,
                             delta_1=delta_1, delta_2=delta_2,
                             n_photons_1=n1, n_photons_2=n2,
-                            cooled_dof=cooled_dof, grad_2=-omega0 * d2)
+                            cooled_dof=cooled_dof)
 
 
 def rod_optomech_params(obj: DielectricObject, cfg: CavityConfig,

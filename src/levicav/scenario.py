@@ -218,7 +218,7 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
             gamma = gas_damping(s.object, s.gas)
             if gamma == 0.0:
                 raise NumericalError("gas damping underflows to 0 at this gas.pressure_torr")
-            budget = decoherence_budget(s.object, s.gas, optomech.omega_t,
+            budget = decoherence_budget(s.object, s.gas, gamma, optomech.omega_t,
                                         optomech.zm, s.cooling_rate)
         pressure_ok = s.gas.pressure_P <= budget.heating.P_max / PRESSURE_MARGIN_MIN
         g_over_gamma = g_mag / gamma

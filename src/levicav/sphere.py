@@ -11,7 +11,8 @@ omega_c(z) = omega_c0 + delta + xi0 * (z - z0), with
 The drive enhances the single-photon coupling g0 = q_m * xi0 by the root
 photon number |alpha|, giving g = |alpha| g0. Only the real permittivity
 eps1 enters here; the imaginary part eps2 matters solely for laser
-absorption (see the environment module).
+absorption (see the environment module). The full resonance profile behind
+these closed forms is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 from .cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from .constants import CODATA
-from .errors import GeometryError, ValidationError
+from .errors import GeometryError, NumericalError, ValidationError
 from .records import record
 
 __all__ = [
@@ -29,8 +30,6 @@ __all__ = [
     "TweezerConfig",
     "DriveConfig",
     "OptomechParams",
-    "sphere_frequency_profile",
-    "sphere_shift_profile",
     "sphere_linear_coupling",
     "tweezer_trap_frequency",
     "intracavity_amplitude",
@@ -129,7 +128,7 @@ class OptomechParams:
 
 def _overlap_amplitude(obj: DielectricObject, cfg: CavityConfig) -> float:
     """A = V(eps1-1)/(pi W^2 d), the dimensionless mode-overlap amplitude of
-    a small body; the sphere and rod profiles both scale with it."""
+    a small body; the sphere and rod couplings both scale with it."""
     return obj.volume * (obj.eps1 - 1.0) / (math.pi * cfg.waist_W**2 * cfg.length_d)
 
 
@@ -148,30 +147,6 @@ def equilibrium_z(cfg: CavityConfig) -> float:
     return CODATA.c * math.pi / (4.0 * cfg.omega_c0)
 
 
-def sphere_shift_profile(obj: DielectricObject, cfg: CavityConfig,
-                         pos: tuple[float, float, float]) -> float:
-    """Resonance shift omega_c(pos) - omega_c0 in rad/s (carrier removed).
-
-    Same closed form as sphere_frequency_profile but without the bare
-    frequency riding on top, so finite differences of this profile are
-    limited only by the shift's own float64 precision.
-    """
-    amplitude = _small_sphere_amplitude(obj, cfg)
-    x, y, z = pos
-    return (-cfg.omega_c0 * amplitude * (1.0 - 2.0 * (x * x + y * y) / cfg.waist_W**2)
-            * math.cos(cfg.wavenumber * z) ** 2)
-
-
-def sphere_frequency_profile(obj: DielectricObject, cfg: CavityConfig,
-                             pos: tuple[float, float, float]) -> float:
-    """Resonance frequency (rad/s) with the sphere centered at pos=(x,y,z).
-
-    Small-sphere closed form, valid for radius below the waist and
-    positions near the cavity center.
-    """
-    return cfg.omega_c0 + sphere_shift_profile(obj, cfg, pos)
-
-
 def sphere_linear_coupling(obj: DielectricObject, cfg: CavityConfig) -> tuple[float, float]:
     """(xi0, delta): linear coupling and static shift at the equilibrium.
 
@@ -187,13 +162,16 @@ def tweezer_trap_frequency(obj: DielectricObject, tw: TweezerConfig) -> float:
     """Rayleigh-regime tweezer trap frequency (rad/s) for a dielectric sphere.
 
     omega_t = sqrt[(6/(rho c)) ((eps1-1)/(eps1+2)) I0/W0^2]; requires
-    eps1 > 1 (no gradient force otherwise).
+    eps1 > 1 (no gradient force otherwise). A square that underflows to 0
+    is a NumericalError.
     """
     if obj.eps1 <= 1.0:
         raise ValidationError("gradient trapping requires eps1 > 1")
     omega_sq = (6.0 / (obj.density_rho * CODATA.c)
                 * (obj.eps1 - 1.0) / (obj.eps1 + 2.0)
                 * tw.intensity_I0 / tw.waist_W0**2)
+    if omega_sq == 0.0:
+        raise NumericalError("tweezer trap frequency underflows to 0")
     return math.sqrt(omega_sq)
 
 

@@ -25,6 +25,15 @@ standing wave; the transverse profiles are the standard LG_{l0} forms at
 the beam waist, with the Gaussian envelope taken constant along z (bodies
 sit near the cavity center).
 
+Closed-form resonance profiles of a small sphere in the TEM00 mode and of
+a rod in one LG pair, and the rod's mode-1 slopes at its two standard
+equilibria: the expressions the sphere and rod modules' couplings and the
+self-trap solver derive from, written out on their own.
+
+Swap-protocol cavity population: 2 kappa |u_a|^2, with u_a the input
+filtered through the cavity's closed-form impulse response by quadrature,
+beside the Faddeeva route behind ``levicav.pulse.output_field_envelope``.
+
 Swap-protocol moment equations: the phonon number of the single-photon
 swap, time-stepped by RK45 from the second-moment equations. It is the
 second route beside the direct quadrature
@@ -56,6 +65,8 @@ from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI
 from levicav.errors import GeometryError, NumericalError, ValidationError
 from levicav.pulse import PulseProtocol, pulse_envelope
+from levicav.rod import C1, C2, LGPairProfile
+from levicav.sphere import DielectricObject
 
 # ---------------------------------------------------------------------------
 # mode catalog
@@ -200,8 +211,86 @@ def perturbative_shift(mode: ModeField, body: BodyGeometry, eps_r: float,
 
 
 # ---------------------------------------------------------------------------
-# swap-protocol moment equations
+# closed-form resonance profiles of small bodies
 # ---------------------------------------------------------------------------
+
+def _overlap(obj: DielectricObject, cfg: CavityConfig) -> float:
+    """A = (eps1 - 1) V/(pi W^2 d), the small-body mode-overlap amplitude."""
+    return (obj.eps1 - 1.0) * obj.volume / (math.pi * cfg.waist_W**2 * cfg.length_d)
+
+
+def sphere_shift_profile(obj: DielectricObject, cfg: CavityConfig,
+                         pos: tuple[float, float, float]) -> float:
+    """omega_c - omega_c0 (rad/s) with a small sphere centered at pos = (x, y, z),
+
+        -omega_c0 A (1 - 2 (x^2 + y^2)/W^2) cos^2(k z),
+
+    carrier-free, so its finite differences keep the shift's own precision."""
+    x, y, z = pos
+    return (-cfg.omega_c0 * _overlap(obj, cfg) * (1.0 - 2.0 * (x * x + y * y) / cfg.waist_W**2)
+            * math.cos(cfg.wavenumber * z) ** 2)
+
+
+def sphere_frequency_profile(obj: DielectricObject, cfg: CavityConfig,
+                             pos: tuple[float, float, float]) -> float:
+    """Resonance frequency (rad/s) with a small sphere centered at pos."""
+    return cfg.omega_c0 + sphere_shift_profile(obj, cfg, pos)
+
+
+def rod_shift_profile(obj: DielectricObject, cfg: CavityConfig, pair: LGPairProfile,
+                      phi: float, z: float) -> float:
+    """omega_c - omega_c0 (rad/s) seen through one LG pair of order l with the
+    rod at (phi, z): -omega_c0 A C_l cos^2(k(z - z_l)) cos^2(l(phi - phi_l))."""
+    return (-cfg.omega_c0 * _overlap(obj, cfg) * (C1 if pair.order_ell == 1 else C2)
+            * math.cos(cfg.wavenumber * (z - pair.offset_z)) ** 2
+            * math.cos(pair.order_ell * (phi - pair.offset_phi)) ** 2)
+
+
+def rod_frequency_profile(obj: DielectricObject, cfg: CavityConfig, pair: LGPairProfile,
+                          phi: float, z: float) -> float:
+    """Resonance frequency (rad/s) seen through one LG pair at (phi, z)."""
+    return cfg.omega_c0 + rod_shift_profile(obj, cfg, pair, phi, z)
+
+
+def rod_coupling_constants(obj: DielectricObject, cfg: CavityConfig, config: str) -> dict:
+    """Mode-1 slopes at the standard equilibria, ``xi_z`` and ``xi_phi``:
+    translation xi_z = -omega_c0^2 C1 (eps1-1) V/(c sqrt(2) d pi W^2), rotation
+    xi_phi = -omega_c0 C1 sqrt(3) (eps1-1) V/(2 d pi W^2); the other is 0."""
+    amp = cfg.omega_c0 * C1 * _overlap(obj, cfg)
+    return {"translation": {"xi_z": -amp * cfg.wavenumber / math.sqrt(2.0), "xi_phi": 0.0},
+            "rotation": {"xi_z": 0.0, "xi_phi": -amp * math.sqrt(3.0) / 2.0}}[config]
+
+
+# ---------------------------------------------------------------------------
+# swap-protocol cavity population and moment equations
+# ---------------------------------------------------------------------------
+
+def cavity_population(p: PulseProtocol, times) -> np.ndarray:
+    """Intracavity photon number <a^dag a>(t) = 2 kappa |u_a(t)|^2 at each time.
+
+    u_a(t) = int G_aa(t - s) f(s - L) ds by 200-node Gauss-Legendre over the input
+    from max(0, L - 10/sigma) to min(t, L + 10/sigma), with the cavity's
+    response to a kick [exp(M tau)]_aa = exp(-(kappa + gamma) tau/2)
+    (cosh(nu tau) - d sinh(nu tau)/nu), d = (kappa - gamma)/2 and the
+    complex nu = sqrt(d^2 - g^2).
+    """
+    d = 0.5 * (p.kappa - p.gamma)
+    nu = complex(np.sqrt(complex(d * d - p.g * p.g)))
+    lo = max(p.delay_L - 10.0 / p.sigma, 0.0)
+    out = []
+    for t in np.ravel(times):
+        hi = min(p.delay_L + 10.0 / p.sigma, t)
+        if hi <= lo:
+            out.append(0.0)
+            continue
+        s, w = _gauss_nodes(200, lo, hi)
+        tau = t - s
+        shc = np.sinh(nu * tau) / nu if nu else tau
+        g_aa = np.exp(-0.5 * (p.kappa + p.gamma) * tau) * (np.cosh(nu * tau) - d * shc)
+        amp = np.sum(w * g_aa * pulse_envelope(s - p.delay_L, p.sigma))
+        out.append(2.0 * p.kappa * abs(amp) ** 2)
+    return np.reshape(out, np.shape(times))
+
 
 def phonon_expectation_moments(p: PulseProtocol, t: float) -> float:
     """Oracle route 2: time-stepped second-moment equations.

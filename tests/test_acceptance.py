@@ -20,9 +20,9 @@ from levicav.rod import (rod_optomech_params, rotation_configuration,
                          solve_self_trap, translation_configuration)
 from levicav.scenario import evaluate_scenario, preset_scenario_dict, scenario_from_dict
 from levicav.sphere import (DielectricObject, TweezerConfig, equilibrium_z,
-                            sphere_frequency_profile, sphere_linear_coupling,
-                            tweezer_trap_frequency)
-from oracles import perturbative_shift, phonon_expectation_moments, tem00_mode
+                            sphere_linear_coupling, tweezer_trap_frequency)
+from oracles import (perturbative_shift, phonon_expectation_moments, sphere_frequency_profile,
+                     tem00_mode)
 
 REF_CAVITY = CavityConfig(length_d=4e-3, finesse_F=1e5, wavelength_lambda=1.064e-6)
 REF_SPHERE = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1, 2.5e-10)
@@ -137,7 +137,7 @@ def test_criterion_7_decoherence_budget():
     omega_t = tweezer_trap_frequency(REF_SPHERE, TweezerConfig(2e12, 1e-6))
     gamma = gas_damping(REF_SPHERE, env)
     q = quality_factor(omega_t, gamma)
-    bound = heating_time_and_bound(REF_SPHERE, env, omega_t, 1e5)
+    bound = heating_time_and_bound(REF_SPHERE, env, gamma, omega_t, 1e5)
     p_max_torr = pa_to_torr(bound.P_max)
 
     rng = np.random.default_rng(97)
@@ -150,7 +150,8 @@ def test_criterion_7_decoherence_budget():
                                molecule_mass=rng.uniform(1.0, 100.0) * CODATA.amu)
         w = 10**rng.uniform(4, 7)
         z_m = math.sqrt(CODATA.hbar / (2.0 * obj.mass * w))
-        worst = max(worst, abs(decoherence_rates(obj, g_env, w, z_m).ratio - 9.0 / 16.0))
+        worst = max(worst, abs(decoherence_rates(obj, g_env, gas_damping(obj, g_env), w,
+                                                 z_m).ratio - 9.0 / 16.0))
 
     ok = (within(gamma, 1.4e-3, 0.20)
           and 0.5e9 <= q <= 2e9
@@ -215,7 +216,7 @@ def test_criterion_9_unreproducible_claims_bounded_by_properties():
     # plain-rate and angular readings
     env = GasEnvironment(pressure_P=torr_to_pa(1e-6))
     omega_t = tweezer_trap_frequency(REF_SPHERE, TweezerConfig(2e12, 1e-6))
-    bound = heating_time_and_bound(REF_SPHERE, env, omega_t, 1e5)
+    bound = heating_time_and_bound(REF_SPHERE, env, gas_damping(REF_SPHERE, env), omega_t, 1e5)
     coeff_ok = all(1e-12 / 30.0 <= c <= 1e-12 * 30.0
                    for c in (bound.torr_per_hz_linear, bound.torr_per_hz_angular))
 

@@ -374,6 +374,18 @@ class TestExitCodes:
         assert err == ("numerical failure: decoherence stage: gas damping underflows to 0 "
                        "at this gas.pressure_torr\n")
 
+    @pytest.mark.parametrize("command", ["feasibility", "trace"])
+    def test_trap_frequency_underflow_exit_2(self, capsys, tmp_path, command):
+        # a trap frequency whose square underflows read as an input error, a
+        # non-positive trap frequency, with exit 1
+        doc = yaml.safe_load(open_preset())
+        doc["object"]["density_kg_m3"] = 1.0e300
+        path = tmp_path / "dense.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, out, err = run(capsys, [command, str(path), "--quiet"])
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: coupling stage: tweezer trap frequency underflows to 0\n"
+
     def test_duplicate_key_exit_1(self, capsys, tmp_path):
         # PyYAML would keep the later value silently
         text = open_preset()
@@ -815,7 +827,7 @@ def test_trace_loads_no_pyyaml(tmp_path):
     assert json.loads(line[len("PROBE "):]) == [[0, 0], []]
 
 
-#: the 56 public names the package serves, by home module
+#: the 53 public names the package serves, by home module
 PACKAGE_NAMES = {
     "cavity": ["BodyGeometry", "CavityConfig", "Rod", "Sphere", "derived_cavity_quantities",
                "numeric_derivatives"],
@@ -827,14 +839,13 @@ PACKAGE_NAMES = {
     "pulse": ["PhononTrace", "PulseProtocol", "SuperpositionState", "amplification_envelope",
               "conditional_superposition", "phonon_trace", "refined_peak"],
     "presets": ["preset_scenario_dict"],
-    "rod": ["C1", "C2", "LGPairProfile", "SelfTrapSolution", "rod_coupling_constants",
-            "rod_frequency_profile", "rod_optomech_params", "rotation_configuration",
-            "solve_self_trap", "translation_configuration"],
+    "rod": ["C1", "C2", "LGPairProfile", "SelfTrapSolution", "rod_optomech_params",
+            "rotation_configuration", "solve_self_trap", "translation_configuration"],
     "scenario": ["FeasibilityReport", "Scenario", "SelfTrapSpec", "build_protocol",
                  "evaluate_scenario", "load_scenario", "scattering_finesse_bound", "sweep"],
     "sphere": ["DielectricObject", "DriveConfig", "OptomechParams", "TweezerConfig",
-               "assemble_optomech_params", "intracavity_amplitude", "sphere_frequency_profile",
-               "sphere_linear_coupling", "tweezer_trap_frequency"],
+               "assemble_optomech_params", "intracavity_amplitude", "sphere_linear_coupling",
+               "tweezer_trap_frequency"],
 }
 HOME = {name: module for module, names in PACKAGE_NAMES.items() for name in names}
 
@@ -851,7 +862,7 @@ def test_pulse_names_served_lazily(name):
 
 def test_all_covers_the_public_names():
     import levicav
-    assert len(HOME) == 56
+    assert len(HOME) == 53
     assert set(HOME) <= set(levicav.__all__)
 
 
@@ -1051,7 +1062,9 @@ def test_synopsis_is_documented():
 
 
 ORACLE_NAMES = {"ModeField", "tem00_mode", "lg_pair_mode", "perturbative_shift",
-                "phonon_expectation_moments", "QuadratureError", "solve_ivp"}
+                "phonon_expectation_moments", "QuadratureError", "solve_ivp",
+                "sphere_frequency_profile", "sphere_shift_profile", "rod_frequency_profile",
+                "rod_shift_profile", "rod_coupling_constants", "cavity_population"}
 
 
 def identifiers(tree):
@@ -1071,8 +1084,9 @@ def identifiers(tree):
 
 
 def test_oracles_stay_out_of_the_package():
-    # the volume-quadrature route and the RK45 moment equations live in
-    # tests/oracles.py, so the tests compare the package against routes it
+    # the volume-quadrature route, the RK45 moment equations, the closed-form
+    # resonance profiles and slopes and the quadrature cavity population live
+    # in tests/oracles.py, so the tests compare the package against routes it
     # does not share
     src = Path(__file__).resolve().parent.parent / "src" / "levicav"
     found = [(path.name, sorted(ORACLE_NAMES.intersection(identifiers(ast.parse(path.read_text())))))

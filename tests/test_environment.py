@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from levicav import environment, scenario
 from levicav.cavity import BodyGeometry, Rod, Sphere
 from levicav.constants import CODATA, torr_to_pa
 from levicav.environment import (AIR_MOLECULE_MASS, GasEnvironment, ThermalInput,
@@ -24,6 +25,11 @@ def make_sphere(radius=250e-9, density=2201.0, eps1=2.1, eps2=2.5e-10):
 
 def air(pressure_torr=1e-6, T=300.0):
     return GasEnvironment(pressure_P=torr_to_pa(pressure_torr), temperature_T=T)
+
+
+def heating(obj, env):
+    """The heating bound at the gas's own damping rate and a 1e5/s cooling rate."""
+    return heating_time_and_bound(obj, env, gas_damping(obj, env), OMEGA_T, 1e5)
 
 
 class TestGasDamping:
@@ -49,13 +55,13 @@ class TestGasDamping:
 
 class TestHeatingBound:
     def test_reference_pressure_bound(self):
-        bound = heating_time_and_bound(make_sphere(), air(), OMEGA_T, 1e5)
+        bound = heating(make_sphere(), air())
         p_max_torr = bound.P_max / 133.322
         assert 5e-7 <= p_max_torr <= 5e-6
         assert p_max_torr == pytest.approx(2e-6, rel=0.1)
 
     def test_torr_per_hz_coefficient_order_of_magnitude(self):
-        bound = heating_time_and_bound(make_sphere(), air(), OMEGA_T, 1e5)
+        bound = heating(make_sphere(), air())
         # linear and angular readings of the published ~1e-12 Torr/Hz figure,
         # both within a factor of 30
         for coeff in (bound.torr_per_hz_linear, bound.torr_per_hz_angular):
@@ -64,14 +70,14 @@ class TestHeatingBound:
     def test_regime_violation_reported(self):
         cold = GasEnvironment(pressure_P=1e-4, temperature_T=1e-9)
         with pytest.raises(RegimeError):
-            heating_time_and_bound(make_sphere(), cold, OMEGA_T, 1e5)
+            heating(make_sphere(), cold)
 
     def test_exact_heating_time_matches_variance_growth_oracle(self):
         # independent oracle: solve Delta E(t*) = hbar w on the variance
         # growth k_B T (1 - exp(-2 gamma t)) by root finding
         obj, env = make_sphere(), air(1e-5)
         gamma = gas_damping(obj, env)
-        bound = heating_time_and_bound(obj, env, OMEGA_T, 1e5)
+        bound = heating_time_and_bound(obj, env, gamma, OMEGA_T, 1e5)
         target = CODATA.hbar * OMEGA_T
 
         def energy_gap(t):
@@ -81,8 +87,8 @@ class TestHeatingBound:
         assert bound.t_star == pytest.approx(t_root, rel=1e-10)
         # first-order form agrees to first order in hbar w / k_B T
         ratio = CODATA.hbar * OMEGA_T / (CODATA.k_B * env.temperature_T)
-        rel_gap = abs(bound.t_star - bound.t_star_first_order) / bound.t_star_first_order
-        assert rel_gap <= ratio
+        first_order = ratio / (2.0 * gamma)
+        assert abs(bound.t_star - first_order) / first_order <= ratio
 
     @pytest.mark.parametrize("T", [300.0, 30.0, 20.0, 3.0e4])
     def test_heating_time_has_no_cancellation(self, T):
@@ -92,15 +98,7 @@ class TestHeatingBound:
         x = CODATA.hbar * OMEGA_T / (CODATA.k_B * T)
         assert x <= 1e-6
         series = (x + x**2 / 2.0 + x**3 / 3.0) / (2.0 * gas_damping(obj, env))
-        bound = heating_time_and_bound(obj, env, OMEGA_T, 1e5)
-        assert bound.t_star == pytest.approx(series, rel=1e-15, abs=0.0)
-
-    def test_first_order_expression(self):
-        obj, env = make_sphere(), air()
-        gamma = gas_damping(obj, env)
-        bound = heating_time_and_bound(obj, env, OMEGA_T, 1e5)
-        expected = CODATA.hbar * OMEGA_T / (CODATA.k_B * env.temperature_T * 2.0 * gamma)
-        assert bound.t_star_first_order == pytest.approx(expected, rel=1e-12)
+        assert heating(obj, env).t_star == pytest.approx(series, rel=1e-15, abs=0.0)
 
 
 class TestQualityFactor:
@@ -138,15 +136,15 @@ class TestDecoherence:
                                  molecule_mass=rng.uniform(1.0, 100.0) * CODATA.amu)
             omega_t = 10**rng.uniform(4, 7)
             z_m = math.sqrt(CODATA.hbar / (2.0 * obj.mass * omega_t))
-            rates = decoherence_rates(obj, env, omega_t, z_m)
+            rates = decoherence_rates(obj, env, gas_damping(obj, env), omega_t, z_m)
             assert abs(rates.ratio - 9.0 / 16.0) < 1e-12
 
     def test_lambda_scales_with_pressure_and_sqrt_temperature(self):
         obj = make_sphere()
         z_m = math.sqrt(CODATA.hbar / (2.0 * obj.mass * OMEGA_T))
-        base = decoherence_rates(obj, air(1e-6, T=300.0), OMEGA_T, z_m)
-        doubled = decoherence_rates(obj, air(2e-6, T=300.0), OMEGA_T, z_m)
-        hot = decoherence_rates(obj, air(1e-6, T=1200.0), OMEGA_T, z_m)
+        base, doubled, hot = (decoherence_rates(obj, env, gas_damping(obj, env), OMEGA_T, z_m)
+                              for env in (air(1e-6, T=300.0), air(2e-6, T=300.0),
+                                          air(1e-6, T=1200.0)))
         assert doubled.Lambda == pytest.approx(2.0 * base.Lambda, rel=1e-12)
         assert hot.Lambda == pytest.approx(2.0 * base.Lambda, rel=1e-12)
 
@@ -196,11 +194,35 @@ class TestBudget:
     def test_assembles_consistently(self):
         obj, env = make_sphere(), air()
         z_m = math.sqrt(CODATA.hbar / (2.0 * obj.mass * OMEGA_T))
-        budget = decoherence_budget(obj, env, OMEGA_T, z_m, 1e5)
+        budget = decoherence_budget(obj, env, gas_damping(obj, env), OMEGA_T, z_m, 1e5)
         assert budget.Q_factor * budget.gamma == pytest.approx(OMEGA_T, rel=1e-12)
         assert budget.rates.ratio == pytest.approx(9.0 / 16.0, abs=1e-12)
-        assert budget.noise_D == pytest.approx(
-            2.0 * CODATA.k_B * env.temperature_T * budget.gamma / obj.mass, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_non_positive_damping_rejected(self, gamma):
+        # the damping rate is an argument: a caller's 0 would divide by zero
+        obj, env = make_sphere(), air()
+        z_m = math.sqrt(CODATA.hbar / (2.0 * obj.mass * OMEGA_T))
+        with pytest.raises(ValidationError, match="gamma"):
+            heating_time_and_bound(obj, env, gamma, OMEGA_T, 1e5)
+        with pytest.raises(ValidationError, match="gamma"):
+            decoherence_rates(obj, env, gamma, OMEGA_T, z_m)
+
+    def test_one_gas_damping_per_evaluation(self, monkeypatch):
+        # the budget, the heating bound and the rates take the rate that
+        # evaluate_scenario computed once, in its decoherence stage
+        damping, calls = environment.gas_damping, []
+
+        def counted(*args):
+            calls.append(args)
+            return damping(*args)
+
+        monkeypatch.setattr(environment, "gas_damping", counted)
+        monkeypatch.setattr(scenario, "gas_damping", counted)
+        s = scenario_from_dict(preset_scenario_dict("sphere-appendix-h"))
+        report = scenario.evaluate_scenario(s)
+        assert len(calls) == 1
+        assert report.decoherence.gamma == damping(s.object, s.gas)
 
     def test_invalid_environment_rejected(self):
         with pytest.raises(ValidationError):

@@ -45,10 +45,10 @@ def sample_records() -> dict:
         if isinstance(s.trap, scenario.SelfTrapSpec):
             roots += rod.translation_configuration(s.cavity, s.trap.mode1_power)[:2]
         if s.gas is not None:
-            omega_t = report.optomech.omega_t
-            roots += [environment.heating_time_and_bound(s.object, s.gas, omega_t,
+            omega_t, gamma = report.optomech.omega_t, report.decoherence.gamma
+            roots += [environment.heating_time_and_bound(s.object, s.gas, gamma, omega_t,
                                                          s.cooling_rate),
-                      environment.decoherence_rates(s.object, s.gas, omega_t,
+                      environment.decoherence_rates(s.object, s.gas, gamma, omega_t,
                                                     report.optomech.zm)]
     samples: dict = {}
 

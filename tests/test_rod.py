@@ -6,11 +6,10 @@ import pytest
 from levicav.cavity import BodyGeometry, Rod, Sphere, numeric_derivatives
 from levicav.constants import CODATA, TWO_PI
 from levicav.errors import GeometryError, ValidationError
-from levicav.rod import (C1, C2, LGPairProfile, rod_coupling_constants,
-                         rod_frequency_profile, rod_optomech_params,
-                         rod_shift_profile, rotation_configuration,
+from levicav.rod import (C1, C2, LGPairProfile, rod_optomech_params, rotation_configuration,
                          solve_self_trap, translation_configuration)
 from levicav.sphere import DielectricObject
+from oracles import rod_coupling_constants, rod_frequency_profile, rod_shift_profile
 
 
 def make_rod(cfg, width=50e-9, arc=50e-9):
@@ -38,6 +37,9 @@ class TestOverlapConstants:
 
 
 class TestFrequencyProfile:
+    """The closed-form profile of tests/oracles.py, and the regime it holds in,
+    which the self-trap solver enforces."""
+
     def test_unit_permittivity(self, ref_cavity):
         obj = DielectricObject(
             BodyGeometry(Rod(ref_cavity.waist_W / 2.0, 50e-9, 50e-9)), 2201.0, 1.0)
@@ -53,11 +55,11 @@ class TestFrequencyProfile:
     def test_geometry_regime_enforced(self, ref_cavity):
         bad_radius = DielectricObject(
             BodyGeometry(Rod(ref_cavity.waist_W / 3.0, 50e-9, 50e-9)), 2201.0, 2.1)
-        with pytest.raises(GeometryError):
-            rod_frequency_profile(bad_radius, ref_cavity, LGPairProfile(1), 0.0, 0.0)
+        with pytest.raises(GeometryError, match="R = W/2"):
+            solve_self_trap(bad_radius, ref_cavity, *translation_configuration(ref_cavity, 4e-3))
         sphere = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1)
-        with pytest.raises(GeometryError):
-            rod_frequency_profile(sphere, ref_cavity, LGPairProfile(1), 0.0, 0.0)
+        with pytest.raises(GeometryError, match="rod geometry"):
+            solve_self_trap(sphere, ref_cavity, *translation_configuration(ref_cavity, 4e-3))
 
 
 class TestCouplingConstants:
@@ -89,8 +91,9 @@ class TestCouplingConstants:
         assert d.first == pytest.approx(xi, rel=1e-6)
 
     def test_unknown_configuration(self, ref_cavity):
-        with pytest.raises(ValidationError):
-            rod_coupling_constants(make_rod(ref_cavity), ref_cavity, "torsion")
+        pair1, pair2, eq, _ = translation_configuration(ref_cavity, 4e-3)
+        with pytest.raises(ValidationError, match="cooled_dof"):
+            solve_self_trap(make_rod(ref_cavity), ref_cavity, pair1, pair2, eq, "torsion")
 
 
 class TestSelfTrap:
@@ -112,7 +115,16 @@ class TestSelfTrap:
         sol = solve_self_trap(obj, ref_cavity, pair1, pair2, eq, dof)
         # (the mode-1 gradient is the cooled-coordinate coupling)
         xi = sol.xi_z if dof == "translation" else sol.xi_phi
-        residual = sol.n_photons_1 * xi + sol.n_photons_2 * sol.grad_2
+        # and the mode-2 gradient along it is the closed-form profile's slope
+        phi0, z0 = eq
+        if dof == "translation":
+            grad_2 = numeric_derivatives(
+                lambda z: rod_shift_profile(obj, ref_cavity, pair2, phi0, z), z0,
+                scale=ref_cavity.wavelength_lambda).first
+        else:
+            grad_2 = numeric_derivatives(
+                lambda p: rod_shift_profile(obj, ref_cavity, pair2, p, z0), phi0, scale=1.0).first
+        residual = sol.n_photons_1 * xi + sol.n_photons_2 * grad_2
         assert abs(residual) <= 1e-10 * abs(sol.n_photons_1 * xi)
 
     @pytest.mark.parametrize("build", [translation_configuration, rotation_configuration])

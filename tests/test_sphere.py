@@ -6,12 +6,12 @@ import pytest
 
 from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere, numeric_derivatives
 from levicav.constants import CODATA, TWO_PI
-from levicav.errors import GeometryError, ValidationError
+from levicav.errors import GeometryError, NumericalError, ValidationError
 from levicav.sphere import (DielectricObject, DriveConfig, TweezerConfig,
                             assemble_optomech_params, equilibrium_z,
-                            intracavity_amplitude, sphere_frequency_profile,
-                            sphere_linear_coupling, sphere_shift_profile,
+                            intracavity_amplitude, sphere_linear_coupling,
                             tweezer_trap_frequency)
+from oracles import sphere_frequency_profile, sphere_shift_profile
 
 
 def make_sphere(radius=250e-9, eps1=2.1):
@@ -19,6 +19,9 @@ def make_sphere(radius=250e-9, eps1=2.1):
 
 
 class TestFrequencyProfile:
+    """The closed-form profile of tests/oracles.py, and the regime it holds in,
+    which the production coupling enforces."""
+
     def test_unit_permittivity_gives_bare_frequency(self, ref_cavity):
         obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 1.0)
         assert sphere_frequency_profile(obj, ref_cavity, (0, 0, 0)) == ref_cavity.omega_c0
@@ -38,13 +41,13 @@ class TestFrequencyProfile:
 
     def test_radius_at_waist_rejected(self, ref_cavity):
         obj = make_sphere(radius=30e-6)
-        with pytest.raises(GeometryError):
-            sphere_frequency_profile(obj, ref_cavity, (0, 0, 0))
+        with pytest.raises(GeometryError, match="below the waist"):
+            sphere_linear_coupling(obj, ref_cavity)
 
     def test_rod_rejected(self, ref_cavity):
         rod = DielectricObject(BodyGeometry(Rod(13e-6, 50e-9, 50e-9)), 2201.0, 2.1)
-        with pytest.raises(GeometryError):
-            sphere_frequency_profile(rod, ref_cavity, (0, 0, 0))
+        with pytest.raises(GeometryError, match="spheres only"):
+            sphere_linear_coupling(rod, ref_cavity)
 
 
 class TestLinearCoupling:
@@ -113,6 +116,12 @@ class TestTweezer:
     def test_no_gradient_trapping(self, ref_tweezer):
         obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 1.0)
         with pytest.raises(ValidationError):
+            tweezer_trap_frequency(obj, ref_tweezer)
+
+    def test_underflow_is_numerical(self, ref_tweezer):
+        # a finite density so large that omega_t^2 underflows is no input error
+        obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 1.0e300, 2.1)
+        with pytest.raises(NumericalError, match="underflows to 0"):
             tweezer_trap_frequency(obj, ref_tweezer)
 
 
