@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 # only the layers it runs: the presets need no record type, and the pulse
 # module brings numpy.
 _EXPORTS = {
-    "cavity": ("BodyGeometry", "CavityConfig", "Rod", "Sphere", "derived_cavity_quantities",
-               "numeric_derivatives"),
+    "cavity": ("CavityConfig", "Rod", "Sphere", "derived_cavity_quantities", "numeric_derivatives"),
     "constants": ("CODATA", "PhysicalConstants", "angular_to_hz", "hz_to_angular",
                   "pa_to_torr", "torr_to_pa"),
     "environment": ("DecoherenceBudget", "GasEnvironment", "ThermalInput", "bulk_temperature",

@@ -1,8 +1,8 @@
-"""Cavity geometry, body geometry, and Richardson finite differences.
+"""Cavity geometry, body shapes, and Richardson finite differences.
 
 The confocal cavity record derives the bare resonance, the photon decay
 rate and the waist. Bodies are spheres, or rods modeled as two opposed
-wedges, placed by a center and an azimuthal angle. ``numeric_derivatives``
+wedges, each at the one position its trap sets. ``numeric_derivatives``
 differentiates the rod's self-trap frequency profile. The volume-quadrature
 route to the resonance shift, with its mode catalog, is a test oracle
 (``tests/oracles.py``).
@@ -11,7 +11,7 @@ route to the resonance shift, with its mode catalog, is a test oracle
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable
 
 from .constants import CODATA, TWO_PI, wavelength_omega
 from .errors import DerivativeError, GeometryError, ValidationError
@@ -22,7 +22,6 @@ __all__ = [
     "CavityDerived",
     "Sphere",
     "Rod",
-    "BodyGeometry",
     "derived_cavity_quantities",
     "DerivativeEstimate",
     "numeric_derivatives",
@@ -82,7 +81,7 @@ def derived_cavity_quantities(cfg: CavityConfig) -> CavityDerived:
 
 
 # ---------------------------------------------------------------------------
-# body geometry
+# body shapes
 # ---------------------------------------------------------------------------
 
 @record
@@ -121,22 +120,6 @@ class Rod:
     @property
     def volume(self) -> float:
         return self.radius * self.arc_L * self.width_a
-
-
-Shape = Union[Sphere, Rod]
-
-
-@record
-class BodyGeometry:
-    """A shape plus its pose: center position and azimuthal angle."""
-
-    shape: Shape
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    phi: float = 0.0  # rad, azimuthal orientation (rods)
-
-    @property
-    def volume(self) -> float:
-        return self.shape.volume
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class DecoherenceBudget:
 
 
 def _sphere_radius(obj: DielectricObject) -> float:
-    shape = obj.geometry.shape
+    shape = obj.shape
     if not isinstance(shape, Sphere):
         raise GeometryError("gas-collision formulas are derived for spheres only")
     return shape.radius

@@ -249,8 +249,7 @@ def _erfcx():
     return _faddeeva()[1]
 
 
-def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, hi: float,
-                          p: PulseProtocol) -> np.ndarray:
+def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, p: PulseProtocol) -> np.ndarray:
     """int_lo^t exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds for times
     lo < t <= hi inside the pulse window, in any order, and Re lam <= 0.
 
@@ -377,7 +376,7 @@ def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray, both: bool = True) -
         edge_lo = np.exp(-half_sum * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
         # at s = t the boundary term has tau = 0, so only k = 0 keeps it
         edge_t = np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2)
-        j_prev, j = 0.0, _gaussian_convolution(-half_sum, ts, lo, hi, p).real
+        j_prev, j = 0.0, _gaussian_convolution(-half_sum, ts, lo, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0  # nu^(2 floor(k/2)) / k!
         for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
@@ -394,11 +393,11 @@ def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray, both: bool = True) -
         rest = ~series
     tr = t_live[rest]
     if tr.size:
-        plus = _gaussian_convolution(-half_sum + nu, tr, lo, hi, p)
+        plus = _gaussian_convolution(-half_sum + nu, tr, lo, p)
         if nu2 < 0.0:  # P- = conj(P+): (P+ - P-)/(2 nu) = Im P+ / omega
             mean, dif, inv = plus.real, plus.imag, 1.0 / nu.imag
         else:
-            minus = _gaussian_convolution(-half_sum - nu, tr, lo, hi, p).real
+            minus = _gaussian_convolution(-half_sum - nu, tr, lo, p).real
             mean, dif, inv = 0.5 * (plus.real + minus), plus.real - minus, 1.0 / (2.0 * nu.real)
         vb[rest] = (p.g * dif) * inv
         if both:

@@ -1,5 +1,4 @@
-"""Frozen records, built without ``dataclasses`` and without per-class code
-generation.
+"""Frozen records, built without ``dataclasses``.
 
 ``@record`` reads a class's own annotations, in order, and their plain
 defaults, and compiles one ``__init__`` that takes those fields and then
@@ -11,7 +10,8 @@ an attribute raises ``dataclasses.FrozenInstanceError`` with dataclasses'
 messages. These five functions are shared by every record.
 ``@dataclass(frozen=True)`` compiles six methods per class with ``exec`` in
 every process that imports it, and importing ``dataclasses`` loads
-``inspect``; defining a record does neither.
+``inspect``; defining a record compiles one method instead of six and loads
+no ``inspect``.
 
 Records are still frozen dataclasses. ``__dataclass_fields__`` and
 ``__dataclass_params__`` start as class attributes that register the class

@@ -97,7 +97,7 @@ class SelfTrapSolution:
 
 
 def _check_rod_regime(obj: DielectricObject, cfg: CavityConfig) -> Rod:
-    shape = obj.geometry.shape
+    shape = obj.shape
     if not isinstance(shape, Rod):
         raise GeometryError("rod operations require a rod geometry")
     if abs(shape.radius - cfg.waist_W / 2.0) > 1e-9 * cfg.waist_W:
@@ -201,8 +201,7 @@ def solve_self_trap(obj: DielectricObject, cfg: CavityConfig,
                             cooled_dof=cooled_dof)
 
 
-def rod_optomech_params(obj: DielectricObject, cfg: CavityConfig,
-                        sol: SelfTrapSolution) -> OptomechParams:
+def rod_optomech_params(obj: DielectricObject, sol: SelfTrapSolution) -> OptomechParams:
     """OptomechParams for the cooled rod coordinate of a self-trap solution.
 
     Translation uses q_m = sqrt(hbar/(2 M omega_t_z)); rotation uses the

@@ -29,8 +29,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Union
 
 from . import kvdoc as yaml
-from .cavity import (BodyGeometry, CavityConfig, CavityDerived, Rod, Sphere,
-                     derived_cavity_quantities)
+from .cavity import CavityConfig, CavityDerived, Rod, Sphere, derived_cavity_quantities
 from .constants import (CODATA, angular_to_hz, hz_to_angular, pa_to_torr, torr_to_pa,
                         wavelength_omega)
 from .environment import (DecoherenceBudget, GasEnvironment, ThermalInput,
@@ -186,7 +185,7 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
     Sub-module failures propagate with the failing stage named.
     """
     derived = derived_cavity_quantities(s.cavity)
-    is_sphere = isinstance(s.object.geometry.shape, Sphere)
+    is_sphere = isinstance(s.object.shape, Sphere)
     selftrap = None
 
     with _stage("coupling"):
@@ -204,7 +203,7 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
                      else rotation_configuration)
             pair1, pair2, equilibrium, dof = build(s.cavity, s.trap.mode1_power)
             selftrap = solve_self_trap(s.object, s.cavity, pair1, pair2, equilibrium, dof)
-            optomech = rod_optomech_params(s.object, s.cavity, selftrap)
+            optomech = rod_optomech_params(s.object, selftrap)
 
     g_mag = abs(optomech.g)
     kappa = derived.kappa
@@ -227,7 +226,7 @@ def evaluate_scenario(s: Scenario) -> FeasibilityReport:
     f_max = None
     scattering_ok = None
     if is_sphere:
-        f_max = scattering_finesse_bound(derived.waist_W, s.object.geometry.shape.radius)
+        f_max = scattering_finesse_bound(derived.waist_W, s.object.shape.radius)
         scattering_ok = s.cavity.finesse_F <= f_max
 
     bulk = None
@@ -302,13 +301,12 @@ _GROUPS = (
         ("length_m", "length_d", None, "required", _finite, ("d", "length")),
         ("finesse", "finesse_F", None, "required", _finite, ("F", "finesse")),
         ("wavelength_m", "wavelength_lambda", None, "required", _finite, ()))),
-    ("object", "sphere", "object.geometry.shape", Sphere, (
+    ("object", "sphere", "object.shape", Sphere, (
         ("radius_m", "radius", None, "required", _finite, ("R", "radius")),)),
-    ("object", "rod", "object.geometry.shape", Rod, (
+    ("object", "rod", "object.shape", Rod, (
         ("radius_m", "radius", None, lambda kw: kw[""]["cavity"].waist_W / 2.0, _finite, ()),
         ("width_m", "width_a", None, "required", _finite, ()),
         ("arc_m", "arc_L", None, "required", _finite, ()))),
-    ("object", None, "object.geometry", BodyGeometry, ()),
     ("object", None, "object", DielectricObject, (
         ("density_kg_m3", "density_rho", None, "required", _finite, ()),
         ("eps1", "eps1", None, "required", _finite, ()),

@@ -18,9 +18,9 @@ these closed forms is a test oracle in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Union
 
-from .cavity import BodyGeometry, CavityConfig, Rod, Sphere
+from .cavity import CavityConfig, Rod, Sphere
 from .constants import CODATA
 from .errors import GeometryError, NumericalError, ValidationError
 from .records import record
@@ -40,9 +40,9 @@ __all__ = [
 
 @record
 class DielectricObject:
-    """Geometry plus material: density rho and eps_r = eps1 + i eps2."""
+    """Shape plus material: density rho and eps_r = eps1 + i eps2."""
 
-    geometry: BodyGeometry
+    shape: Union[Sphere, Rod]
     density_rho: float  # kg/m^3
     eps1: float         # real relative permittivity
     eps2: float = 0.0   # imaginary part (absorption)
@@ -57,7 +57,7 @@ class DielectricObject:
 
     @property
     def volume(self) -> float:
-        return self.geometry.volume
+        return self.shape.volume
 
     @property
     def mass(self) -> float:
@@ -66,7 +66,7 @@ class DielectricObject:
     @property
     def moment_of_inertia(self) -> float:
         """Rod rotational inertia I = R*L*M/(4 pi) about the cavity axis."""
-        shape = self.geometry.shape
+        shape = self.shape
         if not isinstance(shape, Rod):
             raise GeometryError("moment of inertia is defined for rods only")
         return shape.radius * shape.arc_L * self.mass / (4.0 * math.pi)
@@ -134,7 +134,7 @@ def _overlap_amplitude(obj: DielectricObject, cfg: CavityConfig) -> float:
 
 def _small_sphere_amplitude(obj: DielectricObject, cfg: CavityConfig) -> float:
     """A for a sphere, whose closed forms hold only below the waist."""
-    shape = obj.geometry.shape
+    shape = obj.shape
     if not isinstance(shape, Sphere):
         raise GeometryError("this operation is defined for spheres only")
     if shape.radius >= cfg.waist_W:

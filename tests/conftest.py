@@ -1,6 +1,6 @@
 import pytest
 
-from levicav.cavity import BodyGeometry, CavityConfig, Sphere
+from levicav.cavity import CavityConfig, Sphere
 from levicav.sphere import DielectricObject, DriveConfig, TweezerConfig
 from levicav.constants import CODATA, TWO_PI
 
@@ -14,8 +14,8 @@ def ref_cavity() -> CavityConfig:
 @pytest.fixture
 def silica_sphere() -> DielectricObject:
     """250 nm fused-silica sphere."""
-    return DielectricObject(geometry=BodyGeometry(shape=Sphere(radius=250e-9)),
-                            density_rho=2201.0, eps1=2.1, eps2=2.5e-10)
+    return DielectricObject(shape=Sphere(radius=250e-9), density_rho=2201.0, eps1=2.1,
+                            eps2=2.5e-10)
 
 
 @pytest.fixture

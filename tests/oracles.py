@@ -7,9 +7,11 @@ permittivity ``eps_r`` occupying volume V(q) the relative shift is
     (omega_c(q) - omega_c0) / omega_c0
         = - int_{V(q)} (eps_r - 1) |phi0(r)|^2 dr / (2 int |phi0|^2 dr)
 
-evaluated here by adaptive product quadrature over the body. The catalog
-modes carry their normalization integral in closed form. Convention: the
-axial part of the normalization integral uses the full cavity length d
+evaluated here by adaptive product quadrature over the body. The oracle
+takes the body as a shape plus its pose, the center and a rod's azimuth,
+passed as arguments: no production record places a body. The catalog modes
+carry their normalization integral in closed form. Convention: the axial
+part of the normalization integral uses the full cavity length d
 (standing-wave peak normalization); this is the convention under which the
 closed-form small-object coupling constants of the sphere and rod modules
 hold, and it is validated against them in the test suite.
@@ -61,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
+from levicav.cavity import CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI
 from levicav.errors import GeometryError, NumericalError, ValidationError
 from levicav.pulse import PulseProtocol, pulse_envelope
@@ -140,10 +142,11 @@ def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def _sphere_overlap(mode: ModeField, body: BodyGeometry, n: int) -> float:
+def _sphere_overlap(mode: ModeField, sphere: Sphere, center: tuple[float, float, float],
+                    phi: float, n: int) -> float:
     """int_sphere |phi0|^2 dV with an n^3 product rule in spherical coords."""
-    R = body.shape.radius
-    x0, y0, z0 = body.center
+    R = sphere.radius
+    x0, y0, z0 = center
     r, wr = _gauss_nodes(n, 0.0, R)
     th, wth = _gauss_nodes(n, 0.0, math.pi)
     ph, wph = _gauss_nodes(n, 0.0, TWO_PI)
@@ -156,17 +159,17 @@ def _sphere_overlap(mode: ModeField, body: BodyGeometry, n: int) -> float:
     return float(np.einsum("ijk,i,j,k->", vals, wr, wth, wph))
 
 
-def _rod_overlap(mode: ModeField, body: BodyGeometry, n: int) -> float:
+def _rod_overlap(mode: ModeField, rod: Rod, center: tuple[float, float, float],
+                 phi: float, n: int) -> float:
     """int over both wedges of |phi0|^2 dV, cylindrical product rule."""
-    rod: Rod = body.shape
-    x0, y0, z0 = body.center
+    x0, y0, z0 = center
     if abs(x0) > 0.0 or abs(y0) > 0.0:
         raise GeometryError("wedge rod model requires the rod centered on the cavity axis")
     theta = rod.arc_L / rod.radius  # angular width of each wedge
     r, wr = _gauss_nodes(n, 0.0, rod.radius)
     z, wz = _gauss_nodes(max(n // 4, 4), z0 - rod.width_a / 2.0, z0 + rod.width_a / 2.0)
     total = 0.0
-    for phi_c in (body.phi, body.phi + math.pi):
+    for phi_c in (phi, phi + math.pi):
         ph, wph = _gauss_nodes(max(n // 4, 4), phi_c - theta / 2.0, phi_c + theta / 2.0)
         rg, pg, zg = np.meshgrid(r, ph, z, indexing="ij", sparse=True)
         x = rg * np.cos(pg)
@@ -176,9 +179,12 @@ def _rod_overlap(mode: ModeField, body: BodyGeometry, n: int) -> float:
     return total
 
 
-def perturbative_shift(mode: ModeField, body: BodyGeometry, eps_r: float,
-                       cfg: CavityConfig, rel_tol: float = 1e-6) -> float:
-    """Relative resonance shift (omega_c(q) - omega_c0)/omega_c0 of a body.
+def perturbative_shift(mode: ModeField, shape: Sphere | Rod, eps_r: float, cfg: CavityConfig,
+                       center: tuple[float, float, float] = (0.0, 0.0, 0.0), phi: float = 0.0,
+                       rel_tol: float = 1e-6) -> float:
+    """Relative resonance shift (omega_c(q) - omega_c0)/omega_c0 of a body
+    of this shape centered at ``center``; a rod's wedges point along the
+    azimuth ``phi`` and ``phi + pi``, and its center must be on the axis.
 
     Numerator integrated adaptively over the body volume (node count
     doubled until two successive levels agree to ``rel_tol``); denominator
@@ -187,18 +193,18 @@ def perturbative_shift(mode: ModeField, body: BodyGeometry, eps_r: float,
     """
     if eps_r < 1.0:
         raise ValidationError("relative permittivity must be >= 1")
-    half_len = body.shape.radius if isinstance(body.shape, Sphere) else body.shape.width_a / 2.0
-    if abs(body.center[2]) + half_len > cfg.length_d / 2.0:
+    half_len = shape.radius if isinstance(shape, Sphere) else shape.width_a / 2.0
+    if abs(center[2]) + half_len > cfg.length_d / 2.0:
         raise GeometryError("body does not fit inside the cavity volume")
     if eps_r == 1.0:
         return 0.0
 
-    overlap = _sphere_overlap if isinstance(body.shape, Sphere) else _rod_overlap
+    overlap = _sphere_overlap if isinstance(shape, Sphere) else _rod_overlap
     n = 12
-    prev = overlap(mode, body, n)
+    prev = overlap(mode, shape, center, phi, n)
     while n < _MAX_NODES:
         n *= 2
-        cur = overlap(mode, body, n)
+        cur = overlap(mode, shape, center, phi, n)
         err = abs(cur - prev)
         scale = max(abs(cur), abs(prev))
         if scale == 0.0 or err <= rel_tol * scale:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from levicav.cavity import (BodyGeometry, CavityConfig, Sphere,
+from levicav.cavity import (CavityConfig, Sphere,
                             derived_cavity_quantities, numeric_derivatives)
 from levicav.constants import CODATA, TWO_PI, pa_to_torr, torr_to_pa
 from levicav.environment import (GasEnvironment, ThermalInput, bulk_temperature,
@@ -25,7 +25,7 @@ from oracles import (perturbative_shift, phonon_expectation_moments, sphere_freq
                      tem00_mode)
 
 REF_CAVITY = CavityConfig(length_d=4e-3, finesse_F=1e5, wavelength_lambda=1.064e-6)
-REF_SPHERE = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1, 2.5e-10)
+REF_SPHERE = DielectricObject(Sphere(250e-9), 2201.0, 2.1, 2.5e-10)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -72,7 +72,7 @@ def test_criterion_4_rod_self_trapping():
              {"omega_t_z": 492e3, "omega_t_phi": 503e3, "g": 276e3})):
         pair1, pair2, eq, dof = build(REF_CAVITY, 4e-3)
         sol = solve_self_trap(rod, REF_CAVITY, pair1, pair2, eq, dof)
-        params = rod_optomech_params(rod, REF_CAVITY, sol)
+        params = rod_optomech_params(rod, sol)
         got = {"omega_t_z": sol.omega_t_z / TWO_PI,
                "omega_t_phi": sol.omega_t_phi / TWO_PI,
                "g": abs(params.g) / TWO_PI}
@@ -119,8 +119,8 @@ def test_criterion_6_numeric_vs_analytic_coupling():
     W = REF_CAVITY.waist_W
     worst_quad = 0.0
     for radius in (250e-9, W / 20.0, W / 10.0):
-        body = BodyGeometry(Sphere(radius), center=(0.0, 0.0, z0))
-        shift = perturbative_shift(mode, body, REF_SPHERE.eps1, REF_CAVITY)
+        body = Sphere(radius)
+        shift = perturbative_shift(mode, body, REF_SPHERE.eps1, REF_CAVITY, center=(0.0, 0.0, z0))
         analytic = (-body.volume * (REF_SPHERE.eps1 - 1.0) * W**2
                     * math.cos(REF_CAVITY.wavenumber * z0) ** 2
                     / (math.pi * W**4 * REF_CAVITY.length_d))
@@ -143,7 +143,7 @@ def test_criterion_7_decoherence_budget():
     rng = np.random.default_rng(97)
     worst = 0.0
     for _ in range(100):
-        obj = DielectricObject(BodyGeometry(Sphere(rng.uniform(30e-9, 2e-6))),
+        obj = DielectricObject(Sphere(rng.uniform(30e-9, 2e-6)),
                                rng.uniform(500.0, 8000.0), rng.uniform(1.1, 8.0))
         g_env = GasEnvironment(pressure_P=10**rng.uniform(-8, -2),
                                temperature_T=rng.uniform(10.0, 1000.0),
@@ -172,7 +172,7 @@ def test_criterion_8_formula_limits():
     mu, _ = amplification_envelope(g, 0.0, 1.0, 1.0, t)
     cosh_dev = float(np.max(np.abs(mu - np.cosh(g * t)) / np.cosh(g * t)))
 
-    dark = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1, 0.0)
+    dark = DielectricObject(Sphere(250e-9), 2201.0, 2.1, 0.0)
     t_dark = bulk_temperature(dark, ThermalInput(intensity_I0=2e12), 1.064e-6)
     t_off = bulk_temperature(REF_SPHERE, ThermalInput(intensity_I0=0.0), 1.064e-6)
     exact_bulk = (t_dark == 300.0) and (t_off == 300.0)

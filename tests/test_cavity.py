@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from levicav.cavity import (BodyGeometry, CavityConfig, Rod, Sphere,
-                            derived_cavity_quantities, numeric_derivatives)
+from levicav.cavity import (CavityConfig, Rod, Sphere, derived_cavity_quantities,
+                            numeric_derivatives)
 from levicav.constants import TWO_PI
 from levicav.errors import DerivativeError, GeometryError, ValidationError
 from levicav.rod import C1, C2
@@ -45,8 +45,7 @@ class TestDerivedQuantities:
 class TestPerturbativeShift:
     def test_vanishing_perturbation(self, ref_cavity):
         mode = tem00_mode(ref_cavity)
-        body = BodyGeometry(Sphere(100e-9))
-        assert perturbative_shift(mode, body, 1.0, ref_cavity) == 0.0
+        assert perturbative_shift(mode, Sphere(100e-9), 1.0, ref_cavity) == 0.0
 
     def test_sphere_matches_analytic_at_equilibrium(self, ref_cavity):
         # at the maximum-slope point the axial average is exact, so the
@@ -54,9 +53,9 @@ class TestPerturbativeShift:
         mode = tem00_mode(ref_cavity)
         z0 = equilibrium_z(ref_cavity)
         for radius in (250e-9, 1e-6, ref_cavity.waist_W / 10.0):
-            body = BodyGeometry(Sphere(radius), center=(0.0, 0.0, z0))
-            shift = perturbative_shift(mode, body, EPS1, ref_cavity)
-            analytic = point_shift(ref_cavity, body.volume, EPS1, 0.0, 0.0, z0)
+            sphere = Sphere(radius)
+            shift = perturbative_shift(mode, sphere, EPS1, ref_cavity, center=(0.0, 0.0, z0))
+            analytic = point_shift(ref_cavity, sphere.volume, EPS1, 0.0, 0.0, z0)
             assert shift == pytest.approx(analytic, rel=1e-2)
 
     def test_sphere_antinode_matches_volume_integral(self, ref_cavity):
@@ -65,58 +64,56 @@ class TestPerturbativeShift:
         radius = 250e-9
         k = ref_cavity.wavenumber
         W = ref_cavity.waist_W
-        body = BodyGeometry(Sphere(radius), center=(0.0, 0.0, 0.0))
-        shift = perturbative_shift(mode, body, EPS1, ref_cavity)
+        sphere = Sphere(radius)
+        shift = perturbative_shift(mode, sphere, EPS1, ref_cavity, center=(0.0, 0.0, 0.0))
         u = 2.0 * k * radius
         axial = 0.5 * (1.0 + 3.0 * (math.sin(u) - u * math.cos(u)) / u**3)
         transverse = 1.0 - 0.8 * (radius / W) ** 2
-        oracle = (-(EPS1 - 1.0) * body.volume * axial * transverse
+        oracle = (-(EPS1 - 1.0) * sphere.volume * axial * transverse
                   / (math.pi * W**2 * ref_cavity.length_d))
         assert shift == pytest.approx(oracle, rel=5e-5)
 
     def test_small_sphere_antinode_against_point_formula(self, ref_cavity):
         # 25 nm sphere: axial averaging is negligible even at the antinode
         mode = tem00_mode(ref_cavity)
-        body = BodyGeometry(Sphere(25e-9))
-        shift = perturbative_shift(mode, body, EPS1, ref_cavity)
-        analytic = point_shift(ref_cavity, body.volume, EPS1, 0.0, 0.0, 0.0)
+        sphere = Sphere(25e-9)
+        shift = perturbative_shift(mode, sphere, EPS1, ref_cavity)
+        analytic = point_shift(ref_cavity, sphere.volume, EPS1, 0.0, 0.0, 0.0)
         assert shift == pytest.approx(analytic, rel=1e-2)
 
     def test_rod_matches_analytic_profile_constants(self, ref_cavity):
         W = ref_cavity.waist_W
         rod = Rod(radius=W / 2.0, width_a=50e-9, arc_L=50e-9)
-        body = BodyGeometry(rod, phi=0.0)
         for ell, const in ((1, C1), (2, C2)):
             mode = lg_pair_mode(ref_cavity, ell)
-            shift = perturbative_shift(mode, body, EPS1, ref_cavity)
+            shift = perturbative_shift(mode, rod, EPS1, ref_cavity, phi=0.0)
             analytic = (-(EPS1 - 1.0) * rod.volume * const
                         / (math.pi * W**2 * ref_cavity.length_d))
             assert shift == pytest.approx(analytic, rel=2e-2)
 
     def test_shift_negative_and_linear_in_permittivity(self, ref_cavity):
         mode = tem00_mode(ref_cavity)
-        body = BodyGeometry(Sphere(200e-9), center=(0.0, 0.0, 0.1e-6))
-        s1 = perturbative_shift(mode, body, 2.1, ref_cavity)
-        s2 = perturbative_shift(mode, body, 3.2, ref_cavity)
+        sphere, center = Sphere(200e-9), (0.0, 0.0, 0.1e-6)
+        s1 = perturbative_shift(mode, sphere, 2.1, ref_cavity, center=center)
+        s2 = perturbative_shift(mode, sphere, 3.2, ref_cavity, center=center)
         assert s1 < 0.0
         assert s2 / s1 == pytest.approx(2.2 / 1.1, rel=1e-9)
 
     def test_shift_monotone_in_volume(self, ref_cavity):
         mode = tem00_mode(ref_cavity)
-        shifts = [perturbative_shift(mode, BodyGeometry(Sphere(r)), EPS1, ref_cavity)
+        shifts = [perturbative_shift(mode, Sphere(r), EPS1, ref_cavity)
                   for r in (50e-9, 100e-9, 150e-9, 200e-9)]
         assert all(b < a for a, b in zip(shifts, shifts[1:]))
 
     def test_body_outside_cavity_rejected(self, ref_cavity):
         mode = tem00_mode(ref_cavity)
-        body = BodyGeometry(Sphere(100e-9), center=(0.0, 0.0, 2.5e-3))
         with pytest.raises(GeometryError):
-            perturbative_shift(mode, body, EPS1, ref_cavity)
+            perturbative_shift(mode, Sphere(100e-9), EPS1, ref_cavity, center=(0.0, 0.0, 2.5e-3))
 
     def test_eps_below_one_rejected(self, ref_cavity):
         mode = tem00_mode(ref_cavity)
         with pytest.raises(ValidationError):
-            perturbative_shift(mode, BodyGeometry(Sphere(1e-7)), 0.9, ref_cavity)
+            perturbative_shift(mode, Sphere(1e-7), 0.9, ref_cavity)
 
     def test_lg_pair_requires_catalog_order(self, ref_cavity):
         with pytest.raises(ValidationError):
@@ -163,16 +160,14 @@ class TestRodQuadratureGeometry:
     def test_off_axis_rod_rejected(self, ref_cavity):
         mode = lg_pair_mode(ref_cavity, 1)
         rod = Rod(radius=ref_cavity.waist_W / 2.0, width_a=50e-9, arc_L=50e-9)
-        body = BodyGeometry(rod, center=(1e-6, 0.0, 0.0))
         with pytest.raises(GeometryError):
-            perturbative_shift(mode, body, 2.1, ref_cavity)
+            perturbative_shift(mode, rod, 2.1, ref_cavity, center=(1e-6, 0.0, 0.0))
 
     def test_rotated_rod_follows_azimuthal_standing_wave(self, ref_cavity):
         # quadrature shift at phi follows cos^2(phi) for the LG10 pair
         mode = lg_pair_mode(ref_cavity, 1)
         rod = Rod(radius=ref_cavity.waist_W / 2.0, width_a=50e-9, arc_L=50e-9)
         # tolerance covers the cos^2 average across the wedge's ~4 mrad width
-        at_0 = perturbative_shift(mode, BodyGeometry(rod, phi=0.0), 2.1, ref_cavity)
-        at_60 = perturbative_shift(mode, BodyGeometry(rod, phi=math.pi / 3.0),
-                                   2.1, ref_cavity)
+        at_0 = perturbative_shift(mode, rod, 2.1, ref_cavity, phi=0.0)
+        at_60 = perturbative_shift(mode, rod, 2.1, ref_cavity, phi=math.pi / 3.0)
         assert at_60 / at_0 == pytest.approx(math.cos(math.pi / 3.0) ** 2, rel=1e-4)

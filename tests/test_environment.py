@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from levicav import environment, scenario
-from levicav.cavity import BodyGeometry, Rod, Sphere
+from levicav.cavity import Rod, Sphere
 from levicav.constants import CODATA, torr_to_pa
 from levicav.environment import (AIR_MOLECULE_MASS, GasEnvironment, ThermalInput,
                                  bulk_temperature, decoherence_budget,
@@ -20,7 +20,7 @@ OMEGA_T = 2.0 * math.pi * 351.556e3  # reference sphere trap frequency
 
 
 def make_sphere(radius=250e-9, density=2201.0, eps1=2.1, eps2=2.5e-10):
-    return DielectricObject(BodyGeometry(Sphere(radius)), density, eps1, eps2)
+    return DielectricObject(Sphere(radius), density, eps1, eps2)
 
 
 def air(pressure_torr=1e-6, T=300.0):
@@ -43,7 +43,7 @@ class TestGasDamping:
         assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
     def test_rod_rejected(self):
-        rod = DielectricObject(BodyGeometry(Rod(13e-6, 50e-9, 50e-9)), 2201.0, 2.1)
+        rod = DielectricObject(Rod(13e-6, 50e-9, 50e-9), 2201.0, 2.1)
         with pytest.raises(GeometryError):
             gas_damping(rod, air())
 

@@ -179,9 +179,11 @@ class TestClosedForm:
         assert np.all(pulse._filtered_input(protocol, protocol.t_grid[lead])[0] == 0.0)
 
 
-def per_time_point_convolution(lam, t, lo, hi, p):
+def per_time_point_convolution(lam, t, lo, p):
     """_gaussian_convolution as it was: w evaluated at every upper limit."""
     from scipy.special import wofz
+
+    hi = pulse._pulse_window(p)[1]
 
     def term(s):
         z = 0.5 * p.sigma * (s - p.delay_L) + lam / p.sigma
@@ -475,9 +477,9 @@ class TestFreeEvolution:
     def test_convolution_sees_only_window_times(self, g_over_kappa, monkeypatch):
         convolution, seen = pulse._gaussian_convolution, []
 
-        def recording_convolution(lam, t, lo, hi, p):
+        def recording_convolution(lam, t, lo, p):
             seen.append((t.min(), t.max()))
-            return convolution(lam, t, lo, hi, p)
+            return convolution(lam, t, lo, p)
 
         monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
         protocol = standard(g_over_kappa)
@@ -519,7 +521,7 @@ def complex_filtered_input(p, times):
         tau_lo = ts - lo
         edge_lo = np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
         edge_t = np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2)
-        j_prev, j = 0.0, pulse._gaussian_convolution(-h, ts, lo, hi, p).real
+        j_prev, j = 0.0, pulse._gaussian_convolution(-h, ts, lo, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0
         for k in range(2 * pulse._SERIES_TERMS):
@@ -534,8 +536,8 @@ def complex_filtered_input(p, times):
         ub[series] = -1j * p.g * sinh_part
     rest = ~series
     if np.any(rest):
-        plus = pulse._gaussian_convolution(-h + nu, t_live[rest], lo, hi, p)
-        minus = pulse._gaussian_convolution(-h - nu, t_live[rest], lo, hi, p)
+        plus = pulse._gaussian_convolution(-h + nu, t_live[rest], lo, p)
+        minus = pulse._gaussian_convolution(-h - nu, t_live[rest], lo, p)
         ua[rest] = 0.5 * (plus + minus) - d * (plus - minus) / (2.0 * nu)
         ub[rest] = -1j * p.g * (plus - minus) / (2.0 * nu)
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
@@ -644,7 +646,7 @@ def mask_filtered_input(p, times):
         tau_lo = ts - lo
         edge_lo = np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
         edge_t = np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2)
-        j_prev, j = 0.0, per_time_point_convolution(-h, ts, lo, hi, p).real
+        j_prev, j = 0.0, per_time_point_convolution(-h, ts, lo, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0
         for k in range(2 * pulse._SERIES_TERMS):
@@ -660,11 +662,11 @@ def mask_filtered_input(p, times):
     rest = ~series
     if np.any(rest):
         tr = t_live[rest]
-        plus = per_time_point_convolution(-h + nu, tr, lo, hi, p)
+        plus = per_time_point_convolution(-h + nu, tr, lo, p)
         if nu2 < 0.0:
             mean, dif, inv = plus.real, plus.imag, 1.0 / nu.imag
         else:
-            minus = per_time_point_convolution(-h - nu, tr, lo, hi, p).real
+            minus = per_time_point_convolution(-h - nu, tr, lo, p).real
             mean, dif, inv = 0.5 * (plus.real + minus), plus.real - minus, 1.0 / (2.0 * nu.real)
         ua[rest] = mean - (d * dif) * inv
         vb[rest] = (p.g * dif) * inv
@@ -711,10 +713,11 @@ class TestSliceWindow:
         rng = np.random.default_rng(20 + int(10 * gamma_over_kappa) + (kappa == 1.0))
         convolution, series_calls = pulse._gaussian_convolution, []
 
-        def recording_convolution(lam, t, lo, hi, p):
+        def recording_convolution(lam, t, lo, p):
+            hi = pulse._pulse_window(p)[1]
             assert lo < t.min() and t.max() <= hi  # the open window (lo, hi) and hi
             series_calls.append(isinstance(lam, float))
-            return convolution(lam, t, lo, hi, p)
+            return convolution(lam, t, lo, p)
 
         monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
         p = series_threshold_protocol(kappa, gamma_over_kappa)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levicav.cavity import BodyGeometry, Rod, Sphere, numeric_derivatives
+from levicav.cavity import Rod, Sphere, numeric_derivatives
 from levicav.constants import CODATA, TWO_PI
 from levicav.errors import GeometryError, ValidationError
 from levicav.rod import (C1, C2, LGPairProfile, rod_optomech_params, rotation_configuration,
@@ -14,7 +14,7 @@ from oracles import rod_coupling_constants, rod_frequency_profile, rod_shift_pro
 
 def make_rod(cfg, width=50e-9, arc=50e-9):
     shape = Rod(radius=cfg.waist_W / 2.0, width_a=width, arc_L=arc)
-    return DielectricObject(BodyGeometry(shape), 2201.0, 2.1, 2.5e-10)
+    return DielectricObject(shape, 2201.0, 2.1, 2.5e-10)
 
 
 def combined_shift(obj, cfg, pair1, pair2, n1, n2):
@@ -41,8 +41,7 @@ class TestFrequencyProfile:
     which the self-trap solver enforces."""
 
     def test_unit_permittivity(self, ref_cavity):
-        obj = DielectricObject(
-            BodyGeometry(Rod(ref_cavity.waist_W / 2.0, 50e-9, 50e-9)), 2201.0, 1.0)
+        obj = DielectricObject(Rod(ref_cavity.waist_W / 2.0, 50e-9, 50e-9), 2201.0, 1.0)
         pair = LGPairProfile(order_ell=1)
         assert rod_frequency_profile(obj, ref_cavity, pair, 0.0, 0.0) == ref_cavity.omega_c0
 
@@ -53,11 +52,10 @@ class TestFrequencyProfile:
         assert value == pytest.approx(ref_cavity.omega_c0, rel=1e-14)
 
     def test_geometry_regime_enforced(self, ref_cavity):
-        bad_radius = DielectricObject(
-            BodyGeometry(Rod(ref_cavity.waist_W / 3.0, 50e-9, 50e-9)), 2201.0, 2.1)
+        bad_radius = DielectricObject(Rod(ref_cavity.waist_W / 3.0, 50e-9, 50e-9), 2201.0, 2.1)
         with pytest.raises(GeometryError, match="R = W/2"):
             solve_self_trap(bad_radius, ref_cavity, *translation_configuration(ref_cavity, 4e-3))
-        sphere = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 2.1)
+        sphere = DielectricObject(Sphere(250e-9), 2201.0, 2.1)
         with pytest.raises(GeometryError, match="rod geometry"):
             solve_self_trap(sphere, ref_cavity, *translation_configuration(ref_cavity, 4e-3))
 
@@ -200,10 +198,10 @@ class TestRodOptomech:
         obj = make_rod(ref_cavity)
         pair1, pair2, eq, dof = rotation_configuration(ref_cavity, 4e-3)
         sol = solve_self_trap(obj, ref_cavity, pair1, pair2, eq, dof)
-        params = rod_optomech_params(obj, ref_cavity, sol)
+        params = rod_optomech_params(obj, sol)
         inertia = obj.moment_of_inertia
         assert inertia == pytest.approx(
-            obj.geometry.shape.radius * obj.geometry.shape.arc_L * obj.mass
+            obj.shape.radius * obj.shape.arc_L * obj.mass
             / (4.0 * math.pi), rel=1e-12)
         assert params.zm == pytest.approx(
             math.sqrt(CODATA.hbar / (2.0 * inertia * sol.omega_t_phi)), rel=1e-12)
@@ -214,7 +212,7 @@ class TestRodOptomech:
         obj = make_rod(ref_cavity)
         pair1, pair2, eq, dof = translation_configuration(ref_cavity, 4e-3)
         sol = solve_self_trap(obj, ref_cavity, pair1, pair2, eq, dof)
-        params = rod_optomech_params(obj, ref_cavity, sol)
+        params = rod_optomech_params(obj, sol)
         assert params.zm == pytest.approx(
             math.sqrt(CODATA.hbar / (2.0 * obj.mass * sol.omega_t_z)), rel=1e-12)
         assert params.alpha_abs == pytest.approx(math.sqrt(sol.n_photons_1), rel=1e-12)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere
+from levicav.cavity import CavityConfig, Rod, Sphere
 from levicav.constants import TWO_PI, pa_to_torr
 from levicav.environment import GasEnvironment, ThermalInput
 from levicav.errors import LevicavError, UnknownAxisError, ValidationError
@@ -107,7 +107,7 @@ class TestRodScenarios:
 
     def test_rod_radius_defaults_to_half_waist(self):
         scenario = preset("rod-translation")
-        assert scenario.object.geometry.shape.radius == pytest.approx(
+        assert scenario.object.shape.radius == pytest.approx(
             scenario.cavity.waist_W / 2.0, rel=1e-12)
 
 
@@ -284,8 +284,7 @@ VALID_RECORDS = [
     Rod(radius=13e-6, width_a=50e-9, arc_L=1e-6),
     GasEnvironment(pressure_P=1e-6, temperature_T=300.0, molecule_mass=4.7e-26),
     ThermalInput(intensity_I0=1e10, emissivity_e=0.5, T_env=300.0),
-    DielectricObject(geometry=BodyGeometry(Sphere(250e-9)), density_rho=2201.0,
-                     eps1=2.1, eps2=2.5e-10),
+    DielectricObject(shape=Sphere(250e-9), density_rho=2201.0, eps1=2.1, eps2=2.5e-10),
     TweezerConfig(intensity_I0=2e12, waist_W0=1e-6),
     DriveConfig(power_P=0.5e-3, laser_omega_L=1.77e15, detuning_Delta=1e6),
     SelfTrapSpec(cooled_dof="translation", mode1_power=1e-3),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levicav.cavity import BodyGeometry, CavityConfig, Rod, Sphere, numeric_derivatives
+from levicav.cavity import CavityConfig, Rod, Sphere, numeric_derivatives
 from levicav.constants import CODATA, TWO_PI
 from levicav.errors import GeometryError, NumericalError, ValidationError
 from levicav.sphere import (DielectricObject, DriveConfig, TweezerConfig,
@@ -15,7 +15,7 @@ from oracles import sphere_frequency_profile, sphere_shift_profile
 
 
 def make_sphere(radius=250e-9, eps1=2.1):
-    return DielectricObject(BodyGeometry(Sphere(radius)), 2201.0, eps1, 2.5e-10)
+    return DielectricObject(Sphere(radius), 2201.0, eps1, 2.5e-10)
 
 
 class TestFrequencyProfile:
@@ -23,7 +23,7 @@ class TestFrequencyProfile:
     which the production coupling enforces."""
 
     def test_unit_permittivity_gives_bare_frequency(self, ref_cavity):
-        obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 1.0)
+        obj = DielectricObject(Sphere(250e-9), 2201.0, 1.0)
         assert sphere_frequency_profile(obj, ref_cavity, (0, 0, 0)) == ref_cavity.omega_c0
 
     def test_standing_wave_node(self, ref_cavity, silica_sphere):
@@ -45,14 +45,14 @@ class TestFrequencyProfile:
             sphere_linear_coupling(obj, ref_cavity)
 
     def test_rod_rejected(self, ref_cavity):
-        rod = DielectricObject(BodyGeometry(Rod(13e-6, 50e-9, 50e-9)), 2201.0, 2.1)
+        rod = DielectricObject(Rod(13e-6, 50e-9, 50e-9), 2201.0, 2.1)
         with pytest.raises(GeometryError, match="spheres only"):
             sphere_linear_coupling(rod, ref_cavity)
 
 
 class TestLinearCoupling:
     def test_unit_permittivity(self, ref_cavity):
-        obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 1.0)
+        obj = DielectricObject(Sphere(250e-9), 2201.0, 1.0)
         xi0, delta = sphere_linear_coupling(obj, ref_cavity)
         assert xi0 == 0.0 and delta == 0.0
 
@@ -114,13 +114,13 @@ class TestTweezer:
             math.sqrt(0.001 / 3.001 * 3.1 / 0.1), rel=1e-6)
 
     def test_no_gradient_trapping(self, ref_tweezer):
-        obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 2201.0, 1.0)
+        obj = DielectricObject(Sphere(250e-9), 2201.0, 1.0)
         with pytest.raises(ValidationError):
             tweezer_trap_frequency(obj, ref_tweezer)
 
     def test_underflow_is_numerical(self, ref_tweezer):
         # a finite density so large that omega_t^2 underflows is no input error
-        obj = DielectricObject(BodyGeometry(Sphere(250e-9)), 1.0e300, 2.1)
+        obj = DielectricObject(Sphere(250e-9), 1.0e300, 2.1)
         with pytest.raises(NumericalError, match="underflows to 0"):
             tweezer_trap_frequency(obj, ref_tweezer)
 
