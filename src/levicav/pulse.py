@@ -22,13 +22,10 @@ the phonon expectation is exactly
 
 where G_ba is the impulse response of the pair; no Fock-space truncation
 is involved, and <b>(t) = 0 identically. Inside the pulse window the
-convolution is evaluated in closed form through the Faddeeva function
-(``_filtered_input``), with an even series at critical coupling; a real
-rate needs w only on the imaginary axis, where Faddeeva's w returns
-erfcx itself, so the real ufunc is exact there. After the window the
-input has ended and the state is propagated by exp(M tau),
-M = [[-kappa, -ig], [-ig, -gamma]]; both in real arithmetic on u_a and
-v_b = i u_b, of which the phonon trace forms v_b alone past the window.
+convolution has a closed form in the Faddeeva function, with an even series
+at critical coupling; after it the state is propagated by exp(M tau),
+M = [[-kappa, -ig], [-ig, -gamma]] (``_filtered_input``). The output field
+reads u_a, on the complex form's rounding; the trace v_b = i u_b, in reals.
 A direct quadrature of the Green's function against the input, one
 Gauss-Legendre sum squared as one photon's correlation is a product, is
 an independent route to the same quantity; the time-stepped second-moment
@@ -37,6 +34,7 @@ equations, a second one, are a test oracle in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import importlib.util
 import math
@@ -293,8 +291,18 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, p: PulseProtoc
     return out
 
 
+def _damped_sine(a, b, h: float, omega: float, tau: np.ndarray) -> np.ndarray:
+    """e^{-h tau} (a cos(omega tau) + b sin(omega tau)) as e^{-h tau} R sin(omega tau
+    + phi), R = +-hypot(a, b) of b's sign: |phi| <= pi/2, no rounded pi off a small angle."""
+    sign = math.copysign(1.0, b)
+    out = np.sin(omega * tau + math.atan2(sign * a, sign * b))
+    out *= np.exp(-h * tau)
+    return np.multiply(out, sign * math.hypot(a, b), out=out)
+
+
 def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, v_b = i u_b)(t) with (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds.
+    """(u_a, v_b = i u_b)(t) with (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds,
+    at a scalar or any array of times, in its shape.
 
     With h = (kappa+gamma)/2, d = (kappa-gamma)/2 and nu = sqrt(d^2 - g^2),
     exp(M tau) has the eigenvalues lam+- = -h +- nu and
@@ -304,8 +312,8 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
 
     G_aa and i G_ba are real, so u_a and v_b are. Both are sums of the
     ``_gaussian_convolution`` terms P+- of lam+-; underdamped, lam- = conj(lam+)
-    and P- = conj(P+) bit for bit, so P+ alone serves. Near critical
-    coupling (nu -> 0) the differences cancel; there the even series
+    and P- = conj(P+), so P+ alone serves. Near critical coupling (nu -> 0)
+    the differences cancel; there the even series
     cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
     sinh(nu tau)/nu = sum nu^2m tau^(2m+1)/(2m+1)! is summed over the
     moments J_k = int_lo^t tau^k e^{-h tau} f ds, which obey
@@ -319,110 +327,168 @@ def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
     bound is clearly above 1 the series is ruled out with no per-time test.
 
     The closed form runs only at the times inside the pulse window (lo, hi)
-    and once at hi; the input has ended by hi, so later times take
-    u(t) = exp(M (t - hi)) u(hi) (``_free_evolution``). A window that
-    closes by t = 0 gives exact zeros. Where rounding of L cuts a side of
-    the window below 9/sigma (down to lo = hi = L), the pulse is a kick of
-    its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to O(kappa/sigma).
-
-    ``times`` may be a scalar or any array; the results take its shape.
-    Each value depends on its own time alone, so unsorted times are
-    evaluated in ascending order, where window and tail are slices.
+    and at hi; the input has ended by hi, so later times take u(t) =
+    exp(M (t - hi)) u(hi). u_a and v_b have a route each, which forms the other
+    at hi alone: u_a on the complex form's rounding, v_b in real arithmetic.
     """
+    return _in_order(_sorted_filtered_input, p, times), _in_order(_sorted_vb, p, times)
+
+
+def _in_order(route, p: PulseProtocol, times) -> np.ndarray:
+    """``route`` at ``times`` in their shape, run on them sorted: each value depends on its time."""
     t = np.asarray(times, dtype=float)
-    flat = t.ravel()
-    order = None if (flat[1:] >= flat[:-1]).all() else flat.argsort(kind="stable")
-    out = _sorted_filtered_input(p, flat if order is None else flat[order])
-    if order is not None:
-        out[:, order] = out.copy()
-    return out[0].reshape(t.shape), out[1].reshape(t.shape)
+    order, out = t.argsort(axis=None, kind="stable"), np.empty(t.shape)
+    out.flat[order] = route(p, t.flat[order])
+    return out
 
 
-def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray, both: bool = True) -> np.ndarray:
-    """``_filtered_input`` at 1-D ascending times, as rows (u_a, v_b), or as
-    the one row v_b where ``both`` is false (u_a is then formed at hi alone);
-    a NaN time sorts last and raises NumericalError."""
+def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
+    """u_a at 1-D ascending times, on the complex form's rounding."""
+    out, after, hi, (ua0, vb0) = _sorted_window(p, t, _ua_window)
+    c, s = _free_evolution(p, t[after] - hi)
+    out[after] = (c - 0.5 * (p.kappa - p.gamma) * s) * ua0 - (p.g * s) * vb0
+    return out
+
+
+def _sorted_vb(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
+    """v_b at 1-D ascending times in real arithmetic; past hi c vb0 + s (d vb0 + g ua0)."""
+    out, after, hi, (ua0, vb0) = _sorted_window(p, t, _vb_window)
+    tau, d = t[after] - hi, 0.5 * (p.kappa - p.gamma)
+    nu2, x1 = d * d - p.g * p.g, d * vb0 + p.g * ua0
+    if nu2 < 0.0:
+        omega = math.sqrt(-nu2)
+        out[after] = _damped_sine(vb0, x1 / omega, 0.5 * (p.kappa + p.gamma), omega, tau)
+    else:
+        c, s = _free_evolution(p, tau)
+        out[after] = c * vb0 + s * x1
+    return out
+
+
+def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
+    """(out, after, hi, (u_a, v_b)(hi)) of one route at 1-D ascending times: ``out`` is 0
+    (all of it if the window closes by t = 0) but in (lo, hi), where ``window(p, t_live, lo,
+    rates, series)`` gives the row there and at hi, and the pair at hi, with rates (h, d, nu^2,
+    nu, beta) and ``series`` the critical series' mask and moment inputs, or None; ``after``
+    slices t >= hi. Where rounding of L cuts a side of the window below 9/sigma (down to
+    lo = hi = L), the pulse is a kick of its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to
+    O(kappa/sigma). A NaN time sorts last and raises NumericalError."""
     if t.size and math.isnan(t[-1]):
         raise NumericalError("filtered input requested at a NaN time")
-    out = np.zeros((2 if both else 1, t.size))
+    out = np.zeros(t.size)
     lo, hi = _pulse_window(p)
     if hi <= 0.0:
-        return out
+        return out, slice(t.size, None), hi, (0.0, 0.0)
     after = slice(t.searchsorted(hi), None)  # t >= hi
     if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
-        area = (8.0 * math.pi / p.sigma**2) ** 0.25
-        out[:, after] = _free_evolution(p, t[after] - hi, area, 0.0, both)
-        return out
+        return out, after, hi, ((8.0 * math.pi / p.sigma**2) ** 0.25, 0.0)
     lo = max(lo, 0.0)
     inside = slice(t.searchsorted(lo, "right"), after.start)  # lo < t < hi
     t_live = np.empty(inside.stop - inside.start + 1)
     t_live[:-1], t_live[-1] = t[inside], hi
-    half_sum = 0.5 * (p.kappa + p.gamma)
-    half_dif = 0.5 * (p.kappa - p.gamma)
-    nu2 = half_dif * half_dif - p.g * p.g
+    h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
+    nu2 = d * d - p.g * p.g
     nu = complex(np.sqrt(complex(nu2)))
     beta = 2.0 / p.sigma**2
-    tail = math.sqrt(2 * _SERIES_TERMS * beta)
-    series, rest = None, slice(None)
+    reach = math.sqrt(2 * _SERIES_TERMS * beta)
+    series = None
     # 1e-12 covers the rounding of span and of its bound, a few ulps each
-    if not abs(nu) * (p.delay_L + half_sum * beta - lo + tail) > 1.0 + 1e-12:
-        alpha = t_live - p.delay_L - half_sum * beta
-        series = abs(nu) * ((t_live - lo) + np.abs(alpha) + tail) <= 1.0
-    ua, vb = live = np.empty((2, t_live.size))
+    if not abs(nu) * (p.delay_L + h * beta - lo + reach) > 1.0 + 1e-12:
+        alpha = t_live - p.delay_L - h * beta
+        mask = abs(nu) * ((t_live - lo) + np.abs(alpha) + reach) <= 1.0
+        if mask.any():  # J_0 and the boundary terms at lo and, for k = 0 alone, at t
+            ts = t_live[mask]
+            tau_lo = ts - lo
+            series = (mask, alpha[mask], tau_lo,
+                      np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2),
+                      np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2),
+                      _gaussian_convolution(-h, ts, lo, p).real)
+    live, ua_hi, vb_hi = window(p, t_live, lo, (h, d, nu2, nu, beta), series)
+    norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
+    np.multiply(live[:-1], norm, out=out[inside])
+    return out, after, hi, (norm * ua_hi, norm * vb_hi)
 
-    if series is not None and series.any():
-        ts, al = t_live[series], alpha[series]
-        tau_lo = ts - lo
-        edge_lo = np.exp(-half_sum * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2)
-        # at s = t the boundary term has tau = 0, so only k = 0 keeps it
-        edge_t = np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2)
-        j_prev, j = 0.0, _gaussian_convolution(-half_sum, ts, lo, p).real
-        cosh_part = sinh_part = 0.0
-        weight = 1.0  # nu^(2 floor(k/2)) / k!
+
+def _ua_window(p, t_live, lo, rates, series):
+    """u_a at t_live, (u_a, v_b) at hi: complex exp for complex rates, tau^k by
+    np.power, products grouped as numpy's complex division by 2 nu rounded them."""
+    h, d, nu2, nu, beta = rates
+    ua, rest = np.empty(t_live.size), slice(None)
+    if series is not None:
+        mask, al, tau_lo, edge_lo, edge_t, j = series
+        j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0  # cosh, sinh parts; nu^(2 floor(k/2)) / k!
         for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
-            if k % 2:
-                sinh_part = sinh_part + weight * j
-            else:
-                cosh_part = cosh_part + weight * j
+            parts[k % 2] = parts[k % 2] + weight * j
             weight *= (nu2 if k % 2 else 1.0) / (k + 1)
             j_prev, j = j, (al * j + k * beta * j_prev
                             + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
-        sinh_part = sinh_part + weight * j
-        ua[series] = cosh_part - half_dif * sinh_part
-        vb[series] = p.g * sinh_part
-        rest = ~series
+        sinh_part = parts[1] + weight * j
+        ua[mask], vb_hi, rest = parts[0] - d * sinh_part, p.g * sinh_part[-1], ~mask
     tr = t_live[rest]
     if tr.size:
-        plus = _gaussian_convolution(-half_sum + nu, tr, lo, p)
+        plus = _gaussian_convolution(-h + nu, tr, lo, p)
         if nu2 < 0.0:  # P- = conj(P+): (P+ - P-)/(2 nu) = Im P+ / omega
             mean, dif, inv = plus.real, plus.imag, 1.0 / nu.imag
         else:
-            minus = _gaussian_convolution(-half_sum - nu, tr, lo, p).real
+            minus = _gaussian_convolution(-h - nu, tr, lo, p).real
             mean, dif, inv = 0.5 * (plus.real + minus), plus.real - minus, 1.0 / (2.0 * nu.real)
-        vb[rest] = (p.g * dif) * inv
-        if both:
-            ua[rest] = mean - (half_dif * dif) * inv  # inv last, as complex division rounds
-        elif tr[-1] == hi:  # hi is a rest time, and v_b alone needs u_a there only
-            ua[-1] = mean[-1] - (half_dif * dif[-1]) * inv
-
-    norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
-    ua_hi = norm * ua[-1]
-    rows = live[-len(out):]  # those of out: (u_a, v_b), or v_b alone
-    rows *= norm
-    out[:, inside] = rows[:, :-1]
-    out[:, after] = _free_evolution(p, t[after] - hi, ua_hi, vb[-1], both)
-    return out
+        ua[rest] = mean - (d * dif) * inv  # inv last, as complex division rounds
+        if tr[-1] == t_live[-1]:
+            vb_hi = (p.g * dif[-1]) * inv
+    return ua, ua[-1], vb_hi
 
 
-def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float,
-                    both: bool = True):
-    """exp(M tau) (ua0, -i vb0) = (u_a, -i v_b) as the real pair
-    (u_a, v_b) = e^{-h tau} [[c - d s, -g s], [g s, c + d s]] (ua0, vb0),
-    c = cosh(nu tau), s = sinh(nu tau)/nu, in a real form per sign of
-    nu^2 that divides no difference by nu: cos and sin/omega for nu = i omega;
-    e^{(nu-h) tau} with expm1(-2 nu tau) for real nu <= h, which cannot
-    overflow; c = 1, s = tau at nu = 0. Where ``both`` is false, the v_b
-    row alone, as a 1-tuple."""
+def _vb_window(p, t_live, lo, rates, series):
+    """v_b at t_live and (u_a, v_b) at hi, in real arithmetic. Underdamped,
+    v_b = g Im P+/omega, lam = -h + i omega: the lo term C gives Im(C e^{lam tau}),
+    tau = t - lo, one damped sine; where the limits straddle Re z = 0, the bounded
+    term 2 e^{lam (t-L) + lam^2/sigma^2} joins C. As w(-conj z) = conj w(z)
+    (Abramowitz & Stegun 7.1.12), the t term w(i z_s), or -w(-i z_s) reflected,
+    is conj W or -W with W = w(omega/sigma + i |Re z_s|) on one vertical line: its
+    part e^{-sigma^2 s^2/4} Im W has no reflection sign. Real rates take float
+    exp; the series sums odd moments, tau^k by a running product, even ones at hi."""
+    h, d, nu2, nu, beta = rates
+    vb, rest = np.empty(t_live.size), slice(None)
+    if series is not None:
+        mask, al, tau_lo, edge, edge_t, j = series
+        j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0
+        for k in range(2 * _SERIES_TERMS - 1):
+            parts[k % 2] += weight * (j if k % 2 else j[-1])
+            weight *= (nu2 if k % 2 else 1.0) / (k + 1)
+            j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - edge)
+            edge *= tau_lo
+        sinh_part = parts[1] + weight * j
+        vb[mask], ua_hi, rest = p.g * sinh_part, parts[0] - d * sinh_part[-1], ~mask
+    tr = t_live[rest]
+    if tr.size and nu2 < 0.0:
+        sigma, omega, lam = p.sigma, nu.imag, -h + nu
+        s = np.concatenate(((lo,), tr)) - p.delay_L
+        x = 0.5 * sigma * s - h / sigma  # Re z_s, ascending
+        w = _wofz()(omega / sigma + 1j * np.abs(x))
+        e = np.exp(-0.25 * sigma**2 * s * s)
+        c, tau = e[0] * (-w[0] if x[0] < 0.0 else w[0].conjugate()), tr - lo
+        k = x.searchsorted(0.0) if x[0] < 0.0 else s.size  # s[k:] straddles
+        dif = np.empty(tr.size)
+        dif[:k - 1] = _damped_sine(c.imag, c.real, h, omega, tau[:k - 1])
+        if k < s.size:  # the bounded term joins the lo term's e^{lam tau}; h/sigma < 5 here
+            c += 2.0 * cmath.exp(lam * (lo - p.delay_L) + lam * lam / sigma**2)
+            dif[k - 1:] = _damped_sine(c.imag, c.real, h, omega, tau[k - 1:])
+        dif += e[1:] * w[1:].imag
+        mean = c * cmath.exp(lam * tau[-1]) + e[-1] * (w[-1] if x[-1] < 0.0 else -w[-1].conjugate())
+        mean, inv = mean.real * math.sqrt(math.pi) / sigma, math.sqrt(math.pi) / sigma / omega
+    elif tr.size:  # real rates: erfcx and float exp
+        plus, minus = (_gaussian_convolution(-h + x, tr, lo, p).real for x in (nu.real, -nu.real))
+        dif, mean, inv = plus - minus, 0.5 * (plus[-1] + minus[-1]), 0.5 / nu.real
+    if tr.size:
+        vb[rest] = (p.g * inv) * dif
+        if tr[-1] == t_live[-1]:
+            ua_hi = mean - d * inv * dif[-1]
+    return vb, ua_hi, vb[-1]
+
+
+def _free_evolution(p: PulseProtocol, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(M tau) = [[c - d s, -i g s], [-i g s, c + d s]] as (c, s) = e^{-h tau}
+    (cosh, sinh/nu)(nu tau), dividing no difference by nu: cos and sin/omega for nu = i omega;
+    e^{(nu-h) tau} with expm1(-2 nu tau) for real nu <= h, which cannot overflow; (1, tau) at 0."""
     h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
     nu2 = d * d - p.g * p.g
     if nu2 < 0.0:
@@ -438,15 +504,7 @@ def _free_evolution(p: PulseProtocol, tau: np.ndarray, ua0: float, vb0: float,
     else:
         c = np.exp(-h * tau)
         s = tau * c
-    gs = p.g * s  # c and s carry the common factor e^{-h tau}
-    ua = (c - d * s) * ua0 - gs * vb0 if both else None
-    vb = s  # (c + d s) vb0 + g s ua0, in place
-    vb *= d
-    vb += c
-    vb *= vb0
-    gs *= ua0
-    vb += gs
-    return (ua, vb) if both else (vb,)
+    return c, s
 
 
 def _finite(quantity: str, compute, scan: bool = True) -> np.ndarray:
@@ -473,7 +531,7 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     """
     def n_phonon():
         # PulseProtocol proved t_grid finite and increasing: no sort to undo
-        n = _sorted_filtered_input(p, p.t_grid, both=False)[0]
+        n = _sorted_vb(p, p.t_grid)
         n *= n
         n *= 2.0 * p.kappa
         return n
@@ -501,7 +559,7 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
                 f"exceeds 1e-4 of the peak {peak:.3e}"
             )
     if peak > 1.0 + 1e-9:
-        raise ValidationError("phonon expectation exceeded 1: invalid protocol state")
+        raise NumericalError("phonon expectation exceeded 1: invalid protocol state")
     return PhononTrace(times=p.t_grid, n_phonon=n,
                        peak_time=float(p.t_grid[i]), peak_value=peak)
 
@@ -554,7 +612,8 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
     input, so the envelope is the real 2 kappa u_a(t) - f(t - L). For a lossless
     protocol the emitted quanta int |.|^2 dt recover the input photon.
     """
-    return _finite("output field", lambda: 2.0 * p.kappa * _filtered_input(p, times)[0]
+    return _finite("output field",
+                   lambda: 2.0 * p.kappa * _in_order(_sorted_filtered_input, p, times)
                    - pulse_envelope(np.asarray(times) - p.delay_L, p.sigma))
 
 

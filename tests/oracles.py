@@ -298,6 +298,61 @@ def cavity_population(p: PulseProtocol, times) -> np.ndarray:
     return np.reshape(out, np.shape(times))
 
 
+def trace_shadow(p: PulseProtocol, times, dps: int = 40) -> tuple[list, list]:
+    """(u_a, v_b = i u_b) at each time as mpmath numbers of ``dps`` digits,
+    from the closed form in erfc.
+
+    The input runs over the pulse window [lo, hi] of ``levicav.pulse``
+    (its float limits, lo clipped at 0), so u(t) = int_lo^min(t, hi) of
+    exp(M (t-s)) (f(s-L), 0) ds. Through the eigenvalues lam+- = -h +- nu
+    of M each part is a convolution of e^{lam (t-s)} with the Gaussian,
+    e^{lam (t-L) + lam^2/sigma^2} sqrt(pi)/sigma (erfc(z_lo) - erfc(z_up)),
+    z_s = sigma (s-L)/2 + lam/sigma, taken as erfc(-z_up) - erfc(-z_lo)
+    where both limits have Re z < 0, so that 2 - erfc(-z) does not cancel.
+    u_a = norm (c - d s) and v_b = norm g s with c = (P+ + P-)/2 and
+    s = (P+ - P-)/(2 nu); at exactly critical coupling, nu = 0, s is the
+    lam-derivative of the convolution at -h. Times at or before lo give 0.
+    Values are computed in the protocol's float inputs; arithmetic done
+    with them afterwards should run under ``mpmath.workdps(dps)``.
+    """
+    import mpmath as mp
+    from levicav.pulse import _pulse_window
+
+    lo_f, hi_f = _pulse_window(p)
+    ua, vb = [], []
+    with mp.workdps(dps):
+        lo, hi = mp.mpf(max(lo_f, 0.0)), mp.mpf(hi_f)
+        sigma, delay = mp.mpf(p.sigma), mp.mpf(p.delay_L)
+        h, d = (mp.mpf(p.kappa) + p.gamma) / 2, (mp.mpf(p.kappa) - p.gamma) / 2
+        g = mp.mpf(p.g)
+        nu = mp.sqrt(mp.mpc(d * d - g * g))
+        norm = (sigma**2 / (2 * mp.pi)) ** mp.mpf(0.25)
+        for t in np.ravel(times).tolist():
+            t = mp.mpf(t)
+            if hi_f <= 0.0 or t <= lo:
+                ua.append(mp.mpf(0))
+                vb.append(mp.mpf(0))
+                continue
+            up = min(t, hi)
+
+            def conv(lam):  # int_lo^up e^{lam (t-s)} e^{-sigma^2 (s-L)^2/4} ds
+                z_lo, z_up = (sigma * (s - delay) / 2 + lam / sigma for s in (lo, up))
+                if mp.re(z_lo) < 0 and mp.re(z_up) < 0:
+                    span = mp.erfc(-z_up) - mp.erfc(-z_lo)
+                else:
+                    span = mp.erfc(z_lo) - mp.erfc(z_up)
+                return mp.exp(lam * (t - delay) + lam**2 / sigma**2) * mp.sqrt(mp.pi) / sigma * span
+
+            if nu == 0:
+                c, s = conv(-h), mp.diff(conv, -h)
+            else:
+                plus, minus = conv(-h + nu), conv(-h - nu)
+                c, s = (plus + minus) / 2, (plus - minus) / (2 * nu)
+            ua.append(mp.re(norm * (c - d * s)))
+            vb.append(mp.re(norm * g * s))
+    return ua, vb
+
+
 def phonon_expectation_moments(p: PulseProtocol, t: float) -> float:
     """Oracle route 2: time-stepped second-moment equations.
 

@@ -458,6 +458,15 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_phonon_number_above_one_exit_2(self, capsys, monkeypatch, sphere_file):
+        # a valid protocol's peak is at most 1: a larger one is a computation
+        # that failed, not an input error
+        import numpy as np
+        monkeypatch.setattr(pulse, "_sorted_vb", lambda p, t: np.full(t.size, 1.5))
+        code, out, err = run(capsys, ["trace", sphere_file, "--quiet"])
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: phonon expectation exceeded 1: invalid protocol state\n"
+
     def test_pulse_between_grid_points_exit_2(self, capsys, tmp_path):
         # at t_max = 1e308/kappa the pulse falls between the first two grid
         # points and every sample is 0; this exited 0 with an all-zero CSV

@@ -15,7 +15,9 @@ from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            conditional_superposition, greens_ba, output_field_envelope,
                            phonon_expectation_direct, phonon_trace, pulse_envelope,
                            refined_peak)
-from oracles import cavity_population, phonon_expectation_moments
+from levicav.presets import PRESET_NAMES
+from levicav.scenario import build_protocol, preset_scenario_dict, scenario_from_dict
+from oracles import cavity_population, phonon_expectation_moments, trace_shadow
 
 KAPPA = 1.177e6
 
@@ -110,17 +112,25 @@ class TestTrace:
                              ids=["nan", "inf", "inf-then-nan"])
     def test_non_finite_trace_reported(self, bad, monkeypatch):
         # the trace is read for NaN and inf at its argmax alone
-        sorted_input = pulse._sorted_filtered_input
+        sorted_vb = pulse._sorted_vb
 
-        def spoiled(p, t, both=True):
-            out = sorted_input(p, t, both)
+        def spoiled(p, t):
+            out = sorted_vb(p, t)
             for i, value in bad.items():
-                out[-1, i] = value
+                out[i] = value
             return out
 
-        monkeypatch.setattr(pulse, "_sorted_filtered_input", spoiled)
+        monkeypatch.setattr(pulse, "_sorted_vb", spoiled)
         with pytest.raises(NumericalError, match="^phonon trace is not finite$"):
             phonon_trace(standard(1.0))
+
+    def test_peak_above_one_is_a_numerical_failure(self, monkeypatch):
+        # a valid protocol's peak is at most 1, so a larger one is a failed
+        # computation (exit 2), not an input error (exit 1)
+        monkeypatch.setattr(pulse, "_sorted_vb", lambda p, t: np.full(t.size, 1.5))
+        with pytest.raises(NumericalError, match="exceeded 1") as raised:
+            phonon_trace(standard(1.0))
+        assert not isinstance(raised.value, ValidationError)
 
     @pytest.mark.parametrize("times", [math.nan, [5.0, math.nan, 6.0], [math.nan] * 3],
                              ids=["scalar", "inside-array", "all-nan"])
@@ -206,6 +216,7 @@ class TestFaddeevaEvaluation:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_per_time_point(self, seed, monkeypatch):
+        # u_a bit for bit; v_b, formed in real arithmetic, within 1e-14 of its peak
         rng = np.random.default_rng(seed)
         d = 0.5 * (1.0 - 0.2 * seed / 3)
         protocols = []
@@ -232,8 +243,9 @@ class TestFaddeevaEvaluation:
         monkeypatch.setattr(pulse, "_gaussian_convolution", per_time_point_convolution)
         old = [pulse._filtered_input(p, p.t_grid) for p in protocols]
         assert np.array_equal(output_field_envelope(protocols[1], shuffled), new_envelope)
-        for (ua, ub), (ua_ref, ub_ref) in zip(new, old):
-            assert np.array_equal(ua, ua_ref) and np.array_equal(ub, ub_ref)
+        for (ua, vb), (ua_ref, vb_ref) in zip(new, old):
+            assert np.array_equal(ua, ua_ref)
+            assert np.abs(vb - vb_ref).max() <= 1e-14 * np.abs(vb_ref).max()
 
     def test_one_evaluation_per_distinct_limit(self, monkeypatch):
         wofz, erfcx, evaluated, real = pulse._wofz(), pulse._erfcx(), [], []
@@ -388,33 +400,10 @@ class TestWofzBinding:
 
 
 def past_window_reference(p, t, dps=40):
-    """(u_a, u_b)(t) for t >= hi at dps digits, from the eigen-decomposition
-    of exp(M tau) and mpmath's erfc; at nu = 0 the tau e^{-h tau} term is
-    the lam-derivative of the convolution."""
-    mp = pytest.importorskip("mpmath")
-    lo, hi = pulse._pulse_window(p)
-    with mp.workdps(dps):
-        lo, hi, t = mp.mpf(max(lo, 0.0)), mp.mpf(hi), mp.mpf(t)
-        sigma, delay = mp.mpf(p.sigma), mp.mpf(p.delay_L)
-        h, d = mp.mpf(p.kappa + p.gamma) / 2, mp.mpf(p.kappa - p.gamma) / 2
-        g = mp.mpf(p.g)
-        nu = mp.sqrt(mp.mpc(d * d - g * g))
-
-        def conv(lam):  # int_lo^hi e^{lam (t-s)} e^{-sigma^2 (s-L)^2/4} ds
-            z_lo, z_hi = (sigma * (s - delay) / 2 + lam / sigma for s in (lo, hi))
-            if mp.re(z_lo) < 0 and mp.re(z_hi) < 0:  # 2 - erfc(-z) would cancel
-                span = mp.erfc(-z_hi) - mp.erfc(-z_lo)
-            else:
-                span = mp.erfc(z_lo) - mp.erfc(z_hi)
-            return mp.exp(lam * (t - delay) + lam**2 / sigma**2) * mp.sqrt(mp.pi) / sigma * span
-
-        norm = (sigma**2 / (2 * mp.pi)) ** mp.mpf(0.25)
-        if nu == 0:
-            c, s = conv(-h), mp.diff(conv, -h)
-        else:
-            plus, minus = conv(-h + nu), conv(-h - nu)
-            c, s = (plus + minus) / 2, (plus - minus) / (2 * nu)
-        return complex(norm * (c - d * s)), complex(-1j * norm * g * s)
+    """(u_a, u_b)(t) for t >= hi at dps digits, from ``trace_shadow``."""
+    pytest.importorskip("mpmath")
+    (ua,), (vb,) = trace_shadow(p, [t], dps)
+    return complex(ua), complex(-1j * vb)
 
 
 def window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa, n_points=400,
@@ -433,16 +422,21 @@ def critical_g(nu_over_d, gamma_over_kappa):
     return d * math.sqrt(1.0 - math.copysign(nu_over_d**2, nu_over_d))
 
 
+#: pulse widths and (g, gamma)/kappa of the window protocols
+WINDOW_SIGMAS = [0.03, 0.3, 5.6, 20.0]
+WINDOW_RATES = [
+    (1.3, 0.0), (0.9, 0.25),                             # underdamped
+    (0.2, 0.0), (0.05, 0.4),                             # overdamped
+    (0.5, 0.0), (critical_g(0.0, 0.3), 0.3),             # exactly critical
+    (critical_g(1e-3, 0.0), 0.0), (critical_g(-1e-3, 0.0), 0.0),
+    (critical_g(1e-3, 0.3), 0.3), (critical_g(-1e-3, 0.3), 0.3)]
+
+
 class TestFreeEvolution:
     """Past the pulse window the state is propagated by exp(M (t - hi))."""
 
-    @pytest.mark.parametrize("sigma_over_kappa", [0.03, 0.3, 5.6, 20.0])
-    @pytest.mark.parametrize("g_over_kappa, gamma_over_kappa", [
-        (1.3, 0.0), (0.9, 0.25),                             # underdamped
-        (0.2, 0.0), (0.05, 0.4),                             # overdamped
-        (0.5, 0.0), (critical_g(0.0, 0.3), 0.3),             # exactly critical
-        (critical_g(1e-3, 0.0), 0.0), (critical_g(-1e-3, 0.0), 0.0),
-        (critical_g(1e-3, 0.3), 0.3), (critical_g(-1e-3, 0.3), 0.3)])
+    @pytest.mark.parametrize("sigma_over_kappa", WINDOW_SIGMAS)
+    @pytest.mark.parametrize("g_over_kappa, gamma_over_kappa", WINDOW_RATES)
     def test_past_window_matches_high_precision(self, g_over_kappa, gamma_over_kappa,
                                                 sigma_over_kappa):
         p = window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa)
@@ -475,13 +469,19 @@ class TestFreeEvolution:
 
     @pytest.mark.parametrize("g_over_kappa", [1.0, 0.5])  # Faddeeva route, series route
     def test_convolution_sees_only_window_times(self, g_over_kappa, monkeypatch):
-        convolution, seen = pulse._gaussian_convolution, []
+        # the v_b route's window too: its underdamped closed form calls no convolution
+        convolution, window, seen = pulse._gaussian_convolution, pulse._vb_window, []
 
         def recording_convolution(lam, t, lo, p):
             seen.append((t.min(), t.max()))
             return convolution(lam, t, lo, p)
 
+        def recording_window(p, t_live, *args):
+            seen.append((t_live.min(), t_live.max()))
+            return window(p, t_live, *args)
+
         monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
+        monkeypatch.setattr(pulse, "_vb_window", recording_window)
         protocol = standard(g_over_kappa)
         phonon_trace(protocol)
         lo, hi = pulse._pulse_window(protocol)
@@ -495,6 +495,65 @@ class TestFreeEvolution:
         assert np.all(trace.n_phonon == 0.0)
         with pytest.raises(NoSwapError):
             refined_peak(trace)
+
+
+def shadow_points(n):
+    """Shadowed trace points on an n-point trace: every 20th grid point, the
+    argmax and its neighbours."""
+    i = int(np.argmax(n))
+    return np.unique(np.r_[np.arange(0, n.size, 20), np.clip([i - 1, i, i + 1], 0, n.size - 1)])
+
+
+#: the critical-coupling series over a long window (sigma = 0.03 kappa, the
+#: window 667/kappa wide) loses digits in its moment recurrence, whose
+#: alpha = t - L - h beta reaches 1100/kappa against tau <= 667/kappa:
+#: 8.6e-14 to 3.4e-13 of the peak, on the complex and the real v_b route alike
+LONG_SERIES_BOUND = 1e-12
+
+
+class TestTraceShadow:
+    """The phonon trace against the 40-digit closed form of ``trace_shadow``
+    (``tests/oracles.py``) at every 20th grid point, the argmax and its
+    neighbours: each printed ``.6g`` value correctly rounded, and the error
+    at most 1e-14 of the peak."""
+
+    def check(self, p, n, bound=1e-14):
+        mp = pytest.importorskip("mpmath")
+        idx = shadow_points(n)
+        _, vb = trace_shadow(p, p.t_grid[idx])
+        peak = n.max()
+        with mp.workdps(40):
+            for i, v in zip(idx, vb):
+                exact = 2 * mp.mpf(p.kappa) * v * v
+                assert abs(mp.mpf(float(n[i])) - exact) <= bound * peak, (i, n[i], exact)
+                assert f"{n[i]:.6g}" == f"{float(mp.nstr(exact, 6)):.6g}", (i, n[i], exact)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_traces(self, preset):
+        p = build_protocol(scenario_from_dict(preset_scenario_dict(preset)))
+        self.check(p, phonon_trace(p).n_phonon)
+
+    @pytest.mark.parametrize("sigma_over_kappa", WINDOW_SIGMAS)
+    @pytest.mark.parametrize("g_over_kappa, gamma_over_kappa", WINDOW_RATES)
+    def test_window_protocols(self, g_over_kappa, gamma_over_kappa, sigma_over_kappa):
+        # 400 points are too coarse for the trace's interpolation check, so
+        # n is formed as the trace forms it, 2 kappa v_b^2 from the v_b route
+        p = window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa)
+        n = 2.0 * p.kappa * pulse._filtered_input(p, p.t_grid)[1] ** 2
+        d = 0.5 * (1.0 - gamma_over_kappa)
+        series = abs(d * d - g_over_kappa**2) <= (2e-3 * d) ** 2  # |nu| <= 2e-3 d
+        self.check(p, n, LONG_SERIES_BOUND if series and sigma_over_kappa == 0.03 else 1e-14)
+
+    @pytest.mark.parametrize("nu_over_d, gamma_over_kappa, sigma_over_kappa, delay_kappa", [
+        (0.1, 0.0, 1.0, 1.0), (-0.1, 0.0, 1.0, 1.0),  # the series, the pulse cut at t = 0
+        (-3e-3, 0.4053, 0.03, 0.8)])                  # just past critical, off the series
+    def test_edge_protocols(self, nu_over_d, gamma_over_kappa, sigma_over_kappa, delay_kappa):
+        # where the series' boundary terms at lo = 0 weigh, so tau^k counts,
+        # and where the lower-limit term's phase lies near pi
+        p = PulseProtocol.standard(g=critical_g(nu_over_d, gamma_over_kappa) * KAPPA, kappa=KAPPA,
+                                   gamma=gamma_over_kappa * KAPPA,
+                                   sigma_over_kappa=sigma_over_kappa, delay_kappa=delay_kappa)
+        self.check(p, 2.0 * p.kappa * pulse._filtered_input(p, p.t_grid)[1] ** 2)
 
 
 def complex_filtered_input(p, times):
@@ -581,7 +640,9 @@ def bit_identity_protocols(kappa, gamma_over_kappa, rng):
 
 
 class TestRealArithmetic:
-    """u_a and v_b in real arithmetic give the complex form's values bit for bit."""
+    """u_a in real arithmetic gives the complex form's values bit for bit, and
+    so does the output field; v_b, on its own real-arithmetic route, and the
+    trace are within 1e-14 of their peaks."""
 
     @pytest.mark.parametrize("kappa", [1.0, KAPPA])
     @pytest.mark.parametrize("gamma_over_kappa", [0.0, 0.3])
@@ -591,7 +652,8 @@ class TestRealArithmetic:
         for p, times in bit_identity_protocols(kappa, gamma_over_kappa, rng):
             ua, vb = pulse._filtered_input(p, times)
             ua_ref, ub_ref = complex_filtered_input(p, times)
-            assert np.array_equal(ua, ua_ref) and np.array_equal(-1j * vb, ub_ref)
+            assert np.array_equal(ua, ua_ref)
+            assert np.abs(-1j * vb - ub_ref).max() <= 1e-14 * np.abs(ub_ref).max()
             assert np.array_equal(output_field_envelope(p, times),
                                   2.0 * p.kappa * ua_ref - pulse_envelope(times - p.delay_L,
                                                                           p.sigma))
@@ -600,7 +662,8 @@ class TestRealArithmetic:
                     n = phonon_trace(p).n_phonon
                 except GridError:  # the grids that end before or start after hi
                     continue       # may be too coarse to sample the trace
-                assert np.array_equal(n, 2.0 * p.kappa * abs(ub_ref) ** 2)
+                n_ref = 2.0 * p.kappa * abs(ub_ref) ** 2
+                assert np.abs(n - n_ref).max() <= 1e-14 * n_ref.max()
                 traces += 1
         assert traces >= 5  # the straddling grid of every protocol at least
 
@@ -628,7 +691,7 @@ def mask_filtered_input(p, times):
     after = t >= hi
     if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
         area = (8.0 * math.pi / p.sigma**2) ** 0.25
-        u_a[after], v_b[after] = pulse._free_evolution(p, t[after] - hi, area, 0.0)
+        u_a[after], v_b[after] = pair_free_evolution(p, t[after] - hi, area, 0.0)
         return u_a, v_b
     lo = max(lo, 0.0)
     inside = (t > lo) & (t < hi)
@@ -673,8 +736,22 @@ def mask_filtered_input(p, times):
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
     ua, vb = norm * ua, norm * vb
     u_a[inside], v_b[inside] = ua[:-1], vb[:-1]
-    u_a[after], v_b[after] = pulse._free_evolution(p, t[after] - hi, ua[-1], vb[-1])
+    u_a[after], v_b[after] = pair_free_evolution(p, t[after] - hi, ua[-1], vb[-1])
     return u_a, v_b
+
+
+def pair_free_evolution(p, tau, ua0, vb0):
+    """_free_evolution as it was, propagating the pair (u_a, v_b) together."""
+    c, s = pulse._free_evolution(p, tau)
+    gs = p.g * s
+    ua = (c - 0.5 * (p.kappa - p.gamma) * s) * ua0 - gs * vb0
+    vb = s  # (c + d s) vb0 + g s ua0, in place
+    vb *= 0.5 * (p.kappa - p.gamma)
+    vb += c
+    vb *= vb0
+    gs *= ua0
+    vb += gs
+    return ua, vb
 
 
 def series_threshold_protocol(kappa, gamma_over_kappa):
@@ -704,8 +781,9 @@ def series_threshold_protocol(kappa, gamma_over_kappa):
 
 class TestSliceWindow:
     """The window and tail as slices of sorted times, and the scalar guard
-    on the critical-coupling series, give the mask-based values bit for bit;
-    the trace, which forms v_b alone, gives 2 kappa v_b^2 of both."""
+    on the critical-coupling series, give the mask-based u_a and output
+    field bit for bit, and v_b and the trace within 1e-14 of their peaks;
+    the trace is 2 kappa v_b^2 of the v_b route bit for bit."""
 
     @pytest.mark.parametrize("kappa", [1.0, KAPPA])
     @pytest.mark.parametrize("gamma_over_kappa", [0.0, 0.3])
@@ -739,7 +817,9 @@ class TestSliceWindow:
                 ua_ref, vb_ref = mask_filtered_input(p, t)
                 ua, vb = pulse._filtered_input(p, t)
                 assert ua.shape == vb.shape == np.shape(t)
-                assert np.array_equal(ua, ua_ref) and np.array_equal(vb, vb_ref)
+                assert np.array_equal(ua, ua_ref)
+                scale = np.abs(vb_ref).max(initial=0.0)
+                assert np.abs(vb - vb_ref).max(initial=0.0) <= 1e-14 * scale
                 assert np.array_equal(output_field_envelope(p, t),
                                       2.0 * p.kappa * ua_ref - pulse_envelope(t - p.delay_L,
                                                                               p.sigma))
@@ -749,10 +829,12 @@ class TestSliceWindow:
                 except GridError:  # the grids that end before or start after hi
                     continue       # may be too coarse to sample the trace
                 n = 2.0 * p.kappa * mask_filtered_input(p, p.t_grid)[1] ** 2
-                assert np.array_equal(trace.n_phonon, n)
+                assert np.abs(trace.n_phonon - n).max() <= 1e-14 * n.max()
                 assert np.array_equal(trace.n_phonon,
                                       2.0 * p.kappa * pulse._filtered_input(p, p.t_grid)[1] ** 2)
-                assert (trace.peak_time, trace.peak_value) == (p.t_grid[np.argmax(n)], n.max())
+                i = np.argmax(trace.n_phonon)
+                assert (trace.peak_time, trace.peak_value) == (p.t_grid[i], trace.n_phonon[i])
+                assert abs(trace.peak_value - n.max()) <= 1e-14 * n.max()
                 traces += 1
         assert traces >= 10 and any(series_calls)
 
@@ -898,7 +980,7 @@ class TestDirectQuadrature:
         def broken(*args, **kwargs):
             raise AssertionError("the oracle reached the production route")
 
-        for name in ("_faddeeva", "_gaussian_convolution", "_sorted_filtered_input"):
+        for name in ("_faddeeva", "_gaussian_convolution", "_sorted_filtered_input", "_sorted_vb"):
             monkeypatch.setattr(pulse, name, broken)
         assert [phonon_expectation_direct(p, t / KAPPA) for t in (4.0, 6.0, 12.0)] == expected
 
