@@ -24,8 +24,10 @@ where G_ba is the impulse response of the pair; no Fock-space truncation
 is involved, and <b>(t) = 0 identically. Inside the pulse window the
 convolution has a closed form in the Faddeeva function, with an even series
 at critical coupling; after it the state is propagated by exp(M tau),
-M = [[-kappa, -ig], [-ig, -gamma]] (``_filtered_input``). The output field
-reads u_a, on the complex form's rounding; the trace v_b = i u_b, in reals.
+M = [[-kappa, -ig], [-ig, -gamma]] (``_sorted_window``). The output field
+reads u_a, on the complex form's rounding; the trace reads v_b = i u_b, in
+real arithmetic: Faddeeva's w on one vertical line, as w(-conj z) =
+conj w(z), and one damped sinusoid past the window.
 A direct quadrature of the Green's function against the input, one
 Gauss-Legendre sum squared as one photon's correlation is a product, is
 an independent route to the same quantity; the time-stepped second-moment
@@ -291,54 +293,24 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, p: PulseProtoc
     return out
 
 
-def _damped_sine(a, b, h: float, omega: float, tau: np.ndarray) -> np.ndarray:
-    """e^{-h tau} (a cos(omega tau) + b sin(omega tau)) as e^{-h tau} R sin(omega tau
-    + phi), R = +-hypot(a, b) of b's sign: |phi| <= pi/2, no rounded pi off a small angle."""
+def _damped_sine(a, b, h: float, omega: float, tau: np.ndarray, out: np.ndarray) -> None:
+    """out = e^{-h tau} (a cos(omega tau) + b sin(omega tau)), as e^{-h tau} R sin(omega tau
+    + phi) with R = +-hypot(a, b) of b's sign: |phi| <= pi/2, no rounded pi off a small angle."""
     sign = math.copysign(1.0, b)
-    out = np.sin(omega * tau + math.atan2(sign * a, sign * b))
+    np.multiply(tau, omega, out=out)
+    out += math.atan2(sign * a, sign * b)
+    np.sin(out, out=out)
     out *= np.exp(-h * tau)
-    return np.multiply(out, sign * math.hypot(a, b), out=out)
-
-
-def _filtered_input(p: PulseProtocol, times) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, v_b = i u_b)(t) with (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds,
-    at a scalar or any array of times, in its shape.
-
-    With h = (kappa+gamma)/2, d = (kappa-gamma)/2 and nu = sqrt(d^2 - g^2),
-    exp(M tau) has the eigenvalues lam+- = -h +- nu and
-
-        G_aa = (1 - d/nu)/2 e^{lam+ tau} + (1 + d/nu)/2 e^{lam- tau}
-        G_ba = -i g (e^{lam+ tau} - e^{lam- tau}) / (2 nu)
-
-    G_aa and i G_ba are real, so u_a and v_b are. Both are sums of the
-    ``_gaussian_convolution`` terms P+- of lam+-; underdamped, lam- = conj(lam+)
-    and P- = conj(P+), so P+ alone serves. Near critical coupling (nu -> 0)
-    the differences cancel; there the even series
-    cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
-    sinh(nu tau)/nu = sum nu^2m tau^(2m+1)/(2m+1)! is summed over the
-    moments J_k = int_lo^t tau^k e^{-h tau} f ds, which obey
-
-        J_{k+1} = alpha J_k + k beta J_{k-1} + beta N [tau^k e^{-h tau - sigma^2 (s-L)^2/4}]_lo^t
-
-    (alpha = t - L - h beta, beta = 2/sigma^2, N the norm of f). The series
-    needs |nu| tau small over the window; the recurrence's coefficients set
-    how fast its rounding grows, so they join that span. The span is at
-    least (L + h beta - lo) + sqrt(2 K beta), so where |nu| times that
-    bound is clearly above 1 the series is ruled out with no per-time test.
-
-    The closed form runs only at the times inside the pulse window (lo, hi)
-    and at hi; the input has ended by hi, so later times take u(t) =
-    exp(M (t - hi)) u(hi). u_a and v_b have a route each, which forms the other
-    at hi alone: u_a on the complex form's rounding, v_b in real arithmetic.
-    """
-    return _in_order(_sorted_filtered_input, p, times), _in_order(_sorted_vb, p, times)
+    out *= sign * math.hypot(a, b)
 
 
 def _in_order(route, p: PulseProtocol, times) -> np.ndarray:
-    """``route`` at ``times`` in their shape, run on them sorted: each value depends on its time."""
+    """``route`` at ``times`` of any shape, run on them sorted (each value depends on its own
+    time alone, and window and tail are then slices); ascending times are taken as they are."""
     t = np.asarray(times, dtype=float)
-    order, out = t.argsort(axis=None, kind="stable"), np.empty(t.shape)
-    out.flat[order] = route(p, t.flat[order])
+    flat, out = t.ravel(), np.empty(t.shape)
+    order = slice(None) if (flat[1:] >= flat[:-1]).all() else flat.argsort(kind="stable")
+    out.flat[order] = route(p, flat[order])
     return out
 
 
@@ -357,7 +329,7 @@ def _sorted_vb(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
     nu2, x1 = d * d - p.g * p.g, d * vb0 + p.g * ua0
     if nu2 < 0.0:
         omega = math.sqrt(-nu2)
-        out[after] = _damped_sine(vb0, x1 / omega, 0.5 * (p.kappa + p.gamma), omega, tau)
+        _damped_sine(vb0, x1 / omega, 0.5 * (p.kappa + p.gamma), omega, tau, out[after])
     else:
         c, s = _free_evolution(p, tau)
         out[after] = c * vb0 + s * x1
@@ -365,13 +337,39 @@ def _sorted_vb(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
 
 
 def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
-    """(out, after, hi, (u_a, v_b)(hi)) of one route at 1-D ascending times: ``out`` is 0
-    (all of it if the window closes by t = 0) but in (lo, hi), where ``window(p, t_live, lo,
-    rates, series)`` gives the row there and at hi, and the pair at hi, with rates (h, d, nu^2,
-    nu, beta) and ``series`` the critical series' mask and moment inputs, or None; ``after``
-    slices t >= hi. Where rounding of L cuts a side of the window below 9/sigma (down to
-    lo = hi = L), the pulse is a kick of its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to
-    O(kappa/sigma). A NaN time sorts last and raises NumericalError."""
+    """(out, after, hi, (u_a, v_b)(hi)) of a route of (u_a, v_b = i u_b)(t) at 1-D ascending
+    times, where (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds.
+
+    With h = (kappa+gamma)/2, d = (kappa-gamma)/2 and nu = sqrt(d^2 - g^2),
+    exp(M tau) has the eigenvalues lam+- = -h +- nu and
+
+        G_aa = (1 - d/nu)/2 e^{lam+ tau} + (1 + d/nu)/2 e^{lam- tau}
+        G_ba = -i g (e^{lam+ tau} - e^{lam- tau}) / (2 nu)
+
+    G_aa and i G_ba are real, so u_a and v_b are. Both are sums of the
+    ``_gaussian_convolution`` terms P+- of lam+-; underdamped, lam- = conj(lam+)
+    and P- = conj(P+), so P+ alone serves. Near critical coupling (nu -> 0)
+    the differences cancel; there the even series
+    cosh(nu tau) = sum nu^2m tau^2m/(2m)!,
+    sinh(nu tau)/nu = sum nu^2m tau^(2m+1)/(2m+1)! is summed over the
+    moments J_k = int_lo^t tau^k e^{-h tau} f ds (``_series``), which obey
+
+        J_{k+1} = alpha J_k + k beta J_{k-1} + beta N [tau^k e^{-h tau - sigma^2 (s-L)^2/4}]_lo^t
+
+    (alpha = t - L - h beta, beta = 2/sigma^2, N the norm of f). The series
+    needs |nu| tau small over the window; the recurrence's coefficients set
+    how fast its rounding grows, so they join that span. The span is at
+    least (L + h beta - lo) + sqrt(2 K beta), so where |nu| times that
+    bound is clearly above 1 the series is ruled out with no per-time test.
+
+    ``out`` is 0 but in (lo, hi) (all of it if the window closes by t = 0), where
+    ``window(p, t_live, lo, rates, series)`` gives the route's row, and the pair at hi; rates
+    are (h, d, nu^2, nu, beta), ``series`` the series' inputs or None. The input has ended
+    by hi, so the route takes t >= hi (the slice ``after``) from exp(M (t - hi)) u(hi).
+    Where rounding of L cuts a side of the window below 9/sigma (down to lo = hi = L), the
+    pulse is a kick of its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to O(kappa/sigma).
+    A NaN time sorts last and raises NumericalError.
+    """
     if t.size and math.isnan(t[-1]):
         raise NumericalError("filtered input requested at a NaN time")
     out = np.zeros(t.size)
@@ -387,7 +385,7 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
     t_live[:-1], t_live[-1] = t[inside], hi
     h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
     nu2 = d * d - p.g * p.g
-    nu = complex(np.sqrt(complex(nu2)))
+    nu = cmath.sqrt(nu2)
     beta = 2.0 / p.sigma**2
     reach = math.sqrt(2 * _SERIES_TERMS * beta)
     series = None
@@ -408,21 +406,30 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
     return out, after, hi, (norm * ua_hi, norm * vb_hi)
 
 
+def _series(series, nu2: float, beta: float, power: bool):
+    """(mask, cosh part, sinh part) of the critical-coupling series at its times, the sums
+    of nu^(2 floor(k/2))/k! J_k over even and odd k, with the boundary term tau_lo^k edge_lo
+    by np.power, whose rounding u_a keeps, or, for v_b, by a running product."""
+    mask, al, tau_lo, edge, edge_t, j = series
+    j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0
+    for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
+        parts[k % 2] = parts[k % 2] + weight * j
+        weight *= (nu2 if k % 2 else 1.0) / (k + 1)
+        bound = tau_lo**k * edge if power else edge
+        j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - bound)
+        if not power:
+            edge *= tau_lo
+    return mask, parts[0], parts[1] + weight * j
+
+
 def _ua_window(p, t_live, lo, rates, series):
     """u_a at t_live, (u_a, v_b) at hi: complex exp for complex rates, tau^k by
     np.power, products grouped as numpy's complex division by 2 nu rounded them."""
     h, d, nu2, nu, beta = rates
     ua, rest = np.empty(t_live.size), slice(None)
     if series is not None:
-        mask, al, tau_lo, edge_lo, edge_t, j = series
-        j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0  # cosh, sinh parts; nu^(2 floor(k/2)) / k!
-        for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
-            parts[k % 2] = parts[k % 2] + weight * j
-            weight *= (nu2 if k % 2 else 1.0) / (k + 1)
-            j_prev, j = j, (al * j + k * beta * j_prev
-                            + beta * ((edge_t if k == 0 else 0.0) - tau_lo**k * edge_lo))
-        sinh_part = parts[1] + weight * j
-        ua[mask], vb_hi, rest = parts[0] - d * sinh_part, p.g * sinh_part[-1], ~mask
+        mask, cosh, sinh = _series(series, nu2, beta, power=True)
+        ua[mask], vb_hi, rest = cosh - d * sinh, p.g * sinh[-1], ~mask
     tr = t_live[rest]
     if tr.size:
         plus = _gaussian_convolution(-h + nu, tr, lo, p)
@@ -444,20 +451,12 @@ def _vb_window(p, t_live, lo, rates, series):
     term 2 e^{lam (t-L) + lam^2/sigma^2} joins C. As w(-conj z) = conj w(z)
     (Abramowitz & Stegun 7.1.12), the t term w(i z_s), or -w(-i z_s) reflected,
     is conj W or -W with W = w(omega/sigma + i |Re z_s|) on one vertical line: its
-    part e^{-sigma^2 s^2/4} Im W has no reflection sign. Real rates take float
-    exp; the series sums odd moments, tau^k by a running product, even ones at hi."""
+    part e^{-sigma^2 s^2/4} Im W has no reflection sign. Real rates take float exp."""
     h, d, nu2, nu, beta = rates
     vb, rest = np.empty(t_live.size), slice(None)
     if series is not None:
-        mask, al, tau_lo, edge, edge_t, j = series
-        j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0
-        for k in range(2 * _SERIES_TERMS - 1):
-            parts[k % 2] += weight * (j if k % 2 else j[-1])
-            weight *= (nu2 if k % 2 else 1.0) / (k + 1)
-            j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - edge)
-            edge *= tau_lo
-        sinh_part = parts[1] + weight * j
-        vb[mask], ua_hi, rest = p.g * sinh_part, parts[0] - d * sinh_part[-1], ~mask
+        mask, cosh, sinh = _series(series, nu2, beta, power=False)
+        vb[mask], ua_hi, rest = p.g * sinh, cosh[-1] - d * sinh[-1], ~mask
     tr = t_live[rest]
     if tr.size and nu2 < 0.0:
         sigma, omega, lam = p.sigma, nu.imag, -h + nu
@@ -466,17 +465,17 @@ def _vb_window(p, t_live, lo, rates, series):
         w = _wofz()(omega / sigma + 1j * np.abs(x))
         e = np.exp(-0.25 * sigma**2 * s * s)
         c, tau = e[0] * (-w[0] if x[0] < 0.0 else w[0].conjugate()), tr - lo
-        k = x.searchsorted(0.0) if x[0] < 0.0 else s.size  # s[k:] straddles
+        k = x.searchsorted(0.0) - 1 if x[0] < 0.0 else tr.size  # tr[k:] straddles
         dif = np.empty(tr.size)
-        dif[:k - 1] = _damped_sine(c.imag, c.real, h, omega, tau[:k - 1])
-        if k < s.size:  # the bounded term joins the lo term's e^{lam tau}; h/sigma < 5 here
-            c += 2.0 * cmath.exp(lam * (lo - p.delay_L) + lam * lam / sigma**2)
-            dif[k - 1:] = _damped_sine(c.imag, c.real, h, omega, tau[k - 1:])
+        _damped_sine(c.imag, c.real, h, omega, tau[:k], dif[:k])
+        if k < tr.size:  # the bounded term joins the lo term's e^{lam tau}; h/sigma < 5 here
+            c += 2.0 * cmath.exp(lam * s[0] + lam * lam / sigma**2)
+            _damped_sine(c.imag, c.real, h, omega, tau[k:], dif[k:])
         dif += e[1:] * w[1:].imag
         mean = c * cmath.exp(lam * tau[-1]) + e[-1] * (w[-1] if x[-1] < 0.0 else -w[-1].conjugate())
         mean, inv = mean.real * math.sqrt(math.pi) / sigma, math.sqrt(math.pi) / sigma / omega
     elif tr.size:  # real rates: erfcx and float exp
-        plus, minus = (_gaussian_convolution(-h + x, tr, lo, p).real for x in (nu.real, -nu.real))
+        plus, minus = (_gaussian_convolution(-h + r, tr, lo, p) for r in (nu.real, -nu.real))
         dif, mean, inv = plus - minus, 0.5 * (plus[-1] + minus[-1]), 0.5 / nu.real
     if tr.size:
         vb[rest] = (p.g * inv) * dif
