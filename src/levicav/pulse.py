@@ -43,6 +43,7 @@ import math
 import operator
 import sys
 import types
+import weakref
 
 import numpy as np
 
@@ -97,12 +98,12 @@ class PulseProtocol:
                 raise ValidationError(f"{name} must be positive")
         if self.omega_t is not None and not (math.isfinite(self.omega_t) and self.omega_t > 0.0):
             raise ValidationError("omega_t must be finite and positive")
-        grid = np.asarray(self.t_grid, dtype=float)
-        if grid.ndim == 1 and not np.isfinite(grid).all():
-            raise ValidationError("t_grid must be finite")
-        if grid.ndim != 1 or grid.size < 3 or not (grid[1:] > grid[:-1]).all():
-            raise ValidationError("t_grid must be a strictly increasing 1-D array")
-        object.__setattr__(self, "t_grid", grid)
+        if _CHECKED_GRIDS.get(id(self.t_grid)) is not self.t_grid:
+            grid = np.asarray(self.t_grid, dtype=float)
+            error = _grid_error(grid)
+            if error:
+                raise ValidationError(error)
+            object.__setattr__(self, "t_grid", grid)
 
     @property
     def rwa_valid(self):
@@ -122,11 +123,28 @@ class PulseProtocol:
                    delay_L=delay_kappa / kappa, t_grid=_uniform_grid(t_max_kappa / kappa, n_points))
 
 
+#: the grids ``_uniform_grid`` built and found valid, by id, held weakly: a
+#: protocol on one of them skips the two full-grid scans of ``_grid_error``
+_CHECKED_GRIDS = weakref.WeakValueDictionary()
+
+
+def _grid_error(grid: np.ndarray) -> str | None:
+    """Why ``grid`` cannot be a protocol's time grid, or None."""
+    if grid.ndim == 1 and not np.isfinite(grid).all():
+        return "t_grid must be finite"
+    if grid.ndim != 1 or grid.size < 3 or not (grid[1:] > grid[:-1]).all():
+        return "t_grid must be a strictly increasing 1-D array"
+    return None
+
+
 @functools.lru_cache(maxsize=8)
 def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
-    """np.linspace(0, t_max, n_points), shared read-only between protocols."""
+    """np.linspace(0, t_max, n_points), shared read-only between protocols and
+    checked once, here; an invalid one is left to raise in every protocol."""
     grid = np.linspace(0.0, t_max, n_points)
     grid.flags.writeable = False
+    if _grid_error(grid) is None:
+        _CHECKED_GRIDS[id(grid)] = grid
     return grid
 
 
@@ -293,15 +311,20 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, p: PulseProtoc
     return out
 
 
-def _damped_sine(a, b, h: float, omega: float, tau: np.ndarray, out: np.ndarray) -> None:
-    """out = e^{-h tau} (a cos(omega tau) + b sin(omega tau)), as e^{-h tau} R sin(omega tau
-    + phi) with R = +-hypot(a, b) of b's sign: |phi| <= pi/2, no rounded pi off a small angle."""
-    sign = math.copysign(1.0, b)
+def _damped_sine(h: float, omega: float, tau: np.ndarray, out: np.ndarray, pieces) -> None:
+    """out[part] = e^{-h tau} (a cos(omega tau) + b sin(omega tau)) for each (a, b, part) of
+    ``pieces``, as e^{-h tau} R sin(omega tau + phi) with R = +-hypot(a, b) of b's sign:
+    |phi| <= pi/2, no rounded pi off a small angle. One phase and one decay pass serve all."""
     np.multiply(tau, omega, out=out)
-    out += math.atan2(sign * a, sign * b)
+    scaled = []
+    for a, b, part in pieces:
+        sign, segment = math.copysign(1.0, b), out[part]
+        segment += math.atan2(sign * a, sign * b)
+        scaled.append((segment, sign * math.hypot(a, b)))
     np.sin(out, out=out)
     out *= np.exp(-h * tau)
-    out *= sign * math.hypot(a, b)
+    for segment, r in scaled:
+        segment *= r
 
 
 def _in_order(route, p: PulseProtocol, times) -> np.ndarray:
@@ -329,7 +352,8 @@ def _sorted_vb(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
     nu2, x1 = d * d - p.g * p.g, d * vb0 + p.g * ua0
     if nu2 < 0.0:
         omega = math.sqrt(-nu2)
-        _damped_sine(vb0, x1 / omega, 0.5 * (p.kappa + p.gamma), omega, tau, out[after])
+        _damped_sine(0.5 * (p.kappa + p.gamma), omega, tau, out[after],
+                     ((vb0, x1 / omega, slice(None)),))
     else:
         c, s = _free_evolution(p, tau)
         out[after] = c * vb0 + s * x1
@@ -363,8 +387,10 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
     bound is clearly above 1 the series is ruled out with no per-time test.
 
     ``out`` is 0 but in (lo, hi) (all of it if the window closes by t = 0), where
-    ``window(p, t_live, lo, rates, series)`` gives the route's row, and the pair at hi; rates
-    are (h, d, nu^2, nu, beta), ``series`` the series' inputs or None. The input has ended
+    ``window(p, t_in, lo, hi, rates, series, out)`` writes the route's row, norm N included,
+    at the times t_in in (lo, hi) into ``out`` and returns the pair at hi; rates are
+    (h, d, nu^2, nu, beta, N), ``series`` None or (t_live, mask, moments): the times t_in and
+    hi, those the series takes, and ``_series``' inputs at them. The input has ended
     by hi, so the route takes t >= hi (the slice ``after``) from exp(M (t - hi)) u(hi).
     Where rounding of L cuts a side of the window below 9/sigma (down to lo = hi = L), the
     pulse is a kick of its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to O(kappa/sigma).
@@ -381,8 +407,6 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
         return out, after, hi, ((8.0 * math.pi / p.sigma**2) ** 0.25, 0.0)
     lo = max(lo, 0.0)
     inside = slice(t.searchsorted(lo, "right"), after.start)  # lo < t < hi
-    t_live = np.empty(inside.stop - inside.start + 1)
-    t_live[:-1], t_live[-1] = t[inside], hi
     h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
     nu2 = d * d - p.g * p.g
     nu = cmath.sqrt(nu2)
@@ -391,44 +415,58 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
     series = None
     # 1e-12 covers the rounding of span and of its bound, a few ulps each
     if not abs(nu) * (p.delay_L + h * beta - lo + reach) > 1.0 + 1e-12:
+        t_live = np.append(t[inside], hi)
         alpha = t_live - p.delay_L - h * beta
         mask = abs(nu) * ((t_live - lo) + np.abs(alpha) + reach) <= 1.0
         if mask.any():  # J_0 and the boundary terms at lo and, for k = 0 alone, at t
             ts = t_live[mask]
             tau_lo = ts - lo
-            series = (mask, alpha[mask], tau_lo,
-                      np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2),
-                      np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2),
-                      _gaussian_convolution(-h, ts, lo, p).real)
-    live, ua_hi, vb_hi = window(p, t_live, lo, (h, d, nu2, nu, beta), series)
+            series = (t_live, mask, (
+                alpha[mask], tau_lo,
+                np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2),
+                np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2),
+                _gaussian_convolution(-h, ts, lo, p).real))
     norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
-    np.multiply(live[:-1], norm, out=out[inside])
-    return out, after, hi, (norm * ua_hi, norm * vb_hi)
+    pair = window(p, t[inside], lo, hi, (h, d, nu2, nu, beta, norm), series, out[inside])
+    return out, after, hi, pair
 
 
-def _series(series, nu2: float, beta: float, power: bool):
-    """(mask, cosh part, sinh part) of the critical-coupling series at its times, the sums
-    of nu^(2 floor(k/2))/k! J_k over even and odd k, with the boundary term tau_lo^k edge_lo
-    by np.power, whose rounding u_a keeps, or, for v_b, by a running product."""
-    mask, al, tau_lo, edge, edge_t, j = series
-    j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0
+def _series(moments, nu2: float, beta: float, power: bool):
+    """(cosh part, sinh part) of the critical-coupling series at its times, the sums of
+    nu^(2 floor(k/2))/k! J_k over even and odd k, with the boundary term tau_lo^k edge_lo
+    by np.power, whose rounding u_a keeps, or, for v_b, by a running product of its own;
+    each step updates the moments in place by the operations of the recurrence as written."""
+    al, tau_lo, edge, edge_t, j = moments
+    j, j_prev, step = j.copy(), np.zeros(j.size), np.empty(j.size)
+    even, odd, weight = np.zeros(j.size), np.zeros(j.size), 1.0
     for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
-        parts[k % 2] = parts[k % 2] + weight * j
+        part = odd if k % 2 else even
+        np.multiply(j, weight, out=step)
+        part += step
         weight *= (nu2 if k % 2 else 1.0) / (k + 1)
         bound = tau_lo**k * edge if power else edge
-        j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - bound)
+        np.multiply(j_prev, k * beta, out=j_prev)
+        np.multiply(al, j, out=step)
+        step += j_prev
+        np.subtract(edge_t if k == 0 else 0.0, bound, out=j_prev)
+        j_prev *= beta
+        step += j_prev
+        j_prev, j, step = j, step, j_prev
         if not power:
-            edge *= tau_lo
-    return mask, parts[0], parts[1] + weight * j
+            edge = edge * tau_lo if k == 0 else np.multiply(edge, tau_lo, out=edge)
+    np.multiply(j, weight, out=step)
+    odd += step
+    return even, odd
 
 
-def _ua_window(p, t_live, lo, rates, series):
-    """u_a at t_live, (u_a, v_b) at hi: complex exp for complex rates, tau^k by
+def _ua_window(p, t_in, lo, hi, rates, series, out):
+    """u_a at t_in and (u_a, v_b) at hi: complex exp for complex rates, tau^k by
     np.power, products grouped as numpy's complex division by 2 nu rounded them."""
-    h, d, nu2, nu, beta = rates
+    h, d, nu2, nu, beta, norm = rates
+    t_live, mask, moments = series or (np.append(t_in, hi), None, None)
     ua, rest = np.empty(t_live.size), slice(None)
-    if series is not None:
-        mask, cosh, sinh = _series(series, nu2, beta, power=True)
+    if mask is not None:
+        cosh, sinh = _series(moments, nu2, beta, power=True)
         ua[mask], vb_hi, rest = cosh - d * sinh, p.g * sinh[-1], ~mask
     tr = t_live[rest]
     if tr.size:
@@ -441,47 +479,75 @@ def _ua_window(p, t_live, lo, rates, series):
         ua[rest] = mean - (d * dif) * inv  # inv last, as complex division rounds
         if tr[-1] == t_live[-1]:
             vb_hi = (p.g * dif[-1]) * inv
-    return ua, ua[-1], vb_hi
+    np.multiply(ua[:-1], norm, out=out)
+    return norm * ua[-1], norm * vb_hi
 
 
-def _vb_window(p, t_live, lo, rates, series):
-    """v_b at t_live and (u_a, v_b) at hi, in real arithmetic. Underdamped,
-    v_b = g Im P+/omega, lam = -h + i omega: the lo term C gives Im(C e^{lam tau}),
-    tau = t - lo, one damped sine; where the limits straddle Re z = 0, the bounded
-    term 2 e^{lam (t-L) + lam^2/sigma^2} joins C. As w(-conj z) = conj w(z)
-    (Abramowitz & Stegun 7.1.12), the t term w(i z_s), or -w(-i z_s) reflected,
-    is conj W or -W with W = w(omega/sigma + i |Re z_s|) on one vertical line: its
-    part e^{-sigma^2 s^2/4} Im W has no reflection sign. Real rates take float exp."""
-    h, d, nu2, nu, beta = rates
-    vb, rest = np.empty(t_live.size), slice(None)
-    if series is not None:
-        mask, cosh, sinh = _series(series, nu2, beta, power=False)
-        vb[mask], ua_hi, rest = p.g * sinh, cosh[-1] - d * sinh[-1], ~mask
-    tr = t_live[rest]
-    if tr.size and nu2 < 0.0:
+def _vb_window(p, t_in, lo, hi, rates, series, out):
+    """v_b at t_in and (u_a, v_b) at hi, in real arithmetic: the series where it holds,
+    ``_vb_closed`` at the other times, on one array of lo, those times and hi."""
+    h, d, nu2, nu, beta, norm = rates
+    if series is None:
+        ext = np.empty(t_in.size + 2)
+        ext[0], ext[1:-1], ext[-1] = lo, t_in, hi
+        dif, scale, ua_hi = _vb_closed(p, ext, rates)
+        np.multiply(dif[:-1], scale, out=out)
+        return ua_hi, scale * dif[-1]
+    t_live, mask, moments = series
+    cosh, sinh = _series(moments, nu2, beta, power=False)
+    vb, rest = np.empty(t_live.size), ~mask
+    vb[mask] = norm * (p.g * sinh)
+    if mask[-1]:
+        ua_hi = norm * (cosh[-1] - d * sinh[-1])
+    if rest.any():
+        dif, scale, closed_hi = _vb_closed(p, np.append(lo, t_live[rest]), rates)
+        vb[rest] = scale * dif
+        if rest[-1]:
+            ua_hi = closed_hi
+    out[:] = vb[:-1]
+    return ua_hi, vb[-1]
+
+
+def _vb_closed(p, ext, rates):
+    """(dif, scale, N u_a) of the closed form from lo = ext[0] at the ascending times
+    ext[1:]: v_b = scale dif there, u_a at the last. Underdamped, v_b = g Im P+/omega,
+    lam = -h + i omega: the lo term C gives Im(C e^{lam tau}), tau = t - lo, one damped
+    sine; where the limits straddle Re z = 0, the bounded term 2 e^{lam (t-L) + lam^2/sigma^2}
+    joins C. As w(-conj z) = conj w(z) (Abramowitz & Stegun 7.1.12), the t term w(i z_s), or
+    -w(-i z_s) reflected, is conj W or -W with W = w(omega/sigma + i |Re z_s|) on one vertical
+    line: its part e^{-sigma^2 s^2/4} Im W has no reflection sign. N, g/omega and
+    sqrt(pi)/sigma make one factor, scale. Real rates take erfcx and float exp."""
+    h, d, nu2, nu, beta, norm = rates
+    lo = ext[0]
+    if nu2 < 0.0:
         sigma, omega, lam = p.sigma, nu.imag, -h + nu
-        s = np.concatenate(((lo,), tr)) - p.delay_L
-        x = 0.5 * sigma * s - h / sigma  # Re z_s, ascending
-        w = _wofz()(omega / sigma + 1j * np.abs(x))
-        e = np.exp(-0.25 * sigma**2 * s * s)
-        c, tau = e[0] * (-w[0] if x[0] < 0.0 else w[0].conjugate()), tr - lo
-        k = x.searchsorted(0.0) - 1 if x[0] < 0.0 else tr.size  # tr[k:] straddles
-        dif = np.empty(tr.size)
-        _damped_sine(c.imag, c.real, h, omega, tau[:k], dif[:k])
-        if k < tr.size:  # the bounded term joins the lo term's e^{lam tau}; h/sigma < 5 here
+        s, tau = ext - p.delay_L, ext[1:] - lo
+        x = np.multiply(s, 0.5 * sigma)
+        x -= h / sigma  # Re z_s, ascending
+        z = np.empty(s.size, dtype=complex)
+        z.real = omega / sigma
+        np.abs(x, out=z.imag)
+        w = _wofz()(z)
+        e = np.multiply(s, -0.25 * sigma**2)
+        e *= s
+        np.exp(e, out=e)
+        c = complex(e[0] * (-w[0] if x[0] < 0.0 else w[0].conjugate()))
+        k = int(x.searchsorted(0.0)) - 1 if x[0] < 0.0 else tau.size  # tau[k:] straddles
+        pieces = [(c.imag, c.real, slice(k))]
+        if k < tau.size:  # the bounded term joins the lo term's e^{lam tau}; h/sigma < 5 here
             c += 2.0 * cmath.exp(lam * s[0] + lam * lam / sigma**2)
-            _damped_sine(c.imag, c.real, h, omega, tau[k:], dif[k:])
-        dif += e[1:] * w[1:].imag
+            pieces.append((c.imag, c.real, slice(k, None)))
+        dif = np.empty(tau.size)
+        _damped_sine(h, omega, tau, dif, pieces)
         mean = c * cmath.exp(lam * tau[-1]) + e[-1] * (w[-1] if x[-1] < 0.0 else -w[-1].conjugate())
-        mean, inv = mean.real * math.sqrt(math.pi) / sigma, math.sqrt(math.pi) / sigma / omega
-    elif tr.size:  # real rates: erfcx and float exp
-        plus, minus = (_gaussian_convolution(-h + r, tr, lo, p) for r in (nu.real, -nu.real))
-        dif, mean, inv = plus - minus, 0.5 * (plus[-1] + minus[-1]), 0.5 / nu.real
-    if tr.size:
-        vb[rest] = (p.g * inv) * dif
-        if tr[-1] == t_live[-1]:
-            ua_hi = mean - d * inv * dif[-1]
-    return vb, ua_hi, vb[-1]
+        e *= w.imag
+        dif += e[1:]
+        root = math.sqrt(math.pi) / sigma
+        return dif, norm * p.g * root / omega, norm * root * (mean.real - d / omega * dif[-1])
+    plus, minus = (_gaussian_convolution(-h + r, ext[1:], lo, p) for r in (nu.real, -nu.real))
+    mean, inv = 0.5 * (plus[-1] + minus[-1]), 0.5 / nu.real
+    dif = np.subtract(plus, minus, out=plus)
+    return dif, norm * p.g * inv, norm * (mean - d * inv * dif[-1])
 
 
 def _free_evolution(p: PulseProtocol, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -628,14 +694,15 @@ def refined_peak(trace: PhononTrace) -> tuple[float, float]:
         raise NoSwapError("phonon trace is identically zero: no swap occurs")
     if i == 0 or i == n.size - 1:
         return float(trace.times[i]), float(n[i])
-    t0, t1, t2 = trace.times[i - 1: i + 2]
-    y0, y1, y2 = n[i - 1: i + 2]
+    # Python floats: the IEEE operations of numpy's scalars, without their overhead
+    t0, t1, t2 = trace.times[i - 1: i + 2].tolist()
+    y0, y1, y2 = n[i - 1: i + 2].tolist()
     denom = (y0 - 2.0 * y1 + y2)
     if denom == 0.0:
-        return float(t1), float(y1)
+        return t1, y1
     # uniform-step parabola vertex
     h = 0.5 * (t2 - t0)
-    return float(t1 + 0.5 * h * (y0 - y2) / denom), float(y1 - 0.125 * (y0 - y2) ** 2 / denom)
+    return t1 + 0.5 * h * (y0 - y2) / denom, y1 - 0.125 * (y0 - y2) ** 2 / denom
 
 
 def conditional_superposition(x_L: float, displacement: float) -> SuperpositionState:

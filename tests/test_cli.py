@@ -386,6 +386,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "numerical failure: coupling stage: tweezer trap frequency underflows to 0\n"
 
+    def test_degenerate_time_grid_exit_1(self, capsys, tmp_path):
+        # t_max_kappa / kappa = 1e-321: linspace's subnormal steps repeat
+        # times, and the shared grid is rejected on every request, not only
+        # on the one that built it
+        from levicav import pulse
+        from levicav.scenario import evaluate_scenario, scenario_from_dict
+        doc = yaml.safe_load(open_preset())
+        kappa = evaluate_scenario(scenario_from_dict(doc)).cavity.kappa
+        doc["protocol"]["t_max_kappa"] = 1e-321 * kappa
+        grid = pulse._uniform_grid(doc["protocol"]["t_max_kappa"] / kappa,
+                                   doc["protocol"]["n_points"])
+        assert not (grid[1:] > grid[:-1]).all()
+        path = tmp_path / "instant.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        for _ in range(2):
+            code, out, err = run(capsys, ["trace", str(path), "--quiet"])
+            assert (code, out) == (1, "")
+            assert err == "error: t_grid must be a strictly increasing 1-D array\n"
+
     def test_duplicate_key_exit_1(self, capsys, tmp_path):
         # PyYAML would keep the later value silently
         text = open_preset()

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -145,6 +147,41 @@ class TestTrace:
         protocol = PulseProtocol.standard(g=1.0, kappa=1.0)
         with pytest.raises(NumericalError):
             filtered_input(protocol, times)
+
+
+class TestGridCheck:
+    """A protocol scans its grid (finite, strictly increasing) unless the grid is one
+    that ``_uniform_grid`` built and found valid, which it recognises by identity."""
+
+    @staticmethod
+    def protocol(grid):
+        return PulseProtocol(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=KAPPA, delay_L=0.0,
+                             t_grid=grid)
+
+    def test_invalid_shared_grid_raises_every_time(self):
+        grid = pulse._uniform_grid(1e-321, 2000)  # subnormal steps repeat times
+        assert not (grid[1:] > grid[:-1]).all()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                self.protocol(grid)
+        assert pulse._uniform_grid(1e-321, 2000) is grid
+
+    def test_read_only_grid_with_nan_raises_every_time(self):
+        grid = np.linspace(0.0, 20.0 / KAPPA, 2000)
+        grid[700] = math.nan
+        grid.flags.writeable = False
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="finite"):
+                self.protocol(grid)
+
+    def test_shared_grid_scanned_once(self, monkeypatch):
+        grid, scanned = pulse._uniform_grid(20.0 / KAPPA, 2000), []
+        error = pulse._grid_error
+        monkeypatch.setattr(pulse, "_grid_error", lambda g: scanned.append(g) or error(g))
+        assert self.protocol(grid).t_grid is grid and scanned == []
+        copy = grid.copy()
+        copy.flags.writeable = False
+        assert self.protocol(copy).t_grid is copy and len(scanned) == 1
 
 
 def assert_trace_matches_direct(protocol):
@@ -482,9 +519,9 @@ class TestFreeEvolution:
             seen.append((t.min(), t.max()))
             return convolution(lam, t, lo, p)
 
-        def recording_window(p, t_live, *args):
-            seen.append((t_live.min(), t_live.max()))
-            return window(p, t_live, *args)
+        def recording_window(p, t_in, *args):
+            seen.append((t_in.min(), t_in.max()))
+            return window(p, t_in, *args)
 
         monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
         monkeypatch.setattr(pulse, "_vb_window", recording_window)
@@ -508,6 +545,16 @@ def shadow_points(n):
     argmax and its neighbours."""
     i = int(np.argmax(n))
     return np.unique(np.r_[np.arange(0, n.size, 20), np.clip([i - 1, i, i + 1], 0, n.size - 1)])
+
+
+def swap_map_points(seed, g_range=(0.25, 1.85), sigma_range=(1.0, 10.0), strata=4):
+    """One seeded (g/kappa, sigma/kappa) point in each cell of the swap map's
+    strata x strata grid, drawn as perfbench's swap-map workload draws them."""
+    rng = random.Random(seed)
+    (g_lo, g_hi), (s_lo, s_hi) = g_range, sigma_range
+    return [(g_lo + (i + rng.random()) * (g_hi - g_lo) / strata,
+             s_lo + (j + rng.random()) * (s_hi - s_lo) / strata)
+            for i in range(strata) for j in range(strata)]
 
 
 #: the critical-coupling series over a long window (sigma = 0.03 kappa, the
@@ -563,6 +610,15 @@ class TestTraceShadow:
                                    gamma=gamma_over_kappa * KAPPA,
                                    sigma_over_kappa=sigma_over_kappa, delay_kappa=delay_kappa)
         self.check(p, 2.0 * p.kappa * filtered_input(p, p.t_grid)[1] ** 2)
+
+    @pytest.mark.parametrize("g_over_kappa, sigma_over_kappa", swap_map_points(seed=29),
+                             ids=lambda v: f"{v:.3f}")
+    def test_swap_map_strata(self, g_over_kappa, sigma_over_kappa):
+        # the benchmark's requests: the sphere preset and its 2000-point grid
+        doc = preset_scenario_dict("sphere-appendix-h")
+        doc["protocol"] |= dict(g_over_kappa=g_over_kappa, sigma_over_kappa=sigma_over_kappa)
+        p = build_protocol(scenario_from_dict(doc))
+        self.check(p, phonon_trace(p).n_phonon)
 
 
 def complex_filtered_input(p, times):
@@ -686,6 +742,51 @@ class TestRealArithmetic:
                                               sigma_over_kappa=sigma_over_kappa)
             scaled.append(refined_peak(phonon_trace(protocol))[1] * sigma_over_kappa)
         assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-6)
+
+
+def product_series(moments, nu2, beta):
+    """``_series``' v_b form as it was, a new array per operation and the
+    running product taken on a copy: the reference for the in-place loop."""
+    al, tau_lo, edge, edge_t, j = moments
+    j_prev, parts, weight, edge = 0.0, [0.0, 0.0], 1.0, edge.copy()
+    for k in range(2 * pulse._SERIES_TERMS - 1):
+        parts[k % 2] = parts[k % 2] + weight * j
+        weight *= (nu2 if k % 2 else 1.0) / (k + 1)
+        j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - edge)
+        edge *= tau_lo
+    return parts[0], parts[1] + weight * j
+
+
+class TestSeriesLoop:
+    """The critical-coupling series' in-place loop against the loop it replaced."""
+
+    def test_in_place_loop_bit_identical(self, monkeypatch):
+        # seeded near-critical protocols, from deep inside the series' range to
+        # its edge, where later terms weigh: the sums bit for bit, inputs untouched
+        series, seen = pulse._series, []
+
+        def recording(moments, nu2, beta, power):
+            copies = [m.copy() for m in moments]
+            out = series(moments, nu2, beta, power)
+            assert all(np.array_equal(a, b) for a, b in zip(copies, moments))
+            if not power:
+                seen.append((copies, nu2, beta, out))
+            return out
+
+        monkeypatch.setattr(pulse, "_series", recording)
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            gamma_over_kappa = rng.choice([0.0, rng.uniform(0.0, 0.9)])
+            nu_over_d = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4.0, -0.5)
+            p = PulseProtocol.standard(
+                g=critical_g(nu_over_d, gamma_over_kappa) * KAPPA, kappa=KAPPA,
+                gamma=gamma_over_kappa * KAPPA, sigma_over_kappa=rng.uniform(0.5, 10.0),
+                delay_kappa=rng.uniform(1.0, 8.0), n_points=int(rng.integers(400, 3000)))
+            filtered_input(p, p.t_grid)
+        assert len(seen) >= 40
+        for moments, nu2, beta, (even, odd) in seen:
+            ref_even, ref_odd = product_series(moments, nu2, beta)
+            assert even.tobytes() == ref_even.tobytes() and odd.tobytes() == ref_odd.tobytes()
 
 
 def mask_filtered_input(p, times):
@@ -1044,6 +1145,57 @@ class TestSwapTime:
         tb, vb = refined_peak(b)
         assert (tb - ta) * KAPPA == pytest.approx(2.0, abs=1e-6)
         assert vb == pytest.approx(va, rel=1e-8)
+
+
+def numpy_vertex(trace):
+    """refined_peak as it was, on numpy scalars: the reference its Python floats pin."""
+    n = trace.n_phonon
+    i = int(n.argmax())
+    if i == 0 or i == n.size - 1:
+        return float(trace.times[i]), float(n[i])
+    t0, t1, t2 = trace.times[i - 1: i + 2]
+    y0, y1, y2 = n[i - 1: i + 2]
+    denom = (y0 - 2.0 * y1 + y2)
+    if denom == 0.0:
+        return float(t1), float(y1)
+    h = 0.5 * (t2 - t0)
+    return float(t1 + 0.5 * h * (y0 - y2) / denom), float(y1 - 0.125 * (y0 - y2) ** 2 / denom)
+
+
+class TestRefinedPeakBits:
+    """refined_peak returns Python floats, bit for bit the numpy-scalar vertex."""
+
+    @staticmethod
+    def assert_pinned(trace):
+        got = refined_peak(trace)
+        assert all(type(v) is float for v in got)
+        assert struct.pack("2d", *got) == struct.pack("2d", *numpy_vertex(trace))
+        return got
+
+    def test_seeded_traces(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            p = standard(rng.uniform(0.25, 1.85), gamma=rng.uniform(0.0, 0.3) * KAPPA,
+                         sigma_over_kappa=rng.uniform(1.0, 10.0),
+                         delay_kappa=rng.uniform(3.0, 8.0), n_points=int(rng.integers(2000, 4000)))
+            self.assert_pinned(phonon_trace(p))
+
+    def test_ends_and_flat_top(self):
+        rng = np.random.default_rng(31)
+        times = np.linspace(0.0, 20.0 / KAPPA, 200)
+        for _ in range(200):
+            n = rng.uniform(0.0, 0.5, times.size)
+            end = rng.choice([0, -1])
+            n[end] = 0.9  # the argmax at an end of the grid
+            assert self.assert_pinned(PhononTrace(times, n, float(times[end]), 0.9)) == (
+                float(times[end]), 0.9)
+        # y0 - 2 y1 + y2 rounds to 0 with y0 an ulp below the peak y1 = y2
+        n = np.full(times.size, 0.25)
+        i = int(rng.integers(1, times.size - 2))
+        n[i - 1: i + 2] = np.nextafter(1.0, 0.0), 1.0, 1.0
+        trace = PhononTrace(times, n, float(times[i]), 1.0)
+        assert n[i - 1] - 2.0 * n[i] + n[i + 1] == 0.0
+        assert self.assert_pinned(trace) == (float(times[i]), 1.0)
 
 
 class TestSuperposition:
