@@ -15,7 +15,9 @@ that cannot be written, 2 numerical failure.
 
 ``levicav`` and ``python -m levicav.cli`` enter through ``run``, which
 ends the process without the interpreter's teardown; a caller that stays
-in the process, a test or an embedding program, calls ``main``.
+in the process, a test or an embedding program, calls ``main``. No
+subcommand imports numpy or scipy: ``trace`` runs one trace per process,
+on the scalar route of ``levicav.swap``, whose CSV is the numpy route's.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = ["main", "render_kv", "run"]
 def _deferred(module: str, name: str):
     """``levicav.<module>.<name>``, its module imported on the first call, so
     each subcommand loads only the layers it runs (``preset`` needs no
-    record type, and only ``trace`` loads numpy)."""
+    record type, and none loads numpy)."""
     def call(*args, **kwargs):
         return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
     call.__name__ = call.__qualname__ = name
@@ -48,8 +50,8 @@ load_scenario = _deferred("scenario", "load_scenario")
 evaluate_scenario = _deferred("scenario", "evaluate_scenario")
 sweep = _deferred("scenario", "sweep")
 axis_setter = _deferred("scenario", "axis_setter")
-build_protocol = _deferred("scenario", "build_protocol")
-phonon_trace = _deferred("pulse", "phonon_trace")
+build_protocol = _deferred("scenario", "build_swap_protocol")
+phonon_trace = _deferred("swap", "phonon_trace")
 
 
 def _fmt(value) -> str:
@@ -119,8 +121,7 @@ def _cmd_feasibility(args) -> int:
 def _trace_csv(times, kappa, values) -> str:
     """Header plus one ``t,t*kappa,n`` row per point, CRLF-terminated as
     ``csv.writer`` writes them."""
-    rows = [f"{t:.6g},{t * kappa:.6g},{n:.6g}\r\n"
-            for t, n in zip(times.tolist(), values.tolist())]
+    rows = [f"{t:.6g},{t * kappa:.6g},{n:.6g}\r\n" for t, n in zip(times, values)]
     return "".join(["t_seconds,t_kappa_units,n_phonon\r\n", *rows])
 
 

@@ -28,6 +28,9 @@ M = [[-kappa, -ig], [-ig, -gamma]] (``_sorted_window``). The output field
 reads u_a, on the complex form's rounding; the trace reads v_b = i u_b, in
 real arithmetic: Faddeeva's w on one vertical line, as w(-conj z) =
 conj w(z), and one damped sinusoid past the window.
+This is the numpy route, for callers that trace many protocols in one
+process; ``levicav.swap`` holds the rules it shares with the scalar route
+that ``levicav trace`` runs (window, series rule, grid, checks).
 A direct quadrature of the Green's function against the input, one
 Gauss-Legendre sum squared as one photon's correlation is a product, is
 an independent route to the same quantity; the time-stepped second-moment
@@ -47,8 +50,10 @@ import weakref
 
 import numpy as np
 
-from .errors import GridError, NoSwapError, NumericalError, ValidationError
+from .errors import NoSwapError, NumericalError, ValidationError
 from .records import record
+from .swap import (SERIES_TERMS, ProtocolRules, check_trace, grid_error, not_finite,
+                   pulse_window, range_error, series_span, uniform_grid, window)
 
 __all__ = [
     "PulseProtocol",
@@ -66,13 +71,15 @@ __all__ = [
 
 
 @record
-class PulseProtocol:
+class PulseProtocol(ProtocolRules):
     """Rates, pulse shape, and time grid for one protocol run.
 
     ``omega_t`` is optional bookkeeping, set when the protocol is
     assembled from a trapped-object scenario; the rotating-wave step
     behind these equations needs omega_t >> g, which ``rwa_valid``
-    records (None when the trap frequency is unknown).
+    records (None when the trap frequency is unknown). The checks and the
+    flag are ``levicav.swap.ProtocolRules``', shared with the CLI's
+    ``SwapProtocol``.
     """
 
     g: float        # rad/s
@@ -83,36 +90,14 @@ class PulseProtocol:
     t_grid: np.ndarray  # s, strictly increasing
     omega_t: float | None = None  # rad/s, trap frequency if known
 
-    #: factor defining "much greater" for the rotating-wave check
-    RWA_FACTOR = 10.0
-
     def __post_init__(self) -> None:
-        for name in ("g", "kappa", "gamma", "sigma", "delay_L"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        for name in ("g", "gamma"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be non-negative")
-        for name in ("kappa", "sigma"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be positive")
-        if self.omega_t is not None and not (math.isfinite(self.omega_t) and self.omega_t > 0.0):
-            raise ValidationError("omega_t must be finite and positive")
+        self._check_rates()
         if _CHECKED_GRIDS.get(id(self.t_grid)) is not self.t_grid:
             grid = np.asarray(self.t_grid, dtype=float)
             error = _grid_error(grid)
             if error:
                 raise ValidationError(error)
             object.__setattr__(self, "t_grid", grid)
-
-    @property
-    def rwa_valid(self):
-        """True when omega_t >= RWA_FACTOR * g; None if omega_t unknown."""
-        if self.omega_t is None:
-            return None
-        if self.g == 0.0:
-            return True
-        return self.omega_t >= self.RWA_FACTOR * self.g
 
     @classmethod
     def standard(cls, g: float, kappa: float, gamma: float = 0.0,
@@ -129,21 +114,19 @@ _CHECKED_GRIDS = weakref.WeakValueDictionary()
 
 
 def _grid_error(grid: np.ndarray) -> str | None:
-    """Why ``grid`` cannot be a protocol's time grid, or None."""
-    if grid.ndim == 1 and not np.isfinite(grid).all():
-        return "t_grid must be finite"
-    if grid.ndim != 1 or grid.size < 3 or not (grid[1:] > grid[:-1]).all():
-        return "t_grid must be a strictly increasing 1-D array"
-    return None
+    """Why ``grid`` cannot be a protocol's time grid, or None (``swap.grid_error``)."""
+    return grid_error(grid.tolist() if grid.ndim == 1 else None)
 
 
 @functools.lru_cache(maxsize=8)
 def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
-    """np.linspace(0, t_max, n_points), shared read-only between protocols and
-    checked once, here; an invalid one is left to raise in every protocol."""
-    grid = np.linspace(0.0, t_max, n_points)
+    """``swap.uniform_grid``, np.linspace(0, t_max, n_points) bit for bit, shared
+    read-only between protocols and checked once, here; an invalid one is left to
+    raise in every protocol."""
+    times = uniform_grid(t_max, n_points)
+    grid = np.array(times)
     grid.flags.writeable = False
-    if _grid_error(grid) is None:
+    if grid_error(times) is None:
         _CHECKED_GRIDS[id(grid)] = grid
     return grid
 
@@ -190,16 +173,6 @@ def greens_ba(tau, g: float, kappa: float, gamma: float):
     with np.errstate(invalid="ignore", divide="ignore"):
         shc = np.where(small, tau, np.sinh(np.where(small, 0.0, x)) / np.where(small, 1.0, nu))
     return -1j * g * phase * shc
-
-
-def _pulse_window(p: PulseProtocol) -> tuple[float, float]:
-    # the Gaussian is negligible (< 1e-22) beyond 10/sigma of its center
-    return p.delay_L - 10.0 / p.sigma, p.delay_L + 10.0 / p.sigma
-
-
-#: terms kept of each critical-coupling series; where |nu| span <= 1 the
-#: dropped terms are below 1/(2 _SERIES_TERMS)! of the window's J_0 scale
-_SERIES_TERMS = 12
 
 
 def _import_bare(name: str, packages: tuple[str, ...]):
@@ -360,7 +333,7 @@ def _sorted_vb(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
+def _sorted_window(p: PulseProtocol, t: np.ndarray, kernel):
     """(out, after, hi, (u_a, v_b)(hi)) of a route of (u_a, v_b = i u_b)(t) at 1-D ascending
     times, where (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds.
 
@@ -387,37 +360,30 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
     bound is clearly above 1 the series is ruled out with no per-time test.
 
     ``out`` is 0 but in (lo, hi) (all of it if the window closes by t = 0), where
-    ``window(p, t_in, lo, hi, rates, series, out)`` writes the route's row, norm N included,
+    ``kernel(p, t_in, lo, hi, rates, series, out)`` writes the route's row, norm N included,
     at the times t_in in (lo, hi) into ``out`` and returns the pair at hi; rates are
     (h, d, nu^2, nu, beta, N), ``series`` None or (t_live, mask, moments): the times t_in and
     hi, those the series takes, and ``_series``' inputs at them. The input has ended
     by hi, so the route takes t >= hi (the slice ``after``) from exp(M (t - hi)) u(hi).
-    Where rounding of L cuts a side of the window below 9/sigma (down to lo = hi = L), the
-    pulse is a kick of its area, u(hi) = ((8 pi/sigma^2)^{1/4}, 0), good to O(kappa/sigma).
-    A NaN time sorts last and raises NumericalError.
+    The window, the pulse-area kick where it collapses, the series rule and K are
+    ``levicav.swap``'s, which the CLI's scalar route shares. A NaN time sorts last and
+    raises NumericalError.
     """
     if t.size and math.isnan(t[-1]):
         raise NumericalError("filtered input requested at a NaN time")
     out = np.zeros(t.size)
-    lo, hi = _pulse_window(p)
+    lo, hi, pair, rates, reach = window(p)
     if hi <= 0.0:
-        return out, slice(t.size, None), hi, (0.0, 0.0)
+        return out, slice(t.size, None), hi, pair
     after = slice(t.searchsorted(hi), None)  # t >= hi
-    if min(hi - p.delay_L, p.delay_L - lo) < 9.0 / p.sigma:
-        return out, after, hi, ((8.0 * math.pi / p.sigma**2) ** 0.25, 0.0)
-    lo = max(lo, 0.0)
+    if pair is not None:  # the pulse-area kick
+        return out, after, hi, pair
     inside = slice(t.searchsorted(lo, "right"), after.start)  # lo < t < hi
-    h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
-    nu2 = d * d - p.g * p.g
-    nu = cmath.sqrt(nu2)
-    beta = 2.0 / p.sigma**2
-    reach = math.sqrt(2 * _SERIES_TERMS * beta)
+    h, d, nu2, nu, beta, norm = rates
     series = None
-    # 1e-12 covers the rounding of span and of its bound, a few ulps each
-    if not abs(nu) * (p.delay_L + h * beta - lo + reach) > 1.0 + 1e-12:
+    if reach is not None:
         t_live = np.append(t[inside], hi)
-        alpha = t_live - p.delay_L - h * beta
-        mask = abs(nu) * ((t_live - lo) + np.abs(alpha) + reach) <= 1.0
+        alpha, mask = series_span(p, t_live, lo, nu, h, beta, reach)
         if mask.any():  # J_0 and the boundary terms at lo and, for k = 0 alone, at t
             ts = t_live[mask]
             tau_lo = ts - lo
@@ -426,8 +392,7 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, window):
                 np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2),
                 np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2),
                 _gaussian_convolution(-h, ts, lo, p).real))
-    norm = (p.sigma**2 / (2.0 * math.pi)) ** 0.25
-    pair = window(p, t[inside], lo, hi, (h, d, nu2, nu, beta, norm), series, out[inside])
+    pair = kernel(p, t[inside], lo, hi, rates, series, out[inside])
     return out, after, hi, pair
 
 
@@ -439,7 +404,7 @@ def _series(moments, nu2: float, beta: float, power: bool):
     al, tau_lo, edge, edge_t, j = moments
     j, j_prev, step = j.copy(), np.zeros(j.size), np.empty(j.size)
     even, odd, weight = np.zeros(j.size), np.zeros(j.size), 1.0
-    for k in range(2 * _SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
+    for k in range(2 * SERIES_TERMS - 1):  # the last term, J_{2K-1}, after the loop
         part = odd if k % 2 else even
         np.multiply(j, weight, out=step)
         part += step
@@ -580,9 +545,9 @@ def _finite(quantity: str, compute, scan: bool = True) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             values = compute()
     except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"{quantity} out of floating-point range: {exc}") from exc
+        raise range_error(quantity, exc) from exc
     if scan and not np.isfinite(values).all():
-        raise NumericalError(f"{quantity} is not finite")
+        raise not_finite(quantity)
     return values
 
 
@@ -590,9 +555,9 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     """<b^dag b>(t) on the protocol grid for the single-photon input.
 
     Raises NumericalError when the trace cannot be formed in floating
-    point or is not finite, and GridError when the grid is too coarse to
-    sample it: parabolic-interpolation error above 1e-4 of the peak, or
-    every sample 0 where g > 0 and the pulse reaches grid times after t = 0.
+    point, is not finite or has underflowed, and GridError when the grid is
+    too coarse to sample it (``swap.check_trace``, which the CLI's scalar
+    route shares).
     """
     def n_phonon():
         # PulseProtocol proved t_grid finite and increasing: no sort to undo
@@ -601,30 +566,14 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
         n *= 2.0 * p.kappa
         return n
 
+    def interp_error():
+        step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead
+        return float(np.abs(step[1:] - step[:-1]).max()) / 8.0
+
     n = _finite("phonon trace", n_phonon, scan=False)
     i = int(n.argmax())  # n >= 0: the first NaN or inf, if any
     peak = float(n[i])
-    if not math.isfinite(peak):
-        raise NumericalError("phonon trace is not finite")
-    if peak == 0.0 and p.g > 0.0:
-        lo, hi = _pulse_window(p)
-        if hi > 0.0 and p.t_grid[-1] > max(lo, 0.0):  # the pulse fell between two points
-            raise GridError(
-                f"time grid too coarse: every sample is 0 with a grid step up to "
-                f"{float((p.t_grid[1:] - p.t_grid[:-1]).max()):.3e} s against the "
-                f"pulse width 1/sigma = {1.0 / p.sigma:.3e} s"
-            )
-    if peak > 0.0:
-        # sampling error of a smooth curve read off a uniform-ish grid
-        step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead
-        interp_err = float(np.abs(step[1:] - step[:-1]).max()) / 8.0
-        if interp_err > 1e-4 * peak:
-            raise GridError(
-                f"time grid too coarse: interpolation error {interp_err:.3e} "
-                f"exceeds 1e-4 of the peak {peak:.3e}"
-            )
-    if peak > 1.0 + 1e-9:
-        raise NumericalError("phonon expectation exceeded 1: invalid protocol state")
+    check_trace(p, peak, interp_error)
     return PhononTrace(times=p.t_grid, n_phonon=n,
                        peak_time=float(p.t_grid[i]), peak_value=peak)
 
@@ -658,7 +607,7 @@ def phonon_expectation_direct(p: PulseProtocol, t: float, n_nodes: int = 160) ->
     to t. One photon's input correlation f(s-L) f(s'-L) is a product, so the
     double sum of G_ba(t-s)* G_ba(t-s') against it on the nodes factors exactly
     into 2 kappa |sum_j w_j G_ba(t-s_j) f(s_j-L)|^2."""
-    lo, hi = _pulse_window(p)
+    lo, hi = pulse_window(p)
     lo, hi = max(lo, 0.0), min(hi, t)
     if hi <= lo:
         return 0.0

@@ -45,6 +45,7 @@ from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfi
 
 if TYPE_CHECKING:
     from .pulse import PulseProtocol
+    from .swap import SwapProtocol
 
 __all__ = [
     "SelfTrapSpec",
@@ -55,6 +56,7 @@ __all__ = [
     "evaluate_scenario",
     "sweep",
     "build_protocol",
+    "build_swap_protocol",
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario",
@@ -454,6 +456,18 @@ def sweep(s: Scenario, axis: str, values: list) -> list[FeasibilityReport]:
 def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> PulseProtocol:
     """PulseProtocol for a scenario: g from the pipeline unless overridden."""
     from .pulse import PulseProtocol, _uniform_grid  # numpy loads with the first protocol
+    return _protocol(PulseProtocol, _uniform_grid, s, report)
+
+
+def build_swap_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> SwapProtocol:
+    """``build_protocol``'s protocol as a numpy-free ``SwapProtocol``, for the
+    scalar trace route of ``levicav trace``."""
+    from .swap import SwapProtocol, uniform_grid
+    return _protocol(SwapProtocol, uniform_grid, s, report)
+
+
+def _protocol(cls, grid, s: Scenario, report: Optional[FeasibilityReport]):
+    """A ``cls`` protocol on ``grid(t_max, n_points)`` for a scenario."""
     if report is None:
         report = evaluate_scenario(s)
     kappa = report.cavity.kappa
@@ -464,11 +478,9 @@ def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> P
         gamma = p.gamma_per_s
     else:
         gamma = report.decoherence.gamma if report.decoherence is not None else 0.0
-    return PulseProtocol(g=g, kappa=kappa, gamma=gamma,
-                         sigma=_rate(p, "sigma_over_kappa", kappa),
-                         delay_L=p.delay_kappa / kappa,
-                         t_grid=_uniform_grid(p.t_max_kappa / kappa, p.n_points),
-                         omega_t=report.optomech.omega_t)
+    return cls(g=g, kappa=kappa, gamma=gamma, sigma=_rate(p, "sigma_over_kappa", kappa),
+               delay_L=p.delay_kappa / kappa, t_grid=grid(p.t_max_kappa / kappa, p.n_points),
+               omega_t=report.optomech.omega_t)
 
 
 def _rate(p: ProtocolSettings, key: str, kappa: float) -> float:

@@ -316,9 +316,9 @@ def trace_shadow(p: PulseProtocol, times, dps: int = 40) -> tuple[list, list]:
     with them afterwards should run under ``mpmath.workdps(dps)``.
     """
     import mpmath as mp
-    from levicav.pulse import _pulse_window
+    from levicav.swap import pulse_window
 
-    lo_f, hi_f = _pulse_window(p)
+    lo_f, hi_f = pulse_window(p)
     ua, vb = [], []
     with mp.workdps(dps):
         lo, hi = mp.mpf(max(lo_f, 0.0)), mp.mpf(hi_f)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levicav.cli as cli
-from levicav import pulse
+from levicav import pulse, swap
 from levicav.cli import _cmd_feasibility, _cmd_preset, _cmd_sweep, _cmd_trace, main, render_kv
 from levicav.errors import ValidationError
 from levicav.presets import PRESET_NAMES
@@ -479,9 +479,9 @@ class TestExitCodes:
 
     def test_phonon_number_above_one_exit_2(self, capsys, monkeypatch, sphere_file):
         # a valid protocol's peak is at most 1: a larger one is a computation
-        # that failed, not an input error
-        import numpy as np
-        monkeypatch.setattr(pulse, "_sorted_vb", lambda p, t: np.full(t.size, 1.5))
+        # that failed, not an input error; trace takes the scalar route, and
+        # test_pulse.py's TestTrace holds the library route's twin
+        monkeypatch.setattr(swap, "vb_values", lambda p, t: [1.5] * len(t))
         code, out, err = run(capsys, ["trace", sphere_file, "--quiet"])
         assert (code, out) == (2, "")
         assert err == "numerical failure: phonon expectation exceeded 1: invalid protocol state\n"
@@ -497,6 +497,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("numerical failure: time grid too coarse: every sample is 0 ")
         assert "1/sigma" in err and err.count("\n") == 1
+
+    def test_underflowed_trace_exit_2(self, capsys, sphere_file):
+        # at g = 1e-300 kappa every sample underflows to 0 on a grid step 18
+        # times finer than the pulse: a numerical failure that says so, where
+        # it was reported as a grid too coarse
+        code, out, err = run(capsys, ["trace", sphere_file, "--quiet", "--g-over-kappa", "1e-300"])
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: phonon trace underflowed to 0: every sample ")
+        assert "grid times inside the pulse window" in err and err.count("\n") == 1
 
     def test_zero_coupling_zero_trace_exit_0(self, capsys, sphere_file):
         # with g = 0 no phonon is made: the all-zero trace is the answer
@@ -855,6 +864,49 @@ def test_trace_loads_no_pyyaml(tmp_path):
     assert json.loads(line[len("PROBE "):]) == [[0, 0], []]
 
 
+#: ``python -m levicav.cli`` whose ``os._exit`` first writes the numpy and
+#: scipy modules in sys.modules to stderr
+NO_NUMPY_PROBE = """
+import json, os, runpy, sys
+
+def leave(code, exit=os._exit):
+    heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+    sys.stderr.write("PROBE " + json.dumps(heavy) + "\\n")
+    sys.stderr.flush()
+    exit(code)
+
+os._exit = leave
+runpy.run_module("levicav.cli", run_name="__main__", alter_sys=True)
+"""
+
+#: the benchmark gate's trace overrides of each preset (perfbench/gate.py)
+GATE_TRACE_ARGS = {"sphere-appendix-h": {}, "rod-translation": {"g_over_kappa": 0.5},
+                   "rod-rotation": {"g_over_kappa": 1.5, "sigma_over_kappa": 8.0}}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_trace_imports_no_numpy(tmp_path, preset):
+    # a fresh python -m levicav.cli trace, plain and with the gate's
+    # overrides, ends with no numpy or scipy module loaded, and its CSV is
+    # the numpy route's trace byte for byte
+    from levicav.cli import _trace_csv
+    from levicav.scenario import build_protocol, preset_scenario_dict, scenario_from_dict
+    path = tmp_path / "s.yaml"
+    assert main(["preset", preset, "--out", str(path)]) == 0
+    for overrides in ({}, GATE_TRACE_ARGS[preset]):
+        flags = [word for key, value in overrides.items()
+                 for word in ("--" + key.replace("_", "-"), str(value))]
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, "trace", str(path),
+                               "--quiet", *flags], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b"PROBE []\n"
+        doc = preset_scenario_dict(preset)
+        doc["protocol"] |= overrides
+        p = build_protocol(scenario_from_dict(doc))
+        trace = pulse.phonon_trace(p)
+        assert proc.stdout == _trace_csv(trace.times, p.kappa, trace.n_phonon).encode()
+
+
 #: the 52 public names the package serves, by home module
 PACKAGE_NAMES = {
     "cavity": ["CavityConfig", "Rod", "Sphere", "derived_cavity_quantities",
@@ -1198,7 +1250,19 @@ def test_mutated_traces_fail_cleanly(scenario_path, doc, n_points, t_max_kappa,
     # at most the protocol, so many reach the swap numerics; n_points is drawn
     # small, so a mutation cannot ask for a large grid, and a shorter t_max
     # lets such a grid resolve the swap; at 1e308 the pulse falls between
-    # two grid points, which must not pass as an all-zero trace
+    # two grid points, which must not pass as an all-zero trace. trace takes
+    # the scalar route: the numpy route on the same scenario succeeds with
+    # values within 1e-14 of the peak, or fails with the same error class.
+    # Where the routes part by more, at sigma below kappa, the numpy route is
+    # off (scipy's wofz, CHANGES.md): there the scalar route holds to 1e-14 of
+    # the peak of the 40-digit closed form at the 20 points where they part
+    # the most, or to LONG_SERIES_BOUND where the critical-coupling series
+    # can take the window, whose recurrence amplifies the last bits of J_0
+    import numpy as np
+    from levicav.errors import LevicavError
+    from levicav.scenario import build_protocol
+    from oracles import trace_shadow
+    from test_pulse import LONG_SERIES_BOUND
     if isinstance(doc.get("protocol"), dict):
         doc["protocol"]["n_points"] = n_points
         if t_max_kappa is not None:
@@ -1209,17 +1273,53 @@ def test_mutated_traces_fail_cleanly(scenario_path, doc, n_points, t_max_kappa,
                         ("--sigma-over-kappa", sigma_over_kappa)):
         if value is not None:
             argv += [flag, value]
+    calls = []
+
+    def spy(route):
+        def call(*args):
+            try:
+                calls.append((args, route(*args)))
+            except LevicavError as exc:
+                calls.append((args, exc))
+                raise
+            return calls[-1][1]
+        return call
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "phonon_trace", wraps=cli.phonon_trace) as traced:
+            mock.patch.object(cli, "build_protocol", spy(cli.build_protocol)), \
+            mock.patch.object(cli, "phonon_trace", spy(cli.phonon_trace)):
         code = main(argv)
     if code == 0:
         rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row), (argv, doc)
         # a coupled pulse that reaches the grid after t = 0 leaves a phonon
-        protocol = traced.call_args.args[0]
-        lo, hi = pulse._pulse_window(protocol)
+        protocol = calls[-1][0][0]
+        lo, hi = swap.pulse_window(protocol)
         if protocol.g > 0.0 and hi > 0.0 and protocol.t_grid[-1] > max(lo, 0.0):
             assert any(float(row[2]) for row in rows), (argv, doc)
     else:
         assert code in (1, 2) and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    if not calls:  # the scenario failed to load
+        return
+    scalar = calls[-1][1]
+    try:
+        protocol = build_protocol(*calls[0][0])
+        library = pulse.phonon_trace(protocol)
+    except LevicavError as exc:
+        library = exc
+    if isinstance(scalar, Exception) or isinstance(library, Exception):
+        assert type(scalar) is type(library), (argv, doc, scalar, library)
+        return
+    assert scalar.times == tuple(library.times.tolist())
+    n, peak = np.array(scalar.n_phonon), library.peak_value
+    gap = np.abs(n - library.n_phonon)
+    if gap.max() > 1e-14 * peak:
+        mp = pytest.importorskip("mpmath")
+        parted = np.argsort(-gap)[:20]
+        _, vb = trace_shadow(protocol, protocol.t_grid[parted])
+        bound = 1e-14 if swap.window(protocol)[4] is None else LONG_SERIES_BOUND
+        with mp.workdps(40):
+            for i, v in zip(parted, vb):
+                assert abs(mp.mpf(n[i]) - 2 * mp.mpf(protocol.kappa) * v * v) <= bound * peak, \
+                    (argv, doc, i)

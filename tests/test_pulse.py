@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from levicav import pulse
+from levicav import pulse, swap
 from levicav.errors import GridError, NoSwapError, NumericalError, ValidationError
 from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            conditional_superposition, greens_ba, output_field_envelope,
@@ -236,7 +236,7 @@ def per_time_point_convolution(lam, t, lo, p):
     """_gaussian_convolution as it was: w evaluated at every upper limit."""
     from scipy.special import wofz
 
-    hi = pulse._pulse_window(p)[1]
+    hi = swap.pulse_window(p)[1]
 
     def term(s):
         z = 0.5 * p.sigma * (s - p.delay_L) + lam / p.sigma
@@ -305,7 +305,7 @@ class TestFaddeevaEvaluation:
         monkeypatch.setattr(pulse, "_erfcx", lambda: counting_erfcx)
         protocol = standard(1.0)  # underdamped: lam- = conj(lam+) needs no second call
         phonon_trace(protocol)
-        lo, hi = pulse._pulse_window(protocol)
+        lo, hi = swap.pulse_window(protocol)
         n_inside = np.count_nonzero((protocol.t_grid > max(lo, 0.0)) & (protocol.t_grid < hi))
         assert 0 < sum(evaluated) <= n_inside + 2
         assert real == []  # a complex rate takes w off the imaginary axis
@@ -483,7 +483,7 @@ class TestFreeEvolution:
     def test_past_window_matches_high_precision(self, g_over_kappa, gamma_over_kappa,
                                                 sigma_over_kappa):
         p = window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa)
-        lo, hi = pulse._pulse_window(p)
+        lo, hi = swap.pulse_window(p)
         ua, vb = filtered_input(p, p.t_grid)
         ub = -1j * vb
         dense_a, dense_b = filtered_input(p, np.linspace(max(lo, 0.0), hi, 4001))
@@ -527,7 +527,7 @@ class TestFreeEvolution:
         monkeypatch.setattr(pulse, "_vb_window", recording_window)
         protocol = standard(g_over_kappa)
         phonon_trace(protocol)
-        lo, hi = pulse._pulse_window(protocol)
+        lo, hi = swap.pulse_window(protocol)
         assert seen and all(max(lo, 0.0) < t_min and t_max <= hi for t_min, t_max in seen)
 
     def test_pulse_over_before_t0_gives_exact_zeros(self):
@@ -567,16 +567,42 @@ LONG_SERIES_BOUND = 1e-12
 LONG_SERIES_RATES = WINDOW_RATES[4:]
 
 
+_SHADOWS: dict = {}
+
+
+def cached_shadow(p, idx):
+    """``trace_shadow(p, p.t_grid[idx])``, formed once per protocol and points in
+    a process: the shadow classes below share it."""
+    key = (p.g, p.kappa, p.gamma, p.sigma, p.delay_L, p.t_grid.tobytes(), tuple(idx))
+    if key not in _SHADOWS:
+        _SHADOWS[key] = trace_shadow(p, p.t_grid[idx])
+    return _SHADOWS[key]
+
+
+def scalar_protocol(p):
+    """The protocol as the scalar route's ``levicav.swap.SwapProtocol``."""
+    return swap.SwapProtocol(g=p.g, kappa=p.kappa, gamma=p.gamma, sigma=p.sigma,
+                             delay_L=p.delay_L, t_grid=p.t_grid.tolist(), omega_t=p.omega_t)
+
+
 class TestTraceShadow:
     """The phonon trace against the 40-digit closed form of ``trace_shadow``
     (``tests/oracles.py``) at every 20th grid point, the argmax and its
     neighbours: each printed ``.6g`` value correctly rounded, and the error
     at most 1e-14 of the peak."""
 
+    @staticmethod
+    def trace(p):
+        return phonon_trace(p).n_phonon
+
+    @staticmethod
+    def vb(p):
+        return filtered_input(p, p.t_grid)[1]
+
     def check(self, p, n, bound=1e-14):
         mp = pytest.importorskip("mpmath")
         idx = shadow_points(n)
-        _, vb = trace_shadow(p, p.t_grid[idx])
+        _, vb = cached_shadow(p, idx)
         peak = n.max()
         with mp.workdps(40):
             for i, v in zip(idx, vb):
@@ -587,7 +613,7 @@ class TestTraceShadow:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_preset_traces(self, preset):
         p = build_protocol(scenario_from_dict(preset_scenario_dict(preset)))
-        self.check(p, phonon_trace(p).n_phonon)
+        self.check(p, self.trace(p))
 
     @pytest.mark.parametrize("sigma_over_kappa", WINDOW_SIGMAS)
     @pytest.mark.parametrize("g_over_kappa, gamma_over_kappa", WINDOW_RATES)
@@ -595,7 +621,7 @@ class TestTraceShadow:
         # 400 points are too coarse for the trace's interpolation check, so
         # n is formed as the trace forms it, 2 kappa v_b^2 from the v_b route
         p = window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa)
-        n = 2.0 * p.kappa * filtered_input(p, p.t_grid)[1] ** 2
+        n = 2.0 * p.kappa * self.vb(p) ** 2
         long_series = ((g_over_kappa, gamma_over_kappa) in LONG_SERIES_RATES
                        and sigma_over_kappa == 0.03)
         self.check(p, n, LONG_SERIES_BOUND if long_series else 1e-14)
@@ -609,7 +635,7 @@ class TestTraceShadow:
         p = PulseProtocol.standard(g=critical_g(nu_over_d, gamma_over_kappa) * KAPPA, kappa=KAPPA,
                                    gamma=gamma_over_kappa * KAPPA,
                                    sigma_over_kappa=sigma_over_kappa, delay_kappa=delay_kappa)
-        self.check(p, 2.0 * p.kappa * filtered_input(p, p.t_grid)[1] ** 2)
+        self.check(p, 2.0 * p.kappa * self.vb(p) ** 2)
 
     @pytest.mark.parametrize("g_over_kappa, sigma_over_kappa", swap_map_points(seed=29),
                              ids=lambda v: f"{v:.3f}")
@@ -618,7 +644,65 @@ class TestTraceShadow:
         doc = preset_scenario_dict("sphere-appendix-h")
         doc["protocol"] |= dict(g_over_kappa=g_over_kappa, sigma_over_kappa=sigma_over_kappa)
         p = build_protocol(scenario_from_dict(doc))
+        self.check(p, self.trace(p))
+
+
+class TestScalarTraceShadow(TestTraceShadow):
+    """The scalar route of ``levicav.swap``, which ``levicav trace`` runs, at
+    every protocol and bound of ``TestTraceShadow``."""
+
+    @staticmethod
+    def trace(p):
+        return np.array(swap.phonon_trace(scalar_protocol(p)).n_phonon)
+
+    @staticmethod
+    def vb(p):
+        return np.array(swap.vb_values(scalar_protocol(p), p.t_grid.tolist()))
+
+
+#: u_a's critical-coupling series, on the np.power rounding the output field
+#: keeps, at sigma = 0.3 kappa and gamma = 0.3 kappa (the window 67/kappa
+#: wide): 1.34e-14 to 1.38e-14 of the envelope's peak; the bound of those
+#: three window protocols alone
+SERIES_ENVELOPE_BOUND = 2e-14
+
+
+class TestOutputFieldShadow:
+    """The output field against 2 kappa u_a - f(t - L) at 40 digits, u_a from
+    ``trace_shadow``, at the trace's shadow points: the error at most 1e-14 of
+    the envelope's peak over the grid; the six long-series window protocols
+    at sigma = 0.03 kappa at most LONG_SERIES_BOUND, as their traces, and the
+    three damped ones among them at sigma = 0.3 kappa at most
+    SERIES_ENVELOPE_BOUND."""
+
+    def check(self, p, n, bound=1e-14):
+        mp = pytest.importorskip("mpmath")
+        idx = shadow_points(n)
+        ua, _ = cached_shadow(p, idx)
+        envelope = output_field_envelope(p, p.t_grid)
+        peak = np.abs(envelope).max()
+        with mp.workdps(40):
+            sigma, delay = mp.mpf(p.sigma), mp.mpf(p.delay_L)
+            norm = (sigma**2 / (2 * mp.pi)) ** mp.mpf(0.25)
+            for i, u in zip(idx, ua):
+                s = mp.mpf(float(p.t_grid[i])) - delay
+                exact = 2 * mp.mpf(p.kappa) * u - norm * mp.exp(-sigma**2 * s**2 / 4)
+                assert abs(mp.mpf(float(envelope[i])) - exact) <= bound * peak, (i, envelope[i])
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_envelopes(self, preset):
+        p = build_protocol(scenario_from_dict(preset_scenario_dict(preset)))
         self.check(p, phonon_trace(p).n_phonon)
+
+    @pytest.mark.parametrize("sigma_over_kappa", WINDOW_SIGMAS)
+    @pytest.mark.parametrize("g_over_kappa, gamma_over_kappa", WINDOW_RATES)
+    def test_window_protocols(self, g_over_kappa, gamma_over_kappa, sigma_over_kappa):
+        p = window_protocol(g_over_kappa, gamma_over_kappa, sigma_over_kappa)
+        series = (g_over_kappa, gamma_over_kappa) in LONG_SERIES_RATES
+        bound = (LONG_SERIES_BOUND if series and sigma_over_kappa == 0.03 else
+                 SERIES_ENVELOPE_BOUND if series and sigma_over_kappa == 0.3
+                 and gamma_over_kappa == 0.3 else 1e-14)
+        self.check(p, 2.0 * p.kappa * filtered_input(p, p.t_grid)[1] ** 2, bound)
 
 
 def complex_filtered_input(p, times):
@@ -626,7 +710,7 @@ def complex_filtered_input(p, times):
     (u_a, u_b) from both convolutions, divided by the complex 2 nu."""
     t = np.asarray(times, dtype=float)
     u_a, u_b = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=complex)
-    lo, hi = pulse._pulse_window(p)
+    lo, hi = swap.pulse_window(p)
     lo = max(lo, 0.0)
     if hi <= 0.0:
         return u_a, u_b
@@ -637,7 +721,7 @@ def complex_filtered_input(p, times):
     nu = complex(np.sqrt(complex(nu2)))
     beta = 2.0 / p.sigma**2
     alpha = t_live - p.delay_L - h * beta
-    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * pulse._SERIES_TERMS * beta)
+    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * swap.SERIES_TERMS * beta)
     series = abs(nu) * span <= 1.0
     ua, ub = np.empty((2,) + t_live.shape, dtype=complex)
     if np.any(series):
@@ -648,7 +732,7 @@ def complex_filtered_input(p, times):
         j_prev, j = 0.0, pulse._gaussian_convolution(-h, ts, lo, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0
-        for k in range(2 * pulse._SERIES_TERMS):
+        for k in range(2 * swap.SERIES_TERMS):
             if k % 2:
                 sinh_part = sinh_part + weight * j
             else:
@@ -749,7 +833,7 @@ def product_series(moments, nu2, beta):
     running product taken on a copy: the reference for the in-place loop."""
     al, tau_lo, edge, edge_t, j = moments
     j_prev, parts, weight, edge = 0.0, [0.0, 0.0], 1.0, edge.copy()
-    for k in range(2 * pulse._SERIES_TERMS - 1):
+    for k in range(2 * swap.SERIES_TERMS - 1):
         parts[k % 2] = parts[k % 2] + weight * j
         weight *= (nu2 if k % 2 else 1.0) / (k + 1)
         j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - edge)
@@ -795,7 +879,7 @@ def mask_filtered_input(p, times):
     convolution: the reference for the slice-based form."""
     t = np.asarray(times, dtype=float)
     u_a, v_b = np.zeros(t.shape), np.zeros(t.shape)
-    lo, hi = pulse._pulse_window(p)
+    lo, hi = swap.pulse_window(p)
     if hi <= 0.0:
         return u_a, v_b
     after = t >= hi
@@ -811,7 +895,7 @@ def mask_filtered_input(p, times):
     nu = complex(np.sqrt(complex(nu2)))
     beta = 2.0 / p.sigma**2
     alpha = t_live - p.delay_L - h * beta
-    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * pulse._SERIES_TERMS * beta)
+    span = (t_live - lo) + np.abs(alpha) + math.sqrt(2 * swap.SERIES_TERMS * beta)
     series = abs(nu) * span <= 1.0
     ua, vb = np.empty((2,) + t_live.shape)
     if np.any(series):
@@ -822,7 +906,7 @@ def mask_filtered_input(p, times):
         j_prev, j = 0.0, per_time_point_convolution(-h, ts, lo, p).real
         cosh_part = sinh_part = 0.0
         weight = 1.0
-        for k in range(2 * pulse._SERIES_TERMS):
+        for k in range(2 * swap.SERIES_TERMS):
             if k % 2:
                 sinh_part = sinh_part + weight * j
             else:
@@ -874,7 +958,7 @@ def series_threshold_protocol(kappa, gamma_over_kappa):
     grid = np.linspace(0.0, 12.0 / kappa, 4000)
     for sigma in np.linspace(40.0, 60.0, 201) * kappa:
         beta = 2.0 / sigma**2
-        tail = math.sqrt(2 * pulse._SERIES_TERMS * beta)
+        tail = math.sqrt(2 * swap.SERIES_TERMS * beta)
         lo, hi = max(delay - 10.0 / sigma, 0.0), delay + 10.0 / sigma
         t = grid[(grid > lo) & (grid < hi)]
         span = (t - lo) + np.abs(t - delay - h * beta) + tail
@@ -902,14 +986,14 @@ class TestSliceWindow:
         convolution, series_calls = pulse._gaussian_convolution, []
 
         def recording_convolution(lam, t, lo, p):
-            hi = pulse._pulse_window(p)[1]
+            hi = swap.pulse_window(p)[1]
             assert lo < t.min() and t.max() <= hi  # the open window (lo, hi) and hi
             series_calls.append(isinstance(lam, float))
             return convolution(lam, t, lo, p)
 
         monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
         p = series_threshold_protocol(kappa, gamma_over_kappa)
-        lo, hi = pulse._pulse_window(p)  # lo > 0: a grid can start on it
+        lo, hi = swap.pulse_window(p)  # lo > 0: a grid can start on it
         cases = [*bit_identity_protocols(kappa, gamma_over_kappa, rng), (p, p.t_grid),
                  (p, np.linspace(lo, hi + 2.0 / kappa, 500))]
         # impulses (at 1e17 kappa the window closes to a point), on a grid
@@ -1034,7 +1118,7 @@ class TestGaussLegendre:
 def literal_double_quadrature(p, t, n_nodes=160):
     """phonon_expectation_direct as it was: numpy's Gauss-Legendre rule and
     the n x n kernel of the Green's function against the input correlation."""
-    lo, hi = pulse._pulse_window(p)
+    lo, hi = swap.pulse_window(p)
     lo, hi = max(lo, 0.0), min(hi, t)
     if hi <= lo:
         return 0.0
@@ -1061,7 +1145,7 @@ def oracle_cases():
         p = PulseProtocol.standard(g=g, kappa=KAPPA, gamma=gamma,
                                    sigma_over_kappa=rng.uniform(0.3, 20.0),
                                    delay_kappa=rng.uniform(2.0, 8.0))
-        lo, hi = pulse._pulse_window(p)
+        lo, hi = swap.pulse_window(p)
         times = (0.5 * max(lo, 0.0), rng.uniform(max(lo, 0.0), hi), p.delay_L,
                  hi + rng.uniform(0.0, 10.0) / KAPPA)
         yield p, times, (rng.integers(20, 200) * 2, rng.integers(20, 200) * 2 + 1)

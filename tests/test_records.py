@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import levicav
-from levicav import cavity, environment, pulse, rod, scenario
+from levicav import cavity, environment, pulse, rod, scenario, swap
 from levicav.constants import CODATA
 
 
@@ -42,6 +42,8 @@ def sample_records() -> dict:
         report = scenario.evaluate_scenario(s)
         protocol = scenario.build_protocol(s, report)
         roots += [s, report, protocol, pulse.phonon_trace(protocol)]
+        protocol = scenario.build_swap_protocol(s, report)
+        roots += [protocol, swap.phonon_trace(protocol)]
         if isinstance(s.trap, scenario.SelfTrapSpec):
             roots += rod.translation_configuration(s.cavity, s.trap.mode1_power)[:2]
         if s.gas is not None:
