@@ -24,13 +24,14 @@ where G_ba is the impulse response of the pair; no Fock-space truncation
 is involved, and <b>(t) = 0 identically. Inside the pulse window the
 convolution has a closed form in the Faddeeva function, with an even series
 at critical coupling; after it the state is propagated by exp(M tau),
-M = [[-kappa, -ig], [-ig, -gamma]] (``_sorted_window``). The output field
+M = [[-kappa, -ig], [-ig, -gamma]] (``_sorted_filtered_input``). The output field
 reads u_a, on the complex form's rounding; the trace reads v_b = i u_b, in
 real arithmetic: Faddeeva's w on one vertical line, as w(-conj z) =
 conj w(z), and one damped sinusoid past the window.
 This is the numpy route, for callers that trace many protocols in one
-process; ``levicav.swap`` holds the rules it shares with the scalar route
-that ``levicav trace`` runs (window, series rule, grid, checks).
+process. Its v_b is ``levicav.swap.vb_values`` on numpy arrays: the forms
+of v_b, like the rules (window, series rule, grid, checks), are written
+once there, for this route and the scalar route that ``levicav trace`` runs.
 A direct quadrature of the Green's function against the input, one
 Gauss-Legendre sum squared as one photon's correlation is a product, is
 an independent route to the same quantity; the time-stepped second-moment
@@ -39,7 +40,6 @@ equations, a second one, are a test oracle in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import importlib.util
 import math
@@ -52,8 +52,9 @@ import numpy as np
 
 from .errors import NoSwapError, NumericalError, ValidationError
 from .records import record
-from .swap import (SERIES_TERMS, ProtocolRules, check_trace, grid_error, not_finite,
-                   pulse_window, range_error, series_span, uniform_grid, window)
+from .swap import (SCALAR, SERIES_TERMS, ProtocolRules, Route, check_trace, grid_error,
+                   interp_error, not_finite, pulse_window, range_error, series_span,
+                   uniform_grid, vb_values, window)
 
 __all__ = [
     "PulseProtocol",
@@ -284,58 +285,52 @@ def _gaussian_convolution(lam: complex, t: np.ndarray, lo: float, p: PulseProtoc
     return out
 
 
-def _damped_sine(h: float, omega: float, tau: np.ndarray, out: np.ndarray, pieces) -> None:
-    """out[part] = e^{-h tau} (a cos(omega tau) + b sin(omega tau)) for each (a, b, part) of
-    ``pieces``, as e^{-h tau} R sin(omega tau + phi) with R = +-hypot(a, b) of b's sign:
-    |phi| <= pi/2, no rounded pi off a small angle. One phase and one decay pass serve all."""
-    np.multiply(tau, omega, out=out)
-    scaled = []
-    for a, b, part in pieces:
-        sign, segment = math.copysign(1.0, b), out[part]
-        segment += math.atan2(sign * a, sign * b)
-        scaled.append((segment, sign * math.hypot(a, b)))
-    np.sin(out, out=out)
-    out *= np.exp(-h * tau)
-    for segment, r in scaled:
-        segment *= r
-
-
 def _in_order(route, p: PulseProtocol, times) -> np.ndarray:
     """``route`` at ``times`` of any shape, run on them sorted (each value depends on its own
-    time alone, and window and tail are then slices); ascending times are taken as they are."""
+    time alone, and window and tail are then slices); ascending times are taken as they are.
+    A NaN time sorts last and raises NumericalError."""
     t = np.asarray(times, dtype=float)
     flat, out = t.ravel(), np.empty(t.shape)
     order = slice(None) if (flat[1:] >= flat[:-1]).all() else flat.argsort(kind="stable")
+    if flat.size and math.isnan(flat[order][-1]):
+        raise NumericalError("filtered input requested at a NaN time")
     out.flat[order] = route(p, flat[order])
     return out
 
 
-def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
-    """u_a at 1-D ascending times, on the complex form's rounding."""
-    out, after, hi, (ua0, vb0) = _sorted_window(p, t, _ua_window)
-    c, s = _free_evolution(p, t[after] - hi)
-    out[after] = (c - 0.5 * (p.kappa - p.gamma) * s) * ua0 - (p.g * s) * vb0
-    return out
-
-
 def _sorted_vb(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
-    """v_b at 1-D ascending times in real arithmetic; past hi c vb0 + s (d vb0 + g ua0)."""
-    out, after, hi, (ua0, vb0) = _sorted_window(p, t, _vb_window)
-    tau, d = t[after] - hi, 0.5 * (p.kappa - p.gamma)
-    nu2, x1 = d * d - p.g * p.g, d * vb0 + p.g * ua0
-    if nu2 < 0.0:
-        omega = math.sqrt(-nu2)
-        _damped_sine(0.5 * (p.kappa + p.gamma), omega, tau, out[after],
-                     ((vb0, x1 / omega, slice(None)),))
-    else:
-        c, s = _free_evolution(p, tau)
-        out[after] = c * vb0 + s * x1
-    return out
+    """v_b at 1-D ascending times: ``swap.vb_values`` on numpy arrays."""
+    return vb_values(p, t, _route(_wofz(), _erfcx()))
 
 
-def _sorted_window(p: PulseProtocol, t: np.ndarray, kernel):
-    """(out, after, hi, (u_a, v_b)(hi)) of a route of (u_a, v_b = i u_b)(t) at 1-D ascending
-    times, where (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds.
+def _pieces(x: np.ndarray, below: tuple, above: tuple):
+    """``below`` where x < 0, else ``above``: rows split by searchsorted at ascending x."""
+    k = int(x.searchsorted(0.0))
+    if 0 < k < x.size:
+        rows = np.empty((len(below), x.size))
+        rows[:, :k], rows[:, k:] = np.array(below)[:, None], np.array(above)[:, None]
+        return rows
+    return below if k else above
+
+
+@functools.lru_cache(maxsize=4)
+def _route(wofz, erfcx) -> Route:
+    """``swap.Route`` on numpy arrays with scipy's ``wofz`` and ``erfcx`` (``1j * y + x``
+    is exact), and searchsorted slices; at one float time, ``swap.SCALAR`` with those two."""
+    floats = Route(**vars(SCALAR) | dict(erfcx=lambda y: float(erfcx(y)),
+                                         w=lambda x, y: complex(wofz(complex(x, y)))))
+    return Route(exp=np.exp, sin=np.sin, expm1=np.expm1, erfcx=erfcx,
+                 w=lambda x, y: wofz(1j * y + x), zeros=np.zeros,
+                 index=lambda t, value, right: int(t.searchsorted(value, "right" if right
+                                                                  else "left")),
+                 each=lambda f, t: f(t), pieces=_pieces,
+                 cuts=lambda mask: (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist(),
+                 floats=floats)
+
+
+def _sorted_filtered_input(p: PulseProtocol, t: np.ndarray) -> np.ndarray:
+    """u_a at 1-D ascending times, on the complex form's rounding, where
+    (u_a, u_b)(t) = int_0^t exp(M(t-s)) (f(s-L), 0) ds and v_b = i u_b.
 
     With h = (kappa+gamma)/2, d = (kappa-gamma)/2 and nu = sqrt(d^2 - g^2),
     exp(M tau) has the eigenvalues lam+- = -h +- nu and
@@ -359,48 +354,30 @@ def _sorted_window(p: PulseProtocol, t: np.ndarray, kernel):
     least (L + h beta - lo) + sqrt(2 K beta), so where |nu| times that
     bound is clearly above 1 the series is ruled out with no per-time test.
 
-    ``out`` is 0 but in (lo, hi) (all of it if the window closes by t = 0), where
-    ``kernel(p, t_in, lo, hi, rates, series, out)`` writes the route's row, norm N included,
-    at the times t_in in (lo, hi) into ``out`` and returns the pair at hi; rates are
-    (h, d, nu^2, nu, beta, N), ``series`` None or (t_live, mask, moments): the times t_in and
-    hi, those the series takes, and ``_series``' inputs at them. The input has ended
-    by hi, so the route takes t >= hi (the slice ``after``) from exp(M (t - hi)) u(hi).
-    The window, the pulse-area kick where it collapses, the series rule and K are
-    ``levicav.swap``'s, which the CLI's scalar route shares. A NaN time sorts last and
-    raises NumericalError.
+    u_a is 0 up to lo (all of it if the window closes by t = 0); in (lo, hi)
+    ``_ua_window`` writes it, norm N included, and returns the pair (u_a, v_b) at hi,
+    with rates (h, d, nu^2, nu, beta, N). The input has ended by hi, so u_a at t >= hi
+    is exp(M (t - hi)) u(hi). The window, the pulse-area kick where it collapses, the
+    series rule and K are ``levicav.swap``'s, whose ``vb_values`` forms v_b on either
+    route by these equations.
     """
-    if t.size and math.isnan(t[-1]):
-        raise NumericalError("filtered input requested at a NaN time")
     out = np.zeros(t.size)
     lo, hi, pair, rates, reach = window(p)
     if hi <= 0.0:
-        return out, slice(t.size, None), hi, pair
+        return out
     after = slice(t.searchsorted(hi), None)  # t >= hi
-    if pair is not None:  # the pulse-area kick
-        return out, after, hi, pair
-    inside = slice(t.searchsorted(lo, "right"), after.start)  # lo < t < hi
-    h, d, nu2, nu, beta, norm = rates
-    series = None
-    if reach is not None:
-        t_live = np.append(t[inside], hi)
-        alpha, mask = series_span(p, t_live, lo, nu, h, beta, reach)
-        if mask.any():  # J_0 and the boundary terms at lo and, for k = 0 alone, at t
-            ts = t_live[mask]
-            tau_lo = ts - lo
-            series = (t_live, mask, (
-                alpha[mask], tau_lo,
-                np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2),
-                np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2),
-                _gaussian_convolution(-h, ts, lo, p).real))
-    pair = kernel(p, t[inside], lo, hi, rates, series, out[inside])
-    return out, after, hi, pair
+    if pair is None:
+        pair = _ua_window(p, t, lo, hi, rates, reach, out, after.start)
+    (ua0, vb0), (c, s) = pair, _free_evolution(p, t[after] - hi)
+    out[after] = (c - 0.5 * (p.kappa - p.gamma) * s) * ua0 - (p.g * s) * vb0
+    return out
 
 
-def _series(moments, nu2: float, beta: float, power: bool):
-    """(cosh part, sinh part) of the critical-coupling series at its times, the sums of
+def _series(moments, nu2: float, beta: float):
+    """(cosh part, sinh part) of u_a's critical-coupling series at its times, the sums of
     nu^(2 floor(k/2))/k! J_k over even and odd k, with the boundary term tau_lo^k edge_lo
-    by np.power, whose rounding u_a keeps, or, for v_b, by a running product of its own;
-    each step updates the moments in place by the operations of the recurrence as written."""
+    by np.power, whose rounding u_a keeps; each step updates the moments in place by the
+    operations of the recurrence as written."""
     al, tau_lo, edge, edge_t, j = moments
     j, j_prev, step = j.copy(), np.zeros(j.size), np.empty(j.size)
     even, odd, weight = np.zeros(j.size), np.zeros(j.size), 1.0
@@ -409,7 +386,7 @@ def _series(moments, nu2: float, beta: float, power: bool):
         np.multiply(j, weight, out=step)
         part += step
         weight *= (nu2 if k % 2 else 1.0) / (k + 1)
-        bound = tau_lo**k * edge if power else edge
+        bound = tau_lo**k * edge
         np.multiply(j_prev, k * beta, out=j_prev)
         np.multiply(al, j, out=step)
         step += j_prev
@@ -417,22 +394,30 @@ def _series(moments, nu2: float, beta: float, power: bool):
         j_prev *= beta
         step += j_prev
         j_prev, j, step = j, step, j_prev
-        if not power:
-            edge = edge * tau_lo if k == 0 else np.multiply(edge, tau_lo, out=edge)
     np.multiply(j, weight, out=step)
     odd += step
     return even, odd
 
 
-def _ua_window(p, t_in, lo, hi, rates, series, out):
-    """u_a at t_in and (u_a, v_b) at hi: complex exp for complex rates, tau^k by
-    np.power, products grouped as numpy's complex division by 2 nu rounded them."""
+def _ua_window(p, t, lo, hi, rates, reach, out, after: int):
+    """u_a at the times lo < t < hi of ``t[:after]`` into ``out``, and (u_a, v_b) at
+    hi: complex exp for complex rates, tau^k by np.power, products grouped as numpy's
+    complex division by 2 nu rounded them."""
+    inside = slice(t.searchsorted(lo, "right"), after)
     h, d, nu2, nu, beta, norm = rates
-    t_live, mask, moments = series or (np.append(t_in, hi), None, None)
+    t_live = np.append(t[inside], hi)
     ua, rest = np.empty(t_live.size), slice(None)
-    if mask is not None:
-        cosh, sinh = _series(moments, nu2, beta, power=True)
-        ua[mask], vb_hi, rest = cosh - d * sinh, p.g * sinh[-1], ~mask
+    if reach is not None:
+        alpha, mask = series_span(p, t_live, lo, nu, h, beta, reach)
+        if mask.any():  # J_0 and the boundary terms at lo and, for k = 0 alone, at t
+            ts = t_live[mask]
+            tau_lo = ts - lo
+            cosh, sinh = _series((
+                alpha[mask], tau_lo,
+                np.exp(-h * tau_lo - 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2),
+                np.exp(-0.25 * p.sigma**2 * (ts - p.delay_L) ** 2),
+                _gaussian_convolution(-h, ts, lo, p).real), nu2, beta)
+            ua[mask], vb_hi, rest = cosh - d * sinh, p.g * sinh[-1], ~mask
     tr = t_live[rest]
     if tr.size:
         plus = _gaussian_convolution(-h + nu, tr, lo, p)
@@ -444,75 +429,8 @@ def _ua_window(p, t_in, lo, hi, rates, series, out):
         ua[rest] = mean - (d * dif) * inv  # inv last, as complex division rounds
         if tr[-1] == t_live[-1]:
             vb_hi = (p.g * dif[-1]) * inv
-    np.multiply(ua[:-1], norm, out=out)
+    np.multiply(ua[:-1], norm, out=out[inside])
     return norm * ua[-1], norm * vb_hi
-
-
-def _vb_window(p, t_in, lo, hi, rates, series, out):
-    """v_b at t_in and (u_a, v_b) at hi, in real arithmetic: the series where it holds,
-    ``_vb_closed`` at the other times, on one array of lo, those times and hi."""
-    h, d, nu2, nu, beta, norm = rates
-    if series is None:
-        ext = np.empty(t_in.size + 2)
-        ext[0], ext[1:-1], ext[-1] = lo, t_in, hi
-        dif, scale, ua_hi = _vb_closed(p, ext, rates)
-        np.multiply(dif[:-1], scale, out=out)
-        return ua_hi, scale * dif[-1]
-    t_live, mask, moments = series
-    cosh, sinh = _series(moments, nu2, beta, power=False)
-    vb, rest = np.empty(t_live.size), ~mask
-    vb[mask] = norm * (p.g * sinh)
-    if mask[-1]:
-        ua_hi = norm * (cosh[-1] - d * sinh[-1])
-    if rest.any():
-        dif, scale, closed_hi = _vb_closed(p, np.append(lo, t_live[rest]), rates)
-        vb[rest] = scale * dif
-        if rest[-1]:
-            ua_hi = closed_hi
-    out[:] = vb[:-1]
-    return ua_hi, vb[-1]
-
-
-def _vb_closed(p, ext, rates):
-    """(dif, scale, N u_a) of the closed form from lo = ext[0] at the ascending times
-    ext[1:]: v_b = scale dif there, u_a at the last. Underdamped, v_b = g Im P+/omega,
-    lam = -h + i omega: the lo term C gives Im(C e^{lam tau}), tau = t - lo, one damped
-    sine; where the limits straddle Re z = 0, the bounded term 2 e^{lam (t-L) + lam^2/sigma^2}
-    joins C. As w(-conj z) = conj w(z) (Abramowitz & Stegun 7.1.12), the t term w(i z_s), or
-    -w(-i z_s) reflected, is conj W or -W with W = w(omega/sigma + i |Re z_s|) on one vertical
-    line: its part e^{-sigma^2 s^2/4} Im W has no reflection sign. N, g/omega and
-    sqrt(pi)/sigma make one factor, scale. Real rates take erfcx and float exp."""
-    h, d, nu2, nu, beta, norm = rates
-    lo = ext[0]
-    if nu2 < 0.0:
-        sigma, omega, lam = p.sigma, nu.imag, -h + nu
-        s, tau = ext - p.delay_L, ext[1:] - lo
-        x = np.multiply(s, 0.5 * sigma)
-        x -= h / sigma  # Re z_s, ascending
-        z = np.empty(s.size, dtype=complex)
-        z.real = omega / sigma
-        np.abs(x, out=z.imag)
-        w = _wofz()(z)
-        e = np.multiply(s, -0.25 * sigma**2)
-        e *= s
-        np.exp(e, out=e)
-        c = complex(e[0] * (-w[0] if x[0] < 0.0 else w[0].conjugate()))
-        k = int(x.searchsorted(0.0)) - 1 if x[0] < 0.0 else tau.size  # tau[k:] straddles
-        pieces = [(c.imag, c.real, slice(k))]
-        if k < tau.size:  # the bounded term joins the lo term's e^{lam tau}; h/sigma < 5 here
-            c += 2.0 * cmath.exp(lam * s[0] + lam * lam / sigma**2)
-            pieces.append((c.imag, c.real, slice(k, None)))
-        dif = np.empty(tau.size)
-        _damped_sine(h, omega, tau, dif, pieces)
-        mean = c * cmath.exp(lam * tau[-1]) + e[-1] * (w[-1] if x[-1] < 0.0 else -w[-1].conjugate())
-        e *= w.imag
-        dif += e[1:]
-        root = math.sqrt(math.pi) / sigma
-        return dif, norm * p.g * root / omega, norm * root * (mean.real - d / omega * dif[-1])
-    plus, minus = (_gaussian_convolution(-h + r, ext[1:], lo, p) for r in (nu.real, -nu.real))
-    mean, inv = 0.5 * (plus[-1] + minus[-1]), 0.5 / nu.real
-    dif = np.subtract(plus, minus, out=plus)
-    return dif, norm * p.g * inv, norm * (mean - d * inv * dif[-1])
 
 
 def _free_evolution(p: PulseProtocol, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -544,7 +462,7 @@ def _finite(quantity: str, compute, scan: bool = True) -> np.ndarray:
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             values = compute()
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:  # math's range and domain
         raise range_error(quantity, exc) from exc
     if scan and not np.isfinite(values).all():
         raise not_finite(quantity)
@@ -566,14 +484,18 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
         n *= 2.0 * p.kappa
         return n
 
-    def interp_error():
-        step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead
-        return float(np.abs(step[1:] - step[:-1]).max()) / 8.0
+    def error():
+        t = p.t_grid
+        if _CHECKED_GRIDS.get(id(t)) is t:  # one step, t_max/(n-1): |n0 - 2 n1 + n2|/8
+            step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead
+            return float(np.abs(step[1:] - step[:-1]).max()) / 8.0
+        return float(interp_error(n[:-2], n[1:-1], n[2:], t[:-2], t[1:-1], t[2:],
+                                  np.maximum).max())
 
     n = _finite("phonon trace", n_phonon, scan=False)
     i = int(n.argmax())  # n >= 0: the first NaN or inf, if any
     peak = float(n[i])
-    check_trace(p, peak, interp_error)
+    check_trace(p, peak, error)
     return PhononTrace(times=p.t_grid, n_phonon=n,
                        peak_time=float(p.t_grid[i]), peak_value=peak)
 

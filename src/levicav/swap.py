@@ -1,16 +1,14 @@
-"""The swap protocol's rules, and its phonon trace without numpy.
+"""The swap protocol's rules and forms, and its phonon trace without numpy.
 
-``levicav.pulse`` traces on numpy arrays for callers that stay in the
-process and trace many protocols, such as a swap map. A ``levicav trace``
-process traces once, and importing numpy would cost it more than the
-trace itself, so the CLI takes the scalar route here: the same closed forms
-of v_b = i u_b, evaluated one grid time at a time in Python floats. Every
-rule both routes follow is defined once, here, and ``levicav.pulse``
-imports it: the rate checks of a protocol, the uniform grid and its check,
-the pulse window with the pulse-area kick, the series rule and its K, and
-the checks of a trace with their messages. Only the per-time kernels exist
-twice; each one here names the ``levicav.pulse`` function it mirrors,
-operation for operation.
+``levicav.pulse`` traces on numpy arrays, for callers that trace many
+protocols in one process, such as a swap map. A ``levicav trace`` process
+traces once, and importing numpy would cost it more than the trace, so the
+CLI takes the scalar route here, one grid time at a time in Python floats.
+Both routes take from here every rule they follow (the rate checks of a
+protocol, the uniform grid and its check, the pulse window and kick, the
+series rule and its K, the checks of a trace) and every form of v_b = i u_b,
+each written once as a function of a time that is a float or an array and
+of a ``Route``'s named functions; ``vb_values`` forms v_b on either route.
 
 Faddeeva's w(z) = e^{-z^2} erfc(-iz) is Weideman's rational approximation
 (SIAM J. Numer. Anal. 31, 1497, 1994) with N = 48 terms,
@@ -30,6 +28,7 @@ import cmath
 import math
 import operator
 from itertools import islice
+from types import SimpleNamespace
 
 from .errors import GridError, NumericalError, ValidationError
 from .records import record
@@ -137,7 +136,8 @@ SERIES_TERMS = 12
 
 def window(p):
     """``(lo, hi, pair, rates, reach)``: the pulse window of the filtered input
-    and how it is formed (``levicav.pulse._sorted_window`` has the equations).
+    and how it is formed (``levicav.pulse._sorted_filtered_input`` has the
+    equations).
 
     ``pair`` is (u_a, v_b)(hi) where the window needs no time of its own:
     (0, 0) where it closes by t = 0 (hi <= 0), and the pulse-area kick
@@ -209,7 +209,7 @@ def check_trace(p, peak: float, interp_error) -> None:
                 f"time grid too coarse: every sample is 0 with a grid step up to "
                 f"{float(step):.3e} s against the pulse width 1/sigma = {1.0 / p.sigma:.3e} s")
     if peak > 0.0:
-        # sampling error of a smooth curve read off a uniform-ish grid
+        # sampling error of a smooth curve between grid times (``interp_error``)
         error = interp_error()
         if error > 1e-4 * peak:
             raise GridError(f"time grid too coarse: interpolation error {error:.3e} "
@@ -264,161 +264,237 @@ def erfcx(y: float) -> float:
     return _weideman(_L + y, (_L - y) / (_L + y))
 
 
+class Route(SimpleNamespace):
+    """How a trace route evaluates the forms of v_b below, each of which takes a
+    time t as a float or as an array of ascending times alike: ``exp``, ``sin``,
+    ``expm1``, ``erfcx(y)`` for y >= 0 and ``w(x, y)`` = w(x + iy) for y >= 0;
+    ``zeros(n)``; ``index(times, value, right)``, bisect's insertion point;
+    ``each(f, times)``; ``pieces(x, below, above)``, ``below`` where x < 0 and
+    ``above`` elsewhere at ascending x; ``cuts(mask)``, the indices where a mask
+    changes; ``floats``, the route at one float time. ``SCALAR`` is the scalar
+    route; ``levicav.pulse`` builds the numpy one."""
+
+
+SCALAR = Route(exp=math.exp, sin=math.sin, expm1=math.expm1, erfcx=lambda y: erfcx(y),
+               w=lambda x, y: faddeeva(complex(x, y)), zeros=lambda n: [0.0] * n,
+               index=lambda times, value, right: (bisect.bisect_right if right
+                                                  else bisect.bisect_left)(times, value),
+               each=lambda f, times: list(map(f, times)),
+               pieces=lambda x, below, above: below if x < 0.0 else above,
+               cuts=lambda mask: [i for i in range(1, len(mask)) if mask[i] != mask[i - 1]])
+SCALAR.floats = SCALAR
+
+
 def _phase(a: float, b: float) -> tuple[float, float]:
     """(phi, R) of a cos(x) + b sin(x) = R sin(x + phi), R = +-hypot(a, b) of
-    b's sign, |phi| <= pi/2 (a piece of ``pulse._damped_sine``)."""
+    b's sign: |phi| <= pi/2, no rounded pi off a small angle."""
     sign = math.copysign(1.0, b)
     return math.atan2(sign * a, sign * b), sign * math.hypot(a, b)
 
 
-def _real_convolution(lam: float, lo: float, p):
-    """t -> ``pulse._gaussian_convolution(lam, t, lo, p)`` for a real lam and
-    one time lo < t <= hi."""
+def _damped_sine(route: Route, tau, omega: float, h: float, phi, r):
+    """e^{-h tau} R sin(omega tau + phi), (phi, R) = ``_phase(a, b)`` of
+    e^{-h tau} (a cos(omega tau) + b sin(omega tau)). The forms update only
+    the values they made in place, as floats rebind."""
+    out = route.sin(tau * omega + phi)
+    out *= route.exp(-h * tau)
+    out *= r
+    return out
+
+
+def _real_convolution(route: Route, lam: float, lo: float, hi: float, p):
+    """(t, route) -> int_lo^t exp(lam (t-s)) exp(-sigma^2 (s-L)^2 / 4) ds at a real
+    lam <= 0 and window times lo < t <= hi (``levicav.pulse._gaussian_convolution``
+    has the equations): i z_s is imaginary, and w(iy) = erfcx(y). Where the limits
+    straddle Re z = 0 by hi, -lam/sigma <= 5, and the bounded term that joins there
+    stays below e^75 over the window."""
     sigma, delay = p.sigma, p.delay_L
     shift = lam / sigma
     z_lo = 0.5 * sigma * (lo - delay) + shift
-    w_lo = -erfcx(-z_lo) if z_lo < 0.0 else erfcx(z_lo)
+    erfcx_ = route.floats.erfcx
+    w_lo = -erfcx_(-z_lo) if z_lo < 0.0 else erfcx_(z_lo)
     edge, rate = 0.25 * sigma**2 * (lo - delay) ** 2, 0.25 * sigma**2
     bounded, root = lam**2 / sigma**2, math.sqrt(math.pi) / sigma
+    straddles = z_lo < 0.0 <= 0.5 * sigma * (hi - delay) + shift
 
-    def convolution(t: float) -> float:
-        out = math.exp(lam * (t - lo) - edge) * w_lo
+    def convolution(t, r: Route):
         s = t - delay
         z = 0.5 * sigma * s + shift
-        term = math.exp(lam * 0.0 - rate * (s * s)) * erfcx(abs(z))
-        out -= -term if z < 0.0 else term
-        if z_lo < 0.0 and not z < 0.0:  # the limits straddle Re z = 0
-            out += 2.0 * math.exp(lam * s + bounded)
-        return out * root
+        sign, bound = r.pieces(z, (-1.0, 0.0), (1.0, 2.0))
+        out = r.exp(lam * (t - lo) - edge) * w_lo
+        out -= sign * (r.exp(-rate * (s * s)) * r.erfcx(sign * z))
+        if straddles:
+            out += bound * r.exp(lam * s + bounded)
+        out *= root
+        return out
     return convolution
 
 
-def _closed(p, lo: float, rates):
-    """t -> v_b of ``pulse._vb_closed`` from lo at one window time t, and
-    (u_a, v_b) where ``end``, at hi."""
+def _underdamped(route: Route, p, lo: float, hi: float, rates):
+    """``(vb, pair)``: t -> v_b = g Im P+/omega at window times, and (u_a, v_b) at hi.
+
+    lam = -h + i omega: the lo term C gives Im(C e^{lam tau}), tau = t - lo, one
+    damped sine; where the limits straddle Re z = 0, the bounded term
+    2 e^{lam (t-L) + lam^2/sigma^2} joins C. As w(-conj z) = conj w(z)
+    (Abramowitz & Stegun 7.1.12), the t term w(i z_s), or -w(-i z_s)
+    reflected, is conj W or -W with W = w(omega/sigma + i |Re z_s|) on one
+    vertical line: its part e^{-sigma^2 s^2/4} Im W has no reflection sign.
+    N, g/omega and sqrt(pi)/sigma make one factor, scale.
+    """
     h, d, nu2, nu, beta, norm = rates
     sigma, delay = p.sigma, p.delay_L
-    if nu2 >= 0.0:
-        plus, minus = (_real_convolution(-h + r, lo, p) for r in (nu.real, -nu.real))
-        inv = 0.5 / nu.real
-        scale = norm * p.g * inv
-
-        def real_rates(t: float, end: bool = False):
-            a, b = plus(t), minus(t)
-            dif = a - b
-            return (norm * (0.5 * (a + b) - d * inv * dif), scale * dif) if end else scale * dif
-        return real_rates
     omega, lam, root = nu.imag, -h + nu, math.sqrt(math.pi) / sigma
     re_z, rate, half = omega / sigma, -0.25 * sigma**2, 0.5 * sigma
     s0 = lo - delay
-    x0 = s0 * half - h / sigma
-    w0 = faddeeva(complex(re_z, abs(x0)))
-    c_lo = complex(math.exp(s0 * rate * s0) * (-w0 if x0 < 0.0 else w0.conjugate()))
-    # where the limits straddle Re z = 0 the bounded term joins the lo term
-    c_up = c_lo + 2.0 * cmath.exp(lam * s0 + lam * lam / sigma**2) if x0 < 0.0 else c_lo
+    x0 = s0 * half - h / sigma  # Re z_s at lo
+    w0 = route.floats.w(re_z, abs(x0))
+    c_lo = c_up = complex(math.exp(s0 * rate * s0) * (-w0 if x0 < 0.0 else w0.conjugate()))
+    if x0 < 0.0 <= (hi - delay) * half - h / sigma:  # h/sigma <= 5 here
+        c_up += 2.0 * cmath.exp(lam * s0 + lam * lam / sigma**2)
     pieces = _phase(c_lo.imag, c_lo.real), _phase(c_up.imag, c_up.real)
     scale = norm * p.g * root / omega
 
-    def underdamped(t: float, end: bool = False):
-        tau, s = t - lo, t - delay
-        x = s * half - h / sigma
-        w = faddeeva(complex(re_z, abs(x)))
-        e = math.exp(s * rate * s)
-        phi, r = pieces[x0 < 0.0 and x >= 0.0]
-        dif = math.sin(tau * omega + phi) * math.exp(-h * tau) * r + e * w.imag
-        if not end:
-            return scale * dif
-        c = c_up if x0 < 0.0 and x >= 0.0 else c_lo
-        mean = c * cmath.exp(lam * tau) + e * (w if x < 0.0 else -w.conjugate())
-        return norm * root * (mean.real - d / omega * dif), scale * dif
-    return underdamped
+    def dif(t, r: Route):
+        """Im P+ sigma/sqrt(pi) at t, with e^{-sigma^2 s^2/4}, W and Re z_s there."""
+        s = t - delay
+        x = s * half
+        x -= h / sigma
+        e = s * rate
+        e *= s
+        e, w = r.exp(e), r.w(re_z, abs(x))
+        v = e * w.imag
+        v += _damped_sine(r, t - lo, omega, h, *r.pieces(x, *pieces))
+        return v, e, w, x
+
+    v, e, w, x = dif(hi, route.floats)
+    mean = (c_lo if x < 0.0 else c_up) * cmath.exp(lam * (hi - lo)) + e * (
+        w if x < 0.0 else -w.conjugate())
+    return lambda t: dif(t, route)[0] * scale, (norm * root * (mean.real - d / omega * v),
+                                                 scale * v)
 
 
-def _series(p, lo: float, rates):
-    """(t, alpha) -> v_b of the critical-coupling series at one window time t,
-    and (u_a, v_b) where ``end``: ``pulse._series``' v_b loop with the inputs
-    ``pulse._sorted_window`` gives it, two steps of the loop per pass."""
+def _overdamped(route: Route, p, lo: float, hi: float, rates):
+    """``(vb, pair)``: t -> v_b = g (P+ - P-)/(2 nu) at window times, and (u_a, v_b)
+    at hi, from the convolutions P+- of the real rates lam+- = -h +- nu."""
     h, d, nu2, nu, beta, norm = rates
-    steps = 2 * SERIES_TERMS - 1
-    weights = [1.0]
-    for k in range(steps):
+    plus, minus = (_real_convolution(route, -h + r, lo, hi, p) for r in (nu.real, -nu.real))
+    inv = 0.5 / nu.real
+    scale = norm * p.g * inv
+    a, b = plus(hi, route.floats), minus(hi, route.floats)
+    return (lambda t: scale * (plus(t, route) - minus(t, route)),
+            (norm * (0.5 * (a + b) - d * inv * (a - b)), scale * (a - b)))
+
+
+def _series(route: Route, p, lo: float, hi: float, rates):
+    """``(vb, pair)``, t -> v_b and (u_a, v_b) at hi, of the critical-coupling series
+    (``levicav.pulse._sorted_filtered_input`` has the equations): J_0 from
+    ``_real_convolution`` at -h, and the boundary terms tau_lo^k e^{-h tau_lo -
+    sigma^2 (lo-L)^2/4} by a running product."""
+    h, d, nu2, nu, beta, norm = rates
+    weights = [1.0]  # nu^(2 floor(k/2))/k!
+    for k in range(2 * SERIES_TERMS - 1):
         weights.append(weights[-1] * ((nu2 if k % 2 else 1.0) / (k + 1)))
-    pairs = [(weights[k], k * beta, weights[k + 1], (k + 1) * beta) for k in range(1, steps, 2)]
-    last = weights[steps]
+    steps = [(k, weights[k], k * beta) for k in range(1, 2 * SERIES_TERMS - 1)]
     edge_lo, rate = 0.25 * p.sigma**2 * (lo - p.delay_L) ** 2, -0.25 * p.sigma**2
-    j_0 = _real_convolution(-h, lo, p)
+    j_0 = _real_convolution(route, -h, lo, hi, p)
 
-    def series(t: float, alpha: float, end: bool = False):
+    def sums(t, r: Route):
+        """(cosh part, sinh part) at t: the sums of nu^(2 floor(k/2))/k! J_k
+        over even and odd k."""
         tau_lo, s = t - lo, t - p.delay_L
-        edge = math.exp(-h * tau_lo - edge_lo)
-        j = j_0(t)
-        even, odd = 0.0 + j * 1.0, 0.0
-        j, j_prev = alpha * j + 0.0 + (math.exp(rate * (s * s)) - edge) * beta, j
-        for w_odd, kb_odd, w_even, kb_even in pairs:
+        alpha, edge = s - h * beta, r.exp(-h * tau_lo - edge_lo)
+        j_prev = j_0(t, r)
+        parts = [j_prev * 1.0, 0.0]
+        j = alpha * j_prev
+        j += (r.exp(rate * (s * s)) - edge) * beta
+        for k, weight, kb in steps:  # J_{k+1} = alpha J_k + k beta J_{k-1} - beta tau^k edge
             edge *= tau_lo
-            odd += j * w_odd
-            j, j_prev = alpha * j + j_prev * kb_odd + (0.0 - edge) * beta, j
-            edge *= tau_lo
-            even += j * w_even
-            j, j_prev = alpha * j + j_prev * kb_even + (0.0 - edge) * beta, j
-        odd += j * last
-        vb = norm * (p.g * odd)
-        return (norm * (even - d * odd), vb) if end else vb
-    return series
+            parts[k % 2] += j * weight
+            j_prev *= kb
+            j_prev += alpha * j
+            j_prev -= edge * beta
+            j, j_prev = j_prev, j
+        return parts[0], parts[1] + j * weights[-1]
+
+    even, odd = sums(hi, route.floats)
+    return lambda t: norm * (p.g * sums(t, route)[1]), (norm * (even - d * odd),
+                                                        norm * (p.g * odd))
 
 
-def _window(p, t_in, lo: float, hi: float, rates, reach, out: list, start: int):
-    """v_b at the window times t_in into out[start:], and (u_a, v_b) at hi
-    (``pulse._vb_window``): the series where it holds, else the closed form,
-    each form built on its first time, as the numpy route builds it only for
-    its own times."""
-    if reach is None:
-        closed = _closed(p, lo, rates)
-        out[start:start + len(t_in)] = map(closed, t_in)
-        return closed(hi, True)
-    h, d, nu2, nu, beta, norm = rates
-    forms = {}
-
-    def at(t: float, end: bool = False):
-        alpha, holds = series_span(p, t, lo, nu, h, beta, reach)
-        if holds not in forms:
-            forms[holds] = (_series if holds else _closed)(p, lo, rates)
-        return forms[holds](t, alpha, end) if holds else forms[holds](t, end)
-
-    out[start:start + len(t_in)] = map(at, t_in)
-    return at(hi, True)
-
-
-def vb_values(p, times) -> list:
-    """v_b at ascending finite ``times``, as ``pulse._sorted_vb`` forms it:
-    0 up to lo, the window's kernels in (lo, hi), and past hi
-    c vb0 + s (d vb0 + g ua0) from the pair at hi (``pulse._free_evolution``,
-    one damped sine when underdamped)."""
-    out = [0.0] * len(times)
-    lo, hi, pair, rates, reach = window(p)
-    if hi <= 0.0:
-        return out
-    after = bisect.bisect_left(times, hi)  # t >= hi
-    if pair is None:
-        start = bisect.bisect_right(times, lo)
-        pair = _window(p, times[start:after], lo, hi, rates, reach, out, start)
-    ua0, vb0 = pair
-    taus = [t - hi for t in islice(times, after, None)]
+def _tail(route: Route, p, hi: float, ua0: float, vb0: float):
+    """t -> v_b past hi, c vb0 + s (d vb0 + g ua0) with exp(M (t - hi)) =
+    [[c - d s, -i g s], [-i g s, c + d s]] (``levicav.pulse._free_evolution``):
+    one damped sine where underdamped."""
     h, d = 0.5 * (p.kappa + p.gamma), 0.5 * (p.kappa - p.gamma)
     nu2, x1 = d * d - p.g * p.g, d * vb0 + p.g * ua0
-    exp, sin = math.exp, math.sin
     if nu2 < 0.0:
         omega = math.sqrt(-nu2)
         phi, r = _phase(vb0, x1 / omega)
-        out[after:] = [sin(tau * omega + phi) * exp(-h * tau) * r for tau in taus]
-    elif nu2 > 0.0:
-        nu = math.sqrt(nu2)
-        out[after:] = [decay * (1.0 + 0.5 * em) * vb0 + decay * em / (-2.0 * nu) * x1
-                       for tau in taus
-                       for decay, em in ((exp((nu - h) * tau), math.expm1(-2.0 * nu * tau)),)]
-    else:
-        out[after:] = [c * vb0 + tau * c * x1 for tau in taus for c in (exp(-h * tau),)]
+        return lambda t: _damped_sine(route, t - hi, omega, h, phi, r)
+    nu = math.sqrt(nu2)
+
+    def tail(t):  # (1, tau) e^{-h tau} at nu = 0, else with expm1(-2 nu tau): no overflow
+        tau = t - hi
+        if nu == 0.0:
+            c = route.exp(-h * tau)
+            return c * vb0 + tau * c * x1
+        decay, em = route.exp((nu - h) * tau), route.expm1(-2.0 * nu * tau)
+        return decay * (1.0 + 0.5 * em) * vb0 + decay * em / (-2.0 * nu) * x1
+    return tail
+
+
+def _window(route: Route, p, t_in, lo: float, hi: float, rates, reach, out, start: int):
+    """v_b at the window times t_in into out[start:], and (u_a, v_b) at hi: the
+    series where ``series_span`` holds, else the closed form, each form built
+    for the first run of times it takes (at nu = 0 the series holds throughout,
+    and the closed form has no 1/nu)."""
+    h, d, nu2, nu, beta, norm = rates
+    forms = {}
+
+    def form(series: bool):
+        if series not in forms:
+            build = _series if series else _underdamped if nu2 < 0.0 else _overdamped
+            forms[series] = build(route, p, lo, hi, rates)
+        return forms[series]
+
+    def holds(t):
+        return reach is not None and series_span(p, t, lo, nu, h, beta, reach)[1]
+
+    mask = route.each(holds, t_in) if reach is not None else None
+    bounds = [0, *(() if mask is None else route.cuts(mask)), len(t_in)]
+    for a, b in zip(bounds, bounds[1:]):
+        if a < b:
+            vb = form(mask is not None and bool(mask[a]))[0]
+            out[start + a:start + b] = route.each(vb, t_in[a:b])
+    return form(holds(hi))[1]
+
+
+def vb_values(p, times, route: Route = SCALAR):
+    """v_b at ascending finite ``times`` on ``route``: a sequence of floats and
+    a list on the scalar route, a 1-D array and an array on the numpy route.
+    0 up to lo, the window's forms in (lo, hi), and past hi its free
+    evolution from the pair (u_a, v_b) at hi."""
+    out = route.zeros(len(times))
+    lo, hi, pair, rates, reach = window(p)
+    if hi <= 0.0:
+        return out
+    after = route.index(times, hi, False)  # t >= hi
+    if pair is None:
+        start = route.index(times, lo, True)
+        pair = _window(route, p, times[start:after], lo, hi, rates, reach, out, start)
+    if after < len(times):
+        out[after:] = route.each(_tail(route, p, hi, *pair), times[after:])
     return out
+
+
+def interp_error(n0, n1, n2, t0, t1, t2, maximum=max):
+    """The parabolic-interpolation error of samples n0, n1, n2 at t0 < t1 < t2,
+    floats or arrays alike: |n''| h^2/8, n'' twice the second divided difference
+    and h the larger step, |n0 - 2 n1 + n2|/8 at equal steps; steps over h."""
+    h0, h1 = t1 - t0, t2 - t1
+    h = maximum(h0, h1)
+    a, b = h0 / h, h1 / h
+    return abs((n2 - n1) * a - (n1 - n0) * b) / (a * b * (a + b)) / 4.0
 
 
 def phonon_trace(p: SwapProtocol) -> SwapTrace:
@@ -434,11 +510,7 @@ def phonon_trace(p: SwapProtocol) -> SwapTrace:
     peak = max(n)
     if not math.isfinite(sum(n)) and any(map(math.isnan, n)):
         peak = math.nan
-
-    def interp_error() -> float:
-        step = list(map(operator.sub, islice(n, 1, None), n))
-        return max(map(abs, map(operator.sub, islice(step, 1, None), step))) / 8.0
-
-    check_trace(p, peak, interp_error)
-    return SwapTrace(times=p.t_grid, n_phonon=tuple(n),
-                     peak_time=p.t_grid[n.index(peak)], peak_value=peak)
+    t = p.t_grid
+    check_trace(p, peak, lambda: max(map(interp_error, n, islice(n, 1, None), islice(n, 2, None),
+                                         t, islice(t, 1, None), islice(t, 2, None))))
+    return SwapTrace(times=t, n_phonon=tuple(n), peak_time=t[n.index(peak)], peak_value=peak)

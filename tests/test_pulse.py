@@ -512,23 +512,26 @@ class TestFreeEvolution:
 
     @pytest.mark.parametrize("g_over_kappa", [1.0, 0.5])  # Faddeeva route, series route
     def test_convolution_sees_only_window_times(self, g_over_kappa, monkeypatch):
-        # the v_b route's window too: its underdamped closed form calls no convolution
-        convolution, window, seen = pulse._gaussian_convolution, pulse._vb_window, []
+        # u_a's convolutions, and the window forms of the v_b route
+        convolution, window, seen = pulse._gaussian_convolution, swap._window, []
 
         def recording_convolution(lam, t, lo, p):
             seen.append((t.min(), t.max()))
             return convolution(lam, t, lo, p)
 
-        def recording_window(p, t_in, *args):
+        def recording_window(route, p, t_in, *args):
             seen.append((t_in.min(), t_in.max()))
-            return window(p, t_in, *args)
+            return window(route, p, t_in, *args)
 
         monkeypatch.setattr(pulse, "_gaussian_convolution", recording_convolution)
-        monkeypatch.setattr(pulse, "_vb_window", recording_window)
+        monkeypatch.setattr(swap, "_window", recording_window)
         protocol = standard(g_over_kappa)
         phonon_trace(protocol)
+        assert len(seen) == 1
+        output_field_envelope(protocol, protocol.t_grid)
         lo, hi = swap.pulse_window(protocol)
-        assert seen and all(max(lo, 0.0) < t_min and t_max <= hi for t_min, t_max in seen)
+        assert len(seen) >= 2
+        assert all(max(lo, 0.0) < t_min and t_max <= hi for t_min, t_max in seen)
 
     def test_pulse_over_before_t0_gives_exact_zeros(self):
         protocol = standard(1.0, delay_kappa=-5.0)  # window closes at -3.2/kappa
@@ -829,15 +832,15 @@ class TestRealArithmetic:
 
 
 def product_series(moments, nu2, beta):
-    """``_series``' v_b form as it was, a new array per operation and the
-    running product taken on a copy: the reference for the in-place loop."""
+    """``_series`` as it was, a new array per operation: the reference for the
+    in-place loop."""
     al, tau_lo, edge, edge_t, j = moments
-    j_prev, parts, weight, edge = 0.0, [0.0, 0.0], 1.0, edge.copy()
+    j_prev, parts, weight = 0.0, [0.0, 0.0], 1.0
     for k in range(2 * swap.SERIES_TERMS - 1):
         parts[k % 2] = parts[k % 2] + weight * j
         weight *= (nu2 if k % 2 else 1.0) / (k + 1)
-        j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0) - edge)
-        edge *= tau_lo
+        j_prev, j = j, al * j + k * beta * j_prev + beta * ((edge_t if k == 0 else 0.0)
+                                                            - tau_lo**k * edge)
     return parts[0], parts[1] + weight * j
 
 
@@ -845,16 +848,16 @@ class TestSeriesLoop:
     """The critical-coupling series' in-place loop against the loop it replaced."""
 
     def test_in_place_loop_bit_identical(self, monkeypatch):
-        # seeded near-critical protocols, from deep inside the series' range to
-        # its edge, where later terms weigh: the sums bit for bit, inputs untouched
+        # u_a's series on seeded near-critical protocols, from deep inside the
+        # series' range to its edge, where later terms weigh: the sums bit for
+        # bit, inputs untouched
         series, seen = pulse._series, []
 
-        def recording(moments, nu2, beta, power):
+        def recording(moments, nu2, beta):
             copies = [m.copy() for m in moments]
-            out = series(moments, nu2, beta, power)
+            out = series(moments, nu2, beta)
             assert all(np.array_equal(a, b) for a, b in zip(copies, moments))
-            if not power:
-                seen.append((copies, nu2, beta, out))
+            seen.append((copies, nu2, beta, out))
             return out
 
         monkeypatch.setattr(pulse, "_series", recording)

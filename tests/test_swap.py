@@ -164,12 +164,23 @@ KINDS = ("underdamped", "overdamped", "critical", "near-critical", "cut at t = 0
          "collapsed window", "closed by t = 0")
 
 
+def two_step_grid(start, stop, n, fine_first=False):
+    """About n times from start to stop in two linspace pieces, one of them
+    with a step ten times finer than the other's."""
+    n_coarse, n_fine = n // 2, n - n // 2 + 1
+    step = (stop - start) / ((n_coarse - 1) + (n_fine - 1) / 10.0)
+    pieces = [(n_coarse, step), (n_fine, step / 10.0)][::-1 if fine_first else 1]
+    split = start + (pieces[0][0] - 1) * pieces[0][1]
+    return np.concatenate((np.linspace(start, split, pieces[0][0]),
+                           np.linspace(split, stop, pieces[1][0])[1:]))
+
+
 def seeded_protocol(rng, kind):
     """One protocol of ``kind`` at sigma from kappa to 60 kappa: under-, over-,
     exactly and near-critically damped (nu/d = +-1e-3, +-1e-6) rates, each
     also with the window cut at t = 0, collapsed to a kick (sigma above about
     1e16 kappa) or closed by t = 0, on grids that run past the window, end
-    before hi or start after it."""
+    before hi or start after it; a third of the grids are ``two_step_grid``s."""
     kappa, gamma_over_kappa = rng.choice((1.0, KAPPA)), rng.choice((0.0, 0.3))
     d = 0.5 * (1.0 - gamma_over_kappa)
     rates = {"underdamped": lambda: rng.uniform(1.05 * d, 3.0),
@@ -185,9 +196,10 @@ def seeded_protocol(rng, kind):
     if kind in rates:
         grids += [(0.0, 0.5 * (delay + hi), 400), (hi + 1e-3, hi + 10.0, 50)]
     start, stop, n = rng.choice(grids)
+    grid = (two_step_grid(start, stop, n, rng.random() < 0.5) if rng.random() < 1 / 3
+            else np.linspace(start, stop, n))
     return PulseProtocol(g=g * kappa, kappa=kappa, gamma=gamma_over_kappa * kappa,
-                         sigma=sigma * kappa, delay_L=delay / kappa,
-                         t_grid=np.linspace(start, stop, n) / kappa)
+                         sigma=sigma * kappa, delay_L=delay / kappa, t_grid=grid / kappa)
 
 
 class TestAgainstNumpyRoute:
@@ -200,7 +212,7 @@ class TestAgainstNumpyRoute:
         # (test_small_sigma_underdamped), and by up to 3e-13 on the
         # critical-coupling series, whose recurrence amplifies the last bits
         # of J_0 on either route (LONG_SERIES_BOUND in tests/test_pulse.py)
-        rng, traced, failed = random.Random(30), 0, {}
+        rng, traced, failed = random.Random(30), [], {}
         for i in range(2100):
             kind = KINDS[i % len(KINDS)]
             p = seeded_protocol(rng, kind)
@@ -217,8 +229,10 @@ class TestAgainstNumpyRoute:
             assert trace_scalar.times == tuple(trace.times.tolist())
             assert np.abs(np.array(trace_scalar.n_phonon) - trace.n_phonon).max() \
                 <= 1e-14 * trace.peak_value
-            traced += 1
-        assert traced >= 500 and failed.get("GridError", 0) >= 500
+            steps = np.diff(p.t_grid)
+            traced.append(steps.max() > 2.0 * steps.min())
+        # two-step grids among them, which the grid check reads by their larger step
+        assert len(traced) >= 500 and sum(traced) >= 100 and failed.get("GridError", 0) >= 500
 
     def test_small_sigma_underdamped(self):
         # where the routes part: the scalar route stays within 1e-14 of the
@@ -279,3 +293,84 @@ class TestAgainstNumpyRoute:
         monkeypatch.setattr(swap, "vb_values", spoiled)
         with pytest.raises(NumericalError, match="^phonon trace is not finite$"):
             swap.phonon_trace(scalar(PulseProtocol.standard(g=KAPPA, kappa=KAPPA)))
+
+
+class TestTwoStepGrids:
+    """The grid check reads |n''| h^2/8, n'' twice the second divided
+    difference and h the larger adjacent step, on both routes."""
+
+    @staticmethod
+    def protocol(coarse, fine):
+        # a step of ``coarse`` up to t = 5.99 and of ``fine`` from there to 20
+        grid = np.concatenate((np.linspace(0.0, 5.99, round(5.99 / coarse) + 1),
+                               np.linspace(5.99, 20.0, round(14.01 / fine) + 1)[1:]))
+        return PulseProtocol(g=1.0, kappa=1.0, gamma=0.0, sigma=5.6, delay_L=5.0, t_grid=grid)
+
+    @staticmethod
+    def read(trace):
+        n, t = np.asarray(trace.n_phonon), np.asarray(trace.times)
+        return swap.interp_error(n[:-2], n[1:-1], n[2:], t[:-2], t[1:-1], t[2:],
+                                 np.maximum).max() / trace.peak_value
+
+    @pytest.mark.parametrize("coarse, fine, error", [(0.01, 0.001, 3.5e-5),
+                                                     (0.005, 0.0005, 8.8e-6)])
+    def test_finer_than_the_default_grid_passes(self, coarse, fine, error):
+        # finer everywhere than the default 2000-point grid; the uniform second
+        # difference read n' (h1 - h0) at the change of step: 3.1e-4 and 1.6e-4
+        p = self.protocol(coarse, fine)
+        for route, protocol in ((phonon_trace, p), (swap.phonon_trace, scalar(p))):
+            assert self.read(route(protocol)) == pytest.approx(error, rel=0.01)
+
+    def test_coarse_two_step_grid_reported(self):
+        p = self.protocol(0.02, 0.005)  # reads 1.4e-4 of the peak
+        for route, protocol in ((phonon_trace, p), (swap.phonon_trace, scalar(p))):
+            with pytest.raises(GridError, match=r"interpolation error 6\.9\d\de-05 exceeds"):
+                route(protocol)
+
+    def test_uniform_grid_reads_the_second_difference(self):
+        # 3.50e-5 of the peak on the default grid, as |n0 - 2 n1 + n2|/8 read it
+        p = PulseProtocol.standard(g=1.0, kappa=1.0)
+        trace = phonon_trace(p)
+        second = np.abs(np.diff(trace.n_phonon, 2)).max() / 8.0 / trace.peak_value
+        assert self.read(trace) == pytest.approx(second, rel=1e-9)
+        assert self.read(swap.phonon_trace(scalar(p))) == pytest.approx(second, rel=1e-9)
+        assert second == pytest.approx(3.50e-5, rel=1e-3)
+
+
+#: the forms of v_b in ``levicav.swap`` that both routes evaluate
+FORMS = ("_damped_sine", "_real_convolution", "_underdamped", "_overdamped", "_series", "_tail")
+
+
+class TestOneSource:
+    """Each closed form of v_b is written once and serves both routes."""
+
+    def test_each_form_serves_both_routes(self, monkeypatch):
+        served = {}
+
+        def wrap(name, form):
+            def wrapped(route, *args):
+                served.setdefault(name, set()).add("scalar" if route is swap.SCALAR else "numpy")
+                return form(route, *args)
+            return wrapped
+
+        for name in FORMS:
+            monkeypatch.setattr(swap, name, wrap(name, getattr(swap, name)))
+        d = 0.5  # (kappa - gamma)/2 at gamma = 0
+        branches = {
+            "underdamped": (PulseProtocol.standard(g=1.0, kappa=1.0),
+                            {"_underdamped", "_damped_sine", "_tail"}),
+            "overdamped": (PulseProtocol.standard(g=0.2, kappa=1.0),
+                           {"_overdamped", "_real_convolution", "_tail"}),
+            # nu = 0.1 d: the series over 953 window times, the closed form over 546
+            "series": (PulseProtocol.standard(g=d * math.sqrt(0.99), kappa=1.0,
+                                              sigma_over_kappa=1.0),
+                       {"_series", "_overdamped", "_real_convolution", "_tail"}),
+            "kick": (PulseProtocol.standard(g=1.0, kappa=1.0, sigma_over_kappa=1e17),
+                     {"_tail", "_damped_sine"})}
+        for branch, (p, forms) in branches.items():
+            for kind, route, protocol in (("numpy", phonon_trace, p),
+                                          ("scalar", swap.phonon_trace, scalar(p))):
+                served.clear()
+                route(protocol)
+                assert served == {name: {kind} for name in forms}, (branch, kind, served)
+        assert set().union(*(forms for _, forms in branches.values())) == set(FORMS)
