@@ -29,9 +29,9 @@ reads u_a, on the complex form's rounding; the trace reads v_b = i u_b, in
 real arithmetic: Faddeeva's w on one vertical line, as w(-conj z) =
 conj w(z), and one damped sinusoid past the window.
 This is the numpy route, for callers that trace many protocols in one
-process. Its v_b is ``levicav.swap.vb_values`` on numpy arrays: the forms
-of v_b, like the rules (window, series rule, grid, checks), are written
-once there, for this route and the scalar route that ``levicav trace`` runs.
+process. Its records and its v_b (``levicav.swap.vb_values`` on numpy arrays),
+like the rules (window, series rule, grid, checks), are written once there, for
+this route and the scalar route that ``levicav trace`` runs, on either grid type.
 A direct quadrature of the Green's function against the input, one
 Gauss-Legendre sum squared as one photon's correlation is a product, is
 an independent route to the same quantity; the time-stepped second-moment
@@ -46,15 +46,14 @@ import math
 import operator
 import sys
 import types
-import weakref
 
 import numpy as np
 
 from .errors import NoSwapError, NumericalError, ValidationError
 from .records import record
-from .swap import (SCALAR, SERIES_TERMS, ProtocolRules, Route, check_trace, grid_error,
-                   interp_error, not_finite, pulse_window, range_error, series_span,
-                   uniform_grid, vb_values, window)
+from .swap import (_CHECKED_GRIDS, SCALAR, SERIES_TERMS, PhononTrace, PulseProtocol, Route,
+                   check_trace, grid_error, interp_error, not_finite, pulse_window, range_error,
+                   series_span, uniform_grid, vb_values, window)
 
 __all__ = [
     "PulseProtocol",
@@ -71,75 +70,17 @@ __all__ = [
 ]
 
 
-@record
-class PulseProtocol(ProtocolRules):
-    """Rates, pulse shape, and time grid for one protocol run.
-
-    ``omega_t`` is optional bookkeeping, set when the protocol is
-    assembled from a trapped-object scenario; the rotating-wave step
-    behind these equations needs omega_t >> g, which ``rwa_valid``
-    records (None when the trap frequency is unknown). The checks and the
-    flag are ``levicav.swap.ProtocolRules``', shared with the CLI's
-    ``SwapProtocol``.
-    """
-
-    g: float        # rad/s
-    kappa: float    # rad/s
-    gamma: float    # rad/s
-    sigma: float    # rad/s, 1/e amplitude half-width of the spectrum
-    delay_L: float  # s, pulse-center arrival time
-    t_grid: np.ndarray  # s, strictly increasing
-    omega_t: float | None = None  # rad/s, trap frequency if known
-
-    def __post_init__(self) -> None:
-        self._check_rates()
-        if _CHECKED_GRIDS.get(id(self.t_grid)) is not self.t_grid:
-            grid = np.asarray(self.t_grid, dtype=float)
-            error = _grid_error(grid)
-            if error:
-                raise ValidationError(error)
-            object.__setattr__(self, "t_grid", grid)
-
-    @classmethod
-    def standard(cls, g: float, kappa: float, gamma: float = 0.0,
-                 sigma_over_kappa: float = 5.6, delay_kappa: float = 5.0,
-                 t_max_kappa: float = 20.0, n_points: int = 2000) -> "PulseProtocol":
-        """Default grid t in [0, t_max/kappa] with the usual pulse settings."""
-        return cls(g=g, kappa=kappa, gamma=gamma, sigma=sigma_over_kappa * kappa,
-                   delay_L=delay_kappa / kappa, t_grid=_uniform_grid(t_max_kappa / kappa, n_points))
-
-
-#: the grids ``_uniform_grid`` built and found valid, by id, held weakly: a
-#: protocol on one of them skips the two full-grid scans of ``_grid_error``
-_CHECKED_GRIDS = weakref.WeakValueDictionary()
-
-
-def _grid_error(grid: np.ndarray) -> str | None:
-    """Why ``grid`` cannot be a protocol's time grid, or None (``swap.grid_error``)."""
-    return grid_error(grid.tolist() if grid.ndim == 1 else None)
-
-
 @functools.lru_cache(maxsize=8)
 def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
     """``swap.uniform_grid``, np.linspace(0, t_max, n_points) bit for bit, shared
-    read-only between protocols and checked once, here; an invalid one is left to
-    raise in every protocol."""
+    read-only between protocols and checked once, here, into ``swap._CHECKED_GRIDS``;
+    an invalid one is left to raise in every protocol."""
     times = uniform_grid(t_max, n_points)
     grid = np.array(times)
     grid.flags.writeable = False
     if grid_error(times) is None:
         _CHECKED_GRIDS[id(grid)] = grid
     return grid
-
-
-@record
-class PhononTrace:
-    """Phonon expectation over the time grid, with its grid maximum."""
-
-    times: np.ndarray     # s
-    n_phonon: np.ndarray  # <b^dag b>(t)
-    peak_time: float      # s, grid argmax
-    peak_value: float     # max over the grid
 
 
 @record
@@ -470,22 +411,23 @@ def _finite(quantity: str, compute, scan: bool = True) -> np.ndarray:
 
 
 def phonon_trace(p: PulseProtocol) -> PhononTrace:
-    """<b^dag b>(t) on the protocol grid for the single-photon input.
+    """<b^dag b>(t) on the protocol grid, read as an array, for the single-photon input.
 
     Raises NumericalError when the trace cannot be formed in floating
     point, is not finite or has underflowed, and GridError when the grid is
     too coarse to sample it (``swap.check_trace``, which the CLI's scalar
     route shares).
     """
+    t = np.asarray(p.t_grid, dtype=float)
+
     def n_phonon():
         # PulseProtocol proved t_grid finite and increasing: no sort to undo
-        n = _sorted_vb(p, p.t_grid)
+        n = _sorted_vb(p, t)
         n *= n
         n *= 2.0 * p.kappa
         return n
 
     def error():
-        t = p.t_grid
         if _CHECKED_GRIDS.get(id(t)) is t:  # one step, t_max/(n-1): |n0 - 2 n1 + n2|/8
             step = n[1:] - n[:-1]  # np.diff(n, 2) without its call overhead
             return float(np.abs(step[1:] - step[:-1]).max()) / 8.0
@@ -496,8 +438,7 @@ def phonon_trace(p: PulseProtocol) -> PhononTrace:
     i = int(n.argmax())  # n >= 0: the first NaN or inf, if any
     peak = float(n[i])
     check_trace(p, peak, error)
-    return PhononTrace(times=p.t_grid, n_phonon=n,
-                       peak_time=float(p.t_grid[i]), peak_value=peak)
+    return PhononTrace(times=t, n_phonon=n, peak_time=float(t[i]), peak_value=peak)
 
 
 @functools.lru_cache(maxsize=8)
@@ -554,19 +495,19 @@ def output_field_envelope(p: PulseProtocol, times: np.ndarray) -> np.ndarray:
 
 
 def refined_peak(trace: PhononTrace) -> tuple[float, float]:
-    """(t*, n(t*)): the vertex of the parabola through the grid argmax and
-    its neighbours; the grid point itself at either end of the grid.
+    """(t*, n(t*)) of either route's trace: the vertex of the parabola through
+    the grid argmax and its neighbours; the grid point itself at either end.
 
     A flat all-zero trace has no swap and raises NoSwapError.
     """
-    n = trace.n_phonon
+    n = np.asarray(trace.n_phonon)
     i = int(n.argmax())
     if trace.peak_value <= 0.0 or not n[i] > 0.0:
         raise NoSwapError("phonon trace is identically zero: no swap occurs")
     if i == 0 or i == n.size - 1:
         return float(trace.times[i]), float(n[i])
     # Python floats: the IEEE operations of numpy's scalars, without their overhead
-    t0, t1, t2 = trace.times[i - 1: i + 2].tolist()
+    t0, t1, t2 = np.asarray(trace.times[i - 1: i + 2]).tolist()
     y0, y1, y2 = n[i - 1: i + 2].tolist()
     denom = (y0 - 2.0 * y1 + y2)
     if denom == 0.0:

@@ -44,8 +44,7 @@ from .sphere import (DielectricObject, DriveConfig, OptomechParams, TweezerConfi
                      sphere_linear_coupling, tweezer_trap_frequency)
 
 if TYPE_CHECKING:
-    from .pulse import PulseProtocol
-    from .swap import SwapProtocol
+    from .swap import PulseProtocol
 
 __all__ = [
     "SelfTrapSpec",
@@ -455,19 +454,19 @@ def sweep(s: Scenario, axis: str, values: list) -> list[FeasibilityReport]:
 
 def build_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> PulseProtocol:
     """PulseProtocol for a scenario: g from the pipeline unless overridden."""
-    from .pulse import PulseProtocol, _uniform_grid  # numpy loads with the first protocol
-    return _protocol(PulseProtocol, _uniform_grid, s, report)
+    from .pulse import _uniform_grid  # numpy loads with the first protocol
+    return _protocol(_uniform_grid, s, report)
 
 
-def build_swap_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> SwapProtocol:
-    """``build_protocol``'s protocol as a numpy-free ``SwapProtocol``, for the
-    scalar trace route of ``levicav trace``."""
-    from .swap import SwapProtocol, uniform_grid
-    return _protocol(SwapProtocol, uniform_grid, s, report)
+def build_swap_protocol(s: Scenario, report: Optional[FeasibilityReport] = None) -> PulseProtocol:
+    """``build_protocol``'s protocol on a tuple grid, numpy-free, for ``levicav trace``."""
+    from .swap import uniform_grid
+    return _protocol(uniform_grid, s, report)
 
 
-def _protocol(cls, grid, s: Scenario, report: Optional[FeasibilityReport]):
-    """A ``cls`` protocol on ``grid(t_max, n_points)`` for a scenario."""
+def _protocol(grid, s: Scenario, report: Optional[FeasibilityReport]) -> PulseProtocol:
+    """A protocol on ``grid(t_max, n_points)`` for a scenario."""
+    from .swap import PulseProtocol
     if report is None:
         report = evaluate_scenario(s)
     kappa = report.cavity.kappa
@@ -478,9 +477,9 @@ def _protocol(cls, grid, s: Scenario, report: Optional[FeasibilityReport]):
         gamma = p.gamma_per_s
     else:
         gamma = report.decoherence.gamma if report.decoherence is not None else 0.0
-    return cls(g=g, kappa=kappa, gamma=gamma, sigma=_rate(p, "sigma_over_kappa", kappa),
-               delay_L=p.delay_kappa / kappa, t_grid=grid(p.t_max_kappa / kappa, p.n_points),
-               omega_t=report.optomech.omega_t)
+    return PulseProtocol(g=g, kappa=kappa, gamma=gamma, sigma=_rate(p, "sigma_over_kappa", kappa),
+                         delay_L=p.delay_kappa / kappa, omega_t=report.optomech.omega_t,
+                         t_grid=grid(p.t_max_kappa / kappa, p.n_points))
 
 
 def _rate(p: ProtocolSettings, key: str, kappa: float) -> float:

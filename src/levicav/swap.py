@@ -1,14 +1,15 @@
-"""The swap protocol's rules and forms, and its phonon trace without numpy.
+"""The swap protocol's records, rules and forms, and its phonon trace without numpy.
 
 ``levicav.pulse`` traces on numpy arrays, for callers that trace many
 protocols in one process, such as a swap map. A ``levicav trace`` process
 traces once, and importing numpy would cost it more than the trace, so the
 CLI takes the scalar route here, one grid time at a time in Python floats.
-Both routes take from here every rule they follow (the rate checks of a
-protocol, the uniform grid and its check, the pulse window and kick, the
-series rule and its K, the checks of a trace) and every form of v_b = i u_b,
-each written once as a function of a time that is a float or an array and
-of a ``Route``'s named functions; ``vb_values`` forms v_b on either route.
+Both routes take from here their records (``PulseProtocol``, on an array
+or a tuple grid, and ``PhononTrace``), every rule they follow (the rate
+checks, the uniform grid and its check, the pulse window and kick, the
+series rule and its K, the checks of a trace) and every form of v_b =
+i u_b, each a function of a time that is a float or an array and of a
+``Route``'s named functions, which ``vb_values`` runs on either route.
 
 Faddeeva's w(z) = e^{-z^2} erfc(-iz) is Weideman's rational approximation
 (SIAM J. Numer. Anal. 31, 1497, 1994) with N = 48 terms,
@@ -27,24 +28,41 @@ import bisect
 import cmath
 import math
 import operator
+import weakref
 from itertools import islice
 from types import SimpleNamespace
 
 from .errors import GridError, NumericalError, ValidationError
 from .records import record
 
-__all__ = ["SwapProtocol", "SwapTrace", "phonon_trace", "faddeeva", "erfcx"]
+__all__ = ["PulseProtocol", "PhononTrace", "phonon_trace", "faddeeva", "erfcx"]
 
 
-class ProtocolRules:
-    """The checks and the rotating-wave flag of a protocol of either route:
-    ``levicav.pulse.PulseProtocol``, whose grid is a numpy array, and
-    ``SwapProtocol``, whose grid is a tuple, with the same fields."""
+#: the grids ``levicav.pulse._uniform_grid`` built and found valid, by id, held
+#: weakly: a protocol on one of them skips the two full-grid scans of ``grid_error``
+_CHECKED_GRIDS = weakref.WeakValueDictionary()
+
+
+@record
+class PulseProtocol:
+    """Rates, pulse shape, and time grid for one protocol run on either route:
+    an array grid (with ``__array__``) as ``np.asarray(t_grid, dtype=float)``,
+    any other as a tuple of floats. ``omega_t``, the trap frequency, is set
+    from a trapped-object scenario; the rotating-wave step needs omega_t >> g,
+    which ``rwa_valid`` records (None when omega_t is unknown)."""
 
     #: factor defining "much greater" for the rotating-wave check
     RWA_FACTOR = 10.0
 
-    def _check_rates(self) -> None:
+    g: float        # rad/s
+    kappa: float    # rad/s
+    gamma: float    # rad/s
+    sigma: float    # rad/s, 1/e amplitude half-width of the spectrum
+    delay_L: float  # s, pulse-center arrival time
+    t_grid: np.ndarray  # s, strictly increasing, array or tuple; the annotation hides it in repr
+    omega_t: float | None = None  # rad/s, trap frequency if known
+
+    def __post_init__(self) -> None:
         for name in ("g", "kappa", "gamma", "sigma", "delay_L"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
@@ -56,6 +74,31 @@ class ProtocolRules:
                 raise ValidationError(f"{name} must be positive")
         if self.omega_t is not None and not (math.isfinite(self.omega_t) and self.omega_t > 0.0):
             raise ValidationError("omega_t must be finite and positive")
+        grid = self.t_grid
+        if _CHECKED_GRIDS.get(id(grid)) is grid:
+            return
+        if hasattr(grid, "__array__"):
+            import numpy as np
+            grid = np.asarray(grid, dtype=float)
+            error = grid_error(grid.tolist() if grid.ndim == 1 else None)
+        else:
+            try:
+                grid = tuple(map(float, grid))
+            except TypeError:  # a number, or a sequence of sequences: not 1-D
+                grid = None
+            error = grid_error(grid)
+        if error:
+            raise ValidationError(error)
+        object.__setattr__(self, "t_grid", grid)
+
+    @classmethod
+    def standard(cls, g: float, kappa: float, gamma: float = 0.0,
+                 sigma_over_kappa: float = 5.6, delay_kappa: float = 5.0,
+                 t_max_kappa: float = 20.0, n_points: int = 2000) -> "PulseProtocol":
+        """A ``pulse._uniform_grid`` grid t in [0, t_max/kappa], the usual pulse settings."""
+        from .pulse import _uniform_grid
+        return cls(g=g, kappa=kappa, gamma=gamma, sigma=sigma_over_kappa * kappa,
+                   delay_L=delay_kappa / kappa, t_grid=_uniform_grid(t_max_kappa / kappa, n_points))
 
     @property
     def rwa_valid(self):
@@ -68,35 +111,14 @@ class ProtocolRules:
 
 
 @record
-class SwapProtocol(ProtocolRules):
-    """``PulseProtocol``'s rates and grid for the scalar route, the grid a
-    tuple of floats."""
+class PhononTrace:
+    """Phonon expectation over the time grid, with its grid maximum: arrays on
+    the numpy route, tuples of floats on the scalar route."""
 
-    g: float        # rad/s
-    kappa: float    # rad/s
-    gamma: float    # rad/s
-    sigma: float    # rad/s, 1/e amplitude half-width of the spectrum
-    delay_L: float  # s, pulse-center arrival time
-    t_grid: tuple   # s, strictly increasing
-    omega_t: float | None = None  # rad/s, trap frequency if known
-
-    def __post_init__(self) -> None:
-        self._check_rates()
-        grid = tuple(map(float, self.t_grid))
-        error = grid_error(grid)
-        if error:
-            raise ValidationError(error)
-        object.__setattr__(self, "t_grid", grid)
-
-
-@record
-class SwapTrace:
-    """``PhononTrace``'s fields for the scalar route, as tuples."""
-
-    times: tuple     # s
-    n_phonon: tuple  # <b^dag b>(t)
-    peak_time: float  # s, grid argmax
-    peak_value: float  # max over the grid
+    times: np.ndarray     # s
+    n_phonon: np.ndarray  # <b^dag b>(t)
+    peak_time: float      # s, grid argmax
+    peak_value: float     # max over the grid
 
 
 def uniform_grid(t_max: float, n_points: int) -> list:
@@ -497,12 +519,13 @@ def interp_error(n0, n1, n2, t0, t1, t2, maximum=max):
     return abs((n2 - n1) * a - (n1 - n0) * b) / (a * b * (a + b)) / 4.0
 
 
-def phonon_trace(p: SwapProtocol) -> SwapTrace:
+def phonon_trace(p: PulseProtocol) -> PhononTrace:
     """``levicav.pulse.phonon_trace`` on the scalar route: <b^dag b> = 2 kappa
-    v_b^2 at each grid time, with the same checks and errors."""
+    v_b^2 at each grid time, read as floats, with the same checks and errors."""
+    t = p.t_grid if isinstance(p.t_grid, tuple) else tuple(p.t_grid.tolist())
     two_kappa = 2.0 * p.kappa
     try:
-        n = [v * v * two_kappa for v in vb_values(p, p.t_grid)]
+        n = [v * v * two_kappa for v in vb_values(p, t)]
     except (OverflowError, ZeroDivisionError, ValueError) as exc:  # math's range and domain
         raise range_error("phonon trace", exc) from exc
     # a NaN anywhere is the peak, as numpy's argmax reads it; max skips one
@@ -510,7 +533,13 @@ def phonon_trace(p: SwapProtocol) -> SwapTrace:
     peak = max(n)
     if not math.isfinite(sum(n)) and any(map(math.isnan, n)):
         peak = math.nan
-    t = p.t_grid
-    check_trace(p, peak, lambda: max(map(interp_error, n, islice(n, 1, None), islice(n, 2, None),
-                                         t, islice(t, 1, None), islice(t, 2, None))))
-    return SwapTrace(times=t, n_phonon=tuple(n), peak_time=t[n.index(peak)], peak_value=peak)
+
+    def error():
+        if uniform_grid(t[-1], len(t)) != list(t):
+            return max(map(interp_error, n, islice(n, 1, None), islice(n, 2, None),
+                           t, islice(t, 1, None), islice(t, 2, None)))
+        step = list(map(operator.sub, islice(n, 1, None), n))  # one step: |n0 - 2 n1 + n2|/8
+        second = list(map(operator.sub, islice(step, 1, None), step))
+        return max(max(second), -min(second)) / 8.0
+    check_trace(p, peak, error)
+    return PhononTrace(times=t, n_phonon=tuple(n), peak_time=t[n.index(peak)], peak_value=peak)

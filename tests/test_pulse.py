@@ -18,6 +18,7 @@ from levicav.pulse import (PhononTrace, PulseProtocol, amplification_envelope,
                            phonon_expectation_direct, phonon_trace, pulse_envelope,
                            refined_peak)
 from levicav.presets import PRESET_NAMES
+from levicav.records import replace
 from levicav.scenario import build_protocol, preset_scenario_dict, scenario_from_dict
 from oracles import cavity_population, phonon_expectation_moments, trace_shadow
 
@@ -176,8 +177,8 @@ class TestGridCheck:
 
     def test_shared_grid_scanned_once(self, monkeypatch):
         grid, scanned = pulse._uniform_grid(20.0 / KAPPA, 2000), []
-        error = pulse._grid_error
-        monkeypatch.setattr(pulse, "_grid_error", lambda g: scanned.append(g) or error(g))
+        error = swap.grid_error
+        monkeypatch.setattr(swap, "grid_error", lambda g: scanned.append(g) or error(g))
         assert self.protocol(grid).t_grid is grid and scanned == []
         copy = grid.copy()
         copy.flags.writeable = False
@@ -582,21 +583,23 @@ def cached_shadow(p, idx):
     return _SHADOWS[key]
 
 
-def scalar_protocol(p):
-    """The protocol as the scalar route's ``levicav.swap.SwapProtocol``."""
-    return swap.SwapProtocol(g=p.g, kappa=p.kappa, gamma=p.gamma, sigma=p.sigma,
-                             delay_L=p.delay_L, t_grid=p.t_grid.tolist(), omega_t=p.omega_t)
+def tuple_twin(p):
+    """``p`` on its grid's floats as a tuple, the grid ``levicav trace`` builds."""
+    return replace(p, t_grid=tuple(p.t_grid.tolist()))
 
 
 class TestTraceShadow:
     """The phonon trace against the 40-digit closed form of ``trace_shadow``
     (``tests/oracles.py``) at every 20th grid point, the argmax and its
     neighbours: each printed ``.6g`` value correctly rounded, and the error
-    at most 1e-14 of the peak."""
+    at most 1e-14 of the peak. The trace of the protocol's tuple twin is the
+    same, bit for bit."""
 
     @staticmethod
     def trace(p):
-        return phonon_trace(p).n_phonon
+        n = phonon_trace(p).n_phonon
+        assert np.array_equal(phonon_trace(tuple_twin(p)).n_phonon, n)
+        return n
 
     @staticmethod
     def vb(p):
@@ -652,15 +655,18 @@ class TestTraceShadow:
 
 class TestScalarTraceShadow(TestTraceShadow):
     """The scalar route of ``levicav.swap``, which ``levicav trace`` runs, at
-    every protocol and bound of ``TestTraceShadow``."""
+    every protocol and bound of ``TestTraceShadow``: on the same protocols,
+    and on their tuple twins bit for bit."""
 
     @staticmethod
     def trace(p):
-        return np.array(swap.phonon_trace(scalar_protocol(p)).n_phonon)
+        n = swap.phonon_trace(p).n_phonon
+        assert swap.phonon_trace(tuple_twin(p)).n_phonon == n
+        return np.array(n)
 
     @staticmethod
     def vb(p):
-        return np.array(swap.vb_values(scalar_protocol(p), p.t_grid.tolist()))
+        return np.array(swap.vb_values(p, p.t_grid.tolist()))
 
 
 #: u_a's critical-coupling series, on the np.power rounding the output field
@@ -1266,6 +1272,21 @@ class TestRefinedPeakBits:
                          sigma_over_kappa=rng.uniform(1.0, 10.0),
                          delay_kappa=rng.uniform(3.0, 8.0), n_points=int(rng.integers(2000, 4000)))
             self.assert_pinned(phonon_trace(p))
+
+    def test_scalar_route_trace(self):
+        # the scalar route's trace holds tuples; its vertex is that of the
+        # same values as arrays, bit for bit: the presets, plain and with the
+        # gate's overrides, an underdamped and an overdamped trace, and one
+        # whose grid ends before the peak, where the vertex is the last point
+        from test_swap import preset_protocols
+        ends = [standard(1.0), standard(0.2), standard(1.0, t_max_kappa=5.0)]
+        for p in [*preset_protocols(), *ends]:
+            trace = swap.phonon_trace(p)
+            arrays = PhononTrace(np.array(trace.times), np.array(trace.n_phonon),
+                                 trace.peak_time, trace.peak_value)
+            got = refined_peak(trace)
+            assert struct.pack("2d", *got) == struct.pack("2d", *self.assert_pinned(arrays))
+        assert got == (trace.times[-1], trace.n_phonon[-1])
 
     def test_ends_and_flat_top(self):
         rng = np.random.default_rng(31)

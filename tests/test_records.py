@@ -106,11 +106,11 @@ def outcome(call):
 
 def test_records_found():
     # at least the 24 records of constants, cavity, sphere, rod, environment,
-    # scenario and pulse
+    # scenario, pulse and swap
     assert len(RECORDS) >= 24
     assert {cls.__module__ for cls in RECORDS} >= {
         f"levicav.{name}" for name in ("constants", "cavity", "sphere", "rod",
-                                       "environment", "scenario", "pulse")}
+                                       "environment", "scenario", "pulse", "swap")}
 
 
 @by_record
@@ -162,9 +162,15 @@ def test_repr(cls):
 
 
 def test_repr_hides_arrays():
-    assert "t_grid" not in repr(sample(pulse.PulseProtocol))
-    text = repr(sample(pulse.PhononTrace))
-    assert text.startswith("PhononTrace(peak_time=") and "times" not in text
+    # the grid and the samples, as arrays or as the scalar route's tuples
+    s = scenario.scenario_from_dict(scenario.preset_scenario_dict("sphere-appendix-h"))
+    for protocol in (scenario.build_protocol(s), scenario.build_swap_protocol(s)):
+        text = repr(protocol)
+        assert "t_grid" not in text and len(text) < 300
+        for trace in (pulse.phonon_trace(protocol), swap.phonon_trace(protocol)):
+            text = repr(trace)
+            assert text.startswith("PhononTrace(peak_time=") and "times" not in text
+            assert "n_phonon" not in text and len(text) < 100
 
 
 @by_record

@@ -5,6 +5,8 @@ against 40-digit references; the route's 40-digit trace shadow is
 
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from levicav.presets import PRESET_NAMES
 from levicav.pulse import PhononTrace, PulseProtocol, phonon_trace
 from levicav.scenario import build_protocol, preset_scenario_dict, scenario_from_dict
 from test_cli import GATE_TRACE_ARGS as TRACE_ARGS
-from test_pulse import scalar_protocol as scalar
+from test_pulse import tuple_twin
 
 KAPPA = 1.177e6
 
@@ -60,8 +62,7 @@ def evaluated_arguments(monkeypatch):
     monkeypatch.setattr(swap, "faddeeva", lambda z: seen[0].append(z) or faddeeva(z))
     monkeypatch.setattr(swap, "erfcx", lambda y: seen[1].append(y) or erfcx(y))
     for p in (*preset_protocols(), *window_protocols()):
-        sp = scalar(p)
-        swap.vb_values(sp, sp.t_grid)
+        swap.vb_values(p, p.t_grid.tolist())
     monkeypatch.undo()
     return seen
 
@@ -138,26 +139,47 @@ class TestSharedRules:
     def test_uniform_grid_is_linspace(self, t_max, n_points):
         times = swap.uniform_grid(t_max, n_points)
         want = np.linspace(0.0, t_max, n_points)
-        assert swap.grid_error(times) is pulse._grid_error(want)
+        assert swap.grid_error(times) is swap.grid_error(want.tolist())
         if swap.grid_error(times) is None:
             assert np.array_equal(np.array(times), want)
             assert np.array_equal(pulse._uniform_grid(t_max, n_points), want)
 
-    def test_records_keep_the_field_names(self):
-        assert swap.SwapProtocol._record_fields == PulseProtocol._record_fields
-        assert swap.SwapTrace._record_fields == PhononTrace._record_fields
+    def test_one_record_set(self):
+        # both routes' records are defined once, in levicav.swap
+        assert swap.PulseProtocol is pulse.PulseProtocol is PulseProtocol
+        assert swap.PhononTrace is pulse.PhononTrace is PhononTrace
 
     @pytest.mark.parametrize("change", [
         dict(g=math.nan), dict(kappa=0.0), dict(gamma=-1.0), dict(sigma=math.inf),
         dict(delay_L=-math.inf), dict(omega_t=0.0), dict(t_grid=[0.0, 1.0]),
-        dict(t_grid=[0.0, 2.0, 1.0]), dict(t_grid=[0.0, math.nan, 1.0])])
+        dict(t_grid=[0.0, 2.0, 1.0]), dict(t_grid=[0.0, math.nan, 1.0]),
+        dict(t_grid=[[0.0], [1e-6], [2e-6]]), dict(t_grid=[[0.0, 1e-6], [2e-6, 3e-6]])])
     def test_protocol_checks(self, change):
         fields = dict(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=5.6 * KAPPA, delay_L=5.0 / KAPPA,
                       t_grid=[0.0, 1e-6, 2e-6, 3e-6], omega_t=None) | change
-        with pytest.raises(ValidationError) as numpy_route:
+        with pytest.raises(ValidationError) as on_array:
             PulseProtocol(**fields | {"t_grid": np.array(fields["t_grid"])})
-        with pytest.raises(ValidationError, match=f"^{numpy_route.value}$"):
-            swap.SwapProtocol(**fields)
+        for grid in (fields["t_grid"], tuple(fields["t_grid"])):
+            with pytest.raises(ValidationError, match=f"^{on_array.value}$"):
+                PulseProtocol(**fields | {"t_grid": grid})
+
+    @pytest.mark.parametrize("grid", [1.0, np.float64(1.0)], ids=["float", "numpy-float"])
+    def test_grid_a_number(self, grid):
+        with pytest.raises(ValidationError, match="^t_grid must be a strictly increasing 1-D"):
+            PulseProtocol(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=KAPPA, delay_L=0.0, t_grid=grid)
+
+    def test_grid_kept_by_type(self):
+        # an array as np.asarray(grid, dtype=float) gives it, the same object
+        # where it is one already; any other sequence as a tuple of floats
+        fields = dict(g=KAPPA, kappa=KAPPA, gamma=0.0, sigma=KAPPA, delay_L=0.0)
+        grid = np.linspace(0.0, 1e-5, 50)
+        assert PulseProtocol(**fields, t_grid=grid).t_grid is grid
+        kept = PulseProtocol(**fields, t_grid=np.arange(5)).t_grid
+        assert kept.dtype == float and kept.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        for given in (grid.tolist(), tuple(grid.tolist()), range(5)):
+            kept = PulseProtocol(**fields, t_grid=given).t_grid
+            assert type(kept) is tuple and kept == tuple(map(float, given))
+            assert all(type(t) is float for t in kept)
 
 
 KINDS = ("underdamped", "overdamped", "critical", "near-critical", "cut at t = 0",
@@ -203,7 +225,8 @@ def seeded_protocol(rng, kind):
 
 
 class TestAgainstNumpyRoute:
-    """The scalar route gives the numpy route's trace, and its errors."""
+    """The scalar route gives the numpy route's trace, and its errors, on the
+    same protocol, whose grid is an array or its tuple twin."""
 
     def test_seeded_protocols(self):
         # 2100 protocols, 300 of each kind. At sigma below kappa the routes
@@ -211,17 +234,18 @@ class TestAgainstNumpyRoute:
         # puts the numpy route 1e-14 to 2e-14 off the 40-digit closed form
         # (test_small_sigma_underdamped), and by up to 3e-13 on the
         # critical-coupling series, whose recurrence amplifies the last bits
-        # of J_0 on either route (LONG_SERIES_BOUND in tests/test_pulse.py)
+        # of J_0 on either route (LONG_SERIES_BOUND in tests/test_pulse.py).
+        # Every other protocol is the tuple twin of the one drawn.
         rng, traced, failed = random.Random(30), [], {}
         for i in range(2100):
             kind = KINDS[i % len(KINDS)]
             p = seeded_protocol(rng, kind)
-            sp = scalar(p)
-            vb, vb_scalar = outcome(pulse._sorted_vb, p, p.t_grid), outcome(
-                swap.vb_values, sp, sp.t_grid)
+            p = tuple_twin(p) if i % 2 else p
+            t = np.asarray(p.t_grid)
+            vb, vb_scalar = outcome(pulse._sorted_vb, p, t), outcome(swap.vb_values, p, t.tolist())
             n, n_scalar = (2.0 * p.kappa * np.asarray(v) ** 2 for v in (vb, vb_scalar))
             assert np.abs(n_scalar - n).max() <= 1e-14 * n.max(), (kind, p)
-            trace, trace_scalar = outcome(phonon_trace, p), outcome(swap.phonon_trace, sp)
+            trace, trace_scalar = outcome(phonon_trace, p), outcome(swap.phonon_trace, p)
             if isinstance(trace, Exception):
                 assert type(trace_scalar) is type(trace), (kind, p, trace, trace_scalar)
                 failed[type(trace).__name__] = failed.get(type(trace).__name__, 0) + 1
@@ -229,10 +253,12 @@ class TestAgainstNumpyRoute:
             assert trace_scalar.times == tuple(trace.times.tolist())
             assert np.abs(np.array(trace_scalar.n_phonon) - trace.n_phonon).max() \
                 <= 1e-14 * trace.peak_value
-            steps = np.diff(p.t_grid)
-            traced.append(steps.max() > 2.0 * steps.min())
-        # two-step grids among them, which the grid check reads by their larger step
-        assert len(traced) >= 500 and sum(traced) >= 100 and failed.get("GridError", 0) >= 500
+            steps = np.diff(t)
+            traced.append((steps.max() > 2.0 * steps.min(), i % 2))
+        # two-step grids among them, which the grid check reads by their larger
+        # step, and tuple grids
+        assert len(traced) >= 500 and failed.get("GridError", 0) >= 500
+        assert sum(two for two, _ in traced) >= 100 and sum(twin for _, twin in traced) >= 250
 
     def test_small_sigma_underdamped(self):
         # where the routes part: the scalar route stays within 1e-14 of the
@@ -245,7 +271,7 @@ class TestAgainstNumpyRoute:
             p = PulseProtocol.standard(g=g * KAPPA, kappa=KAPPA, sigma_over_kappa=sigma,
                                        delay_kappa=5.0 + 10.0 / sigma, t_max_kappa=80.0,
                                        n_points=400)
-            n = 2.0 * p.kappa * np.array(swap.vb_values(scalar(p), p.t_grid.tolist())) ** 2
+            n = 2.0 * p.kappa * np.array(swap.vb_values(p, p.t_grid.tolist())) ** 2
             idx = shadow_points(n)
             _, vb = trace_shadow(p, p.t_grid[idx])
             with mp.workdps(40):
@@ -255,27 +281,53 @@ class TestAgainstNumpyRoute:
     def test_presets_bit_for_bit_grid_and_csv(self):
         from levicav.cli import _trace_csv
         for p in preset_protocols():
-            trace, trace_scalar = phonon_trace(p), swap.phonon_trace(scalar(p))
-            assert _trace_csv(trace_scalar.times, p.kappa, trace_scalar.n_phonon) == \
-                _trace_csv(trace.times, p.kappa, trace.n_phonon)
-            assert trace_scalar.peak_time == trace.peak_time
+            csvs, peaks = set(), set()
+            for q in (p, tuple_twin(p)):
+                for trace in (phonon_trace(q), swap.phonon_trace(q)):
+                    csvs.add(_trace_csv(trace.times, p.kappa, trace.n_phonon))
+                    peaks.add(trace.peak_time)
+            assert len(csvs) == len(peaks) == 1
+
+    def test_grid_estimates_agree(self, monkeypatch):
+        # on the presets' uniform grids: the numpy route reads |n0 - 2 n1 + n2|/8
+        # on a grid _uniform_grid built and the general form on its tuple twin,
+        # the scalar route |n0 - 2 n1 + n2|/8 on both, each grid being one that
+        # uniform_grid builds; all of them within 1e-9 of one another
+        check, read = swap.check_trace, []
+
+        def spy(p, peak, error):
+            read.append(error())
+            return check(p, peak, error)
+
+        monkeypatch.setattr(swap, "check_trace", spy)
+        monkeypatch.setattr(pulse, "check_trace", spy)
+        for p in preset_protocols():
+            trace = swap.phonon_trace(p)
+            n, t = trace.n_phonon, trace.times
+            general = max(map(swap.interp_error, n, n[1:], n[2:], t, t[1:], t[2:]))
+            read.clear()
+            for q in (p, tuple_twin(p)):
+                phonon_trace(q), swap.phonon_trace(q)
+            assert len(read) == 4 and read[1] == read[3]
+            assert read == pytest.approx([general] * 4, rel=1e-9)
 
     def test_underflowed_trace(self):
         # g = 1e-300 kappa: every sample underflows to 0 on a grid 18 times
         # finer than the pulse, a NumericalError, not a coarse grid
-        for route, protocol in ((phonon_trace, lambda p: p), (swap.phonon_trace, scalar)):
-            p = protocol(PulseProtocol.standard(g=1e-300 * KAPPA, kappa=KAPPA))
-            with pytest.raises(NumericalError, match="underflowed to 0") as raised:
-                route(p)
-            assert not isinstance(raised.value, GridError)
-            p = protocol(PulseProtocol.standard(g=KAPPA, kappa=KAPPA, t_max_kappa=1e308))
-            with pytest.raises(GridError, match="every sample is 0"):
-                route(p)
+        for route in (phonon_trace, swap.phonon_trace):
+            for grid in (lambda p: p, tuple_twin):
+                p = grid(PulseProtocol.standard(g=1e-300 * KAPPA, kappa=KAPPA))
+                with pytest.raises(NumericalError, match="underflowed to 0") as raised:
+                    route(p)
+                assert not isinstance(raised.value, GridError)
+                p = grid(PulseProtocol.standard(g=KAPPA, kappa=KAPPA, t_max_kappa=1e308))
+                with pytest.raises(GridError, match="every sample is 0"):
+                    route(p)
 
     def test_peak_above_one_is_a_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(swap, "vb_values", lambda p, t: [1.5] * len(t))
         with pytest.raises(NumericalError, match="exceeded 1") as raised:
-            swap.phonon_trace(scalar(PulseProtocol.standard(g=KAPPA, kappa=KAPPA)))
+            swap.phonon_trace(tuple_twin(PulseProtocol.standard(g=KAPPA, kappa=KAPPA)))
         assert not isinstance(raised.value, ValidationError)
 
     @pytest.mark.parametrize("bad", [{0: math.nan}, {700: math.nan}, {700: math.inf},
@@ -292,7 +344,7 @@ class TestAgainstNumpyRoute:
 
         monkeypatch.setattr(swap, "vb_values", spoiled)
         with pytest.raises(NumericalError, match="^phonon trace is not finite$"):
-            swap.phonon_trace(scalar(PulseProtocol.standard(g=KAPPA, kappa=KAPPA)))
+            swap.phonon_trace(tuple_twin(PulseProtocol.standard(g=KAPPA, kappa=KAPPA)))
 
 
 class TestTwoStepGrids:
@@ -318,14 +370,16 @@ class TestTwoStepGrids:
         # finer everywhere than the default 2000-point grid; the uniform second
         # difference read n' (h1 - h0) at the change of step: 3.1e-4 and 1.6e-4
         p = self.protocol(coarse, fine)
-        for route, protocol in ((phonon_trace, p), (swap.phonon_trace, scalar(p))):
-            assert self.read(route(protocol)) == pytest.approx(error, rel=0.01)
+        for route in (phonon_trace, swap.phonon_trace):
+            for protocol in (p, tuple_twin(p)):
+                assert self.read(route(protocol)) == pytest.approx(error, rel=0.01)
 
     def test_coarse_two_step_grid_reported(self):
         p = self.protocol(0.02, 0.005)  # reads 1.4e-4 of the peak
-        for route, protocol in ((phonon_trace, p), (swap.phonon_trace, scalar(p))):
-            with pytest.raises(GridError, match=r"interpolation error 6\.9\d\de-05 exceeds"):
-                route(protocol)
+        for route in (phonon_trace, swap.phonon_trace):
+            for protocol in (p, tuple_twin(p)):
+                with pytest.raises(GridError, match=r"interpolation error 6\.9\d\de-05 exceeds"):
+                    route(protocol)
 
     def test_uniform_grid_reads_the_second_difference(self):
         # 3.50e-5 of the peak on the default grid, as |n0 - 2 n1 + n2|/8 read it
@@ -333,7 +387,7 @@ class TestTwoStepGrids:
         trace = phonon_trace(p)
         second = np.abs(np.diff(trace.n_phonon, 2)).max() / 8.0 / trace.peak_value
         assert self.read(trace) == pytest.approx(second, rel=1e-9)
-        assert self.read(swap.phonon_trace(scalar(p))) == pytest.approx(second, rel=1e-9)
+        assert self.read(swap.phonon_trace(p)) == pytest.approx(second, rel=1e-9)
         assert second == pytest.approx(3.50e-5, rel=1e-3)
 
 
@@ -369,8 +423,28 @@ class TestOneSource:
                      {"_tail", "_damped_sine"})}
         for branch, (p, forms) in branches.items():
             for kind, route, protocol in (("numpy", phonon_trace, p),
-                                          ("scalar", swap.phonon_trace, scalar(p))):
+                                          ("scalar", swap.phonon_trace, tuple_twin(p))):
                 served.clear()
                 route(protocol)
                 assert served == {name: {kind} for name in forms}, (branch, kind, served)
         assert set().union(*(forms for _, forms in branches.values())) == set(FORMS)
+
+
+#: builds a protocol on a tuple grid and traces it on the scalar route, then
+#: prints the numpy and scipy modules loaded
+NO_NUMPY_PROBE = """
+import sys
+from levicav.swap import PulseProtocol, phonon_trace, uniform_grid
+p = PulseProtocol(g=1.0, kappa=1.0, gamma=0.0, sigma=5.6, delay_L=5.0,
+                  t_grid=tuple(uniform_grid(20.0, 2000)))
+trace = phonon_trace(p)
+assert type(trace.n_phonon) is tuple and 0.4 < trace.peak_value < 0.6, trace
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_tuple_grid_trace_loads_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
